@@ -73,23 +73,16 @@ cargo test -p sparklite --offline -q --test events skewed_executor_streams
 cargo test -p sparklite --offline -q --test events merged_dist_timeline
 cargo test -p sparklite --offline -q --test dist killed_worker
 
-# Columnar-execution gate: the row-vs-columnar differential battery (200+
-# random pipelines, both physical paths byte-compared through RowCodec)
-# plus the batch kernel property suites (validity bitmaps, string arenas,
-# gather under arbitrary selection vectors).
+# Columnar-execution gate: the two-way differential battery (200+ random
+# pipelines plus group/sort-heavy and stress shapes, the row-major
+# reference vs the columnar path with the adaptive fallback forced off
+# and on, byte-compared through RowCodec) plus the batch kernel property
+# suites (validity bitmaps, string arenas, gather under arbitrary
+# selection vectors, sort-key order-equivalence to SortKey, group-key
+# identity, hash kernel and bucket merge vs the row fold).
 step "columnar suite (differential battery + kernel proptests)"
 cargo test -p sparklite --offline -q --test columnar_diff
 cargo test -p sparklite --offline -q --lib batch::tests
-
-# Vectorized-aggregation gate: the three-way (row-major / batched fold /
-# hash-kernel) group-by and normalized-key sort differentials plus the
-# key-encoding property suites (order-equivalence to SortKey, group
-# identity round-trips, kernel-vs-reference state equality).
-step "agg suite (three-way differentials + key-encoding proptests)"
-cargo test -p sparklite --offline -q --test columnar_diff group
-cargo test -p sparklite --offline -q --lib batch::tests::sort
-cargo test -p sparklite --offline -q --lib batch::tests::group
-cargo test -p sparklite --offline -q --lib batch::tests::bucket_merge
 
 if [[ "$QUICK" -eq 0 ]]; then
   step "cargo build --release"
@@ -100,12 +93,6 @@ if [[ "$QUICK" -eq 0 ]]; then
   # results identical to the unpersisted run (also checked under 20% chaos).
   step "harness cache smoke"
   ./target/release/harness cache --tries 2
-
-  # Smoke the traced harness figure: the run dies unless the event-derived
-  # timeline reconciles exactly with the metrics snapshot, every JSONL
-  # event-log line passes schema validation, and the Chrome trace parses.
-  step "harness trace smoke"
-  ./target/release/harness trace --tries 2
 
   # Smoke distributed mode end to end: the dist figure spawns 1/2/4 executor
   # processes, runs the Fig. 11 queries through them, and dies unless every
@@ -127,21 +114,14 @@ if [[ "$QUICK" -eq 0 ]]; then
   step "harness obs smoke (executor event streams)"
   ./target/release/harness obs --tries 2
 
-  # Smoke the columnar A/B end to end: the harness dies unless the fused
-  # batch pipeline is no slower than the row-major walk of the same plan
-  # and both paths return byte-identical rows (BENCH_columnar.json records
-  # the measured A/B).
+  # Smoke the physical-paths A/B end to end: the harness dies unless the
+  # fused batch pipeline is no slower than the row-major walk of the same
+  # plan, no DataFrame group-by or sort row loses more than 10%, and both
+  # paths — plus the 20% chaos re-run and the two-process executor run —
+  # return byte-identical rows (BENCH_columnar.json records the measured
+  # A/B).
   step "harness columnar smoke"
   ./target/release/harness columnar --tries 2
-
-  # Smoke the vectorized-aggregation A/B end to end: the harness dies
-  # unless the hash-kernel path beats the batched fold >= 1.5x on the
-  # high-cardinality group-by, never loses anywhere else (unique keys,
-  # skew, NULLs, the normalized-key sort), and all three physical paths —
-  # plus the 20% chaos re-run and the two-process executor run — return
-  # byte-identical rows (BENCH_agg.json records the measured A/B).
-  step "harness agg smoke"
-  ./target/release/harness agg --tries 2
 fi
 
 step "OK"

@@ -49,38 +49,45 @@ pub struct FigureReport {
     pub metrics: Vec<(String, u64)>,
 }
 
+/// Runs one confusion query `tries` times (at least once) and returns the
+/// last output with the mean wall clock, or the first error.
+fn time_query(
+    system: System,
+    sc: &SparkliteContext,
+    path: &str,
+    query: ConfusionQuery,
+    tries: usize,
+) -> Result<(QueryOutput, Duration), String> {
+    let tries = tries.max(1);
+    let mut total = Duration::ZERO;
+    let mut last = None;
+    for _ in 0..tries {
+        let (r, d) = time(|| run_confusion(system, sc, path, query));
+        last = Some(r?);
+        total += d;
+    }
+    Ok((last.expect("at least one try ran"), total / tries as u32))
+}
+
 fn measure_systems(
     sc: &SparkliteContext,
     path: &str,
     systems: &[System],
     tries: usize,
 ) -> Vec<(String, Vec<Cell>)> {
-    let mut rows = Vec::new();
-    for &system in systems {
-        let mut cells = Vec::new();
-        for query in QUERIES {
-            // Warm once (outside timing) to factor out lazy init, then
-            // average over `tries`.
-            let mut total = Duration::ZERO;
-            let mut failure: Option<String> = None;
-            for _ in 0..tries.max(1) {
-                let (r, d) = time(|| run_confusion(system, sc, path, query));
-                match r {
-                    Ok(_) => total += d,
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            cells.push(match failure {
-                Some(e) => Cell::Failed(e),
-                None => Cell::Time(total / tries.max(1) as u32),
-            });
-        }
-        rows.push((system.name().to_string(), cells));
-    }
-    rows
+    systems
+        .iter()
+        .map(|&system| {
+            let cells = QUERIES
+                .iter()
+                .map(|&query| match time_query(system, sc, path, query, tries) {
+                    Ok((_, d)) => Cell::Time(d),
+                    Err(e) => Cell::Failed(e),
+                })
+                .collect();
+            (system.name().to_string(), cells)
+        })
+        .collect()
 }
 
 fn render_rows(title: &str, rows: &[(String, Vec<Cell>)]) -> String {
@@ -302,21 +309,7 @@ pub fn chaos(objects: usize, executors: usize, tries: usize) -> FigureReport {
                 .with_faults(plan),
         );
         put_dataset(&sc, "hdfs:///confusion.json", &text).expect("dataset fits");
-        let mut cells = Vec::new();
-        let mut outputs: Vec<QueryOutput> = Vec::new();
-        for query in QUERIES {
-            let mut total = Duration::ZERO;
-            let mut last = None;
-            for _ in 0..tries.max(1) {
-                let (r, d) =
-                    time(|| run_confusion(System::Rumble, &sc, "hdfs:///confusion.json", query));
-                let out = r.unwrap_or_else(|e| panic!("{label} failed on {query:?}: {e}"));
-                total += d;
-                last = Some(out);
-            }
-            outputs.push(last.expect("at least one try ran").normalized());
-            cells.push(Cell::Time(total / tries.max(1) as u32));
-        }
+        let (outputs, cells) = run_queries(&sc, &QUERIES, tries);
         let m = sc.metrics();
         recovery.push_str(&format!(
             "{label}: {} failed / {} retried / {} recomputed task(s), {} injected fault(s)\n",
@@ -451,100 +444,6 @@ pub fn cache(objects: usize, executors: usize, tries: usize) -> FigureReport {
     FigureReport { rows, report, metrics }
 }
 
-/// **Trace** — the observability figure (no paper analogue; exercises the
-/// event-log subsystem end to end): the Fig. 11 queries run A/B with event
-/// collection off and on. The traced run's timeline must reconcile exactly
-/// with the global metrics snapshot, its JSONL event log and Chrome trace
-/// must pass schema validation, and the A/B delta is the instrumentation
-/// overhead. Returns the figure plus the two artifacts (JSONL event log,
-/// Chrome trace) for the harness to write.
-pub fn trace(objects: usize, executors: usize, tries: usize) -> (FigureReport, String, String) {
-    let text = confusion::generate(objects, DEFAULT_SEED);
-    // One wall-clock average per query, collection off or on. A small block
-    // size gives the schedule enough tasks for a readable timeline.
-    let run_all = |collect: bool| -> (SparkliteContext, Vec<Duration>) {
-        let sc = SparkliteContext::new(
-            SparkliteConf::default()
-                .with_executors(executors)
-                .with_block_size(64 * 1024)
-                .with_event_collection(collect)
-                .with_event_capacity(1 << 20),
-        );
-        put_dataset(&sc, "hdfs:///confusion.json", &text).expect("dataset fits");
-        let mut walls = Vec::new();
-        for query in QUERIES {
-            let mut total = Duration::ZERO;
-            for _ in 0..tries.max(1) {
-                let (r, d) =
-                    time(|| run_confusion(System::Rumble, &sc, "hdfs:///confusion.json", query));
-                r.unwrap_or_else(|e| panic!("traced run failed on {query:?}: {e}"));
-                total += d;
-            }
-            walls.push(total / tries.max(1) as u32);
-        }
-        (sc, walls)
-    };
-    let (_, base_walls) = run_all(false);
-    let (sc, traced_walls) = run_all(true);
-
-    // The acceptance criteria: nothing dropped, spans paired, and the
-    // event-derived timeline equal to the metrics snapshot counter for
-    // counter.
-    let collector = sc.event_collector().expect("collection is on");
-    assert_eq!(collector.dropped(), 0, "event capacity must hold the traced run");
-    let timeline = sc.timeline().expect("collection is on");
-    let (starts, ends) = timeline.task_event_counts();
-    assert_eq!(starts, ends, "every TaskStart needs a TaskEnd");
-    timeline
-        .reconcile(&sc.metrics())
-        .unwrap_or_else(|e| panic!("timeline does not reconcile with metrics: {e}"));
-    let jsonl = timeline.to_jsonl();
-    let events_checked = crate::validate_event_log(&jsonl)
-        .unwrap_or_else(|e| panic!("JSONL event log failed schema validation: {e}"));
-    let chrome = timeline.to_chrome_trace();
-    let slices = crate::validate_chrome_trace(&chrome)
-        .unwrap_or_else(|e| panic!("Chrome trace failed validation: {e}"));
-
-    let rows: Vec<(String, Vec<Cell>)> = QUERIES
-        .iter()
-        .zip(base_walls.iter().zip(&traced_walls))
-        .map(|(q, (b, t))| (format!("{q:?}").to_lowercase(), vec![Cell::Time(*b), Cell::Time(*t)]))
-        .collect();
-    let base_total: Duration = base_walls.iter().sum();
-    let traced_total: Duration = traced_walls.iter().sum();
-    let overhead_pct =
-        (traced_total.as_secs_f64() / base_total.as_secs_f64().max(1e-9) - 1.0) * 100.0;
-    let m = sc.metrics();
-    let metrics = vec![
-        ("events".to_string(), events_checked as u64),
-        ("trace_slices".to_string(), slices as u64),
-        ("jobs".to_string(), m.jobs),
-        ("stages".to_string(), m.stages),
-        ("tasks".to_string(), m.tasks),
-        ("task_busy_us".to_string(), m.task_busy_us),
-        ("overhead_bp".to_string(), (overhead_pct * 100.0).max(0.0).round() as u64),
-    ];
-    let rendered: Vec<(String, Vec<String>)> = rows
-        .iter()
-        .map(|(l, cells)| (l.clone(), cells.iter().map(Cell::render).collect()))
-        .collect();
-    let report = format!(
-        "{}\nper-job timeline of the traced run ({events_checked} events, {slices} trace \
-         slices):\n{}\ninstrumentation overhead: {overhead_pct:+.1}% wall clock \
-         (events on vs off, {} task(s) over {} job(s)); the timeline reconciled exactly \
-         with the metrics snapshot.\n",
-        render_table(
-            &format!("Trace — event collection A/B, {objects} objects, {executors} cores"),
-            &["events off", "events on"],
-            &rendered
-        ),
-        timeline.render_job_table(),
-        m.tasks,
-        m.jobs,
-    );
-    (FigureReport { rows, report, metrics }, jsonl, chrome)
-}
-
 /// How a distributed figure deploys its workers: `None` for thread-mode
 /// workers (same wire protocol, no process spawn — what the in-crate smoke
 /// tests use), `Some(cmd)` for worker processes launched as `cmd` (empty →
@@ -579,25 +478,21 @@ fn dist_context(
     SparkliteContext::new(conf)
 }
 
-/// Runs the Fig. 11 queries on `sc` and returns normalized outputs plus
-/// per-query averaged wall clocks.
-fn run_queries(sc: &SparkliteContext, tries: usize) -> (Vec<QueryOutput>, Vec<Cell>) {
-    let mut outputs = Vec::new();
-    let mut cells = Vec::new();
-    for query in QUERIES {
-        let mut total = Duration::ZERO;
-        let mut last = None;
-        for _ in 0..tries.max(1) {
-            let (r, d) =
-                time(|| run_confusion(System::Rumble, sc, "hdfs:///confusion.json", query));
-            let out = r.unwrap_or_else(|e| panic!("query {query:?} failed: {e}"));
-            total += d;
-            last = Some(out);
-        }
-        outputs.push(last.expect("at least one try ran").normalized());
-        cells.push(Cell::Time(total / tries.max(1) as u32));
-    }
-    (outputs, cells)
+/// Runs Fig. 11 `queries` through Rumble on `sc` and returns normalized
+/// outputs plus per-query averaged wall clocks; panics if a query fails.
+fn run_queries(
+    sc: &SparkliteContext,
+    queries: &[ConfusionQuery],
+    tries: usize,
+) -> (Vec<QueryOutput>, Vec<Cell>) {
+    queries
+        .iter()
+        .map(|&query| {
+            let (out, d) = time_query(System::Rumble, sc, "hdfs:///confusion.json", query, tries)
+                .unwrap_or_else(|e| panic!("query {query:?} failed: {e}"));
+            (out.normalized(), Cell::Time(d))
+        })
+        .unzip()
 }
 
 /// Drains the cluster and checks the event stream: after
@@ -629,7 +524,7 @@ pub fn dist(objects: usize, worker_counts: &[usize], tries: usize, cmd: WorkerCm
 
     let sc = SparkliteContext::new(SparkliteConf::default().with_executors(cores));
     put_dataset(&sc, "hdfs:///confusion.json", &text).expect("dataset fits");
-    let (baseline, cells) = run_queries(&sc, tries);
+    let (baseline, cells) = run_queries(&sc, &QUERIES, tries);
     rows.push(("local threads".to_string(), cells));
 
     let kind = if cmd.is_some() { "process" } else { "thread" };
@@ -637,7 +532,7 @@ pub fn dist(objects: usize, worker_counts: &[usize], tries: usize, cmd: WorkerCm
         let label = format!("{w} {kind} worker(s)");
         let sc = dist_context(cores, w, &cmd, true);
         put_dataset(&sc, "hdfs:///confusion.json", &text).expect("dataset fits");
-        let (outputs, cells) = run_queries(&sc, tries);
+        let (outputs, cells) = run_queries(&sc, &QUERIES, tries);
         for (i, out) in outputs.iter().enumerate() {
             assert_eq!(out, &baseline[i], "{label} changed the answer of {:?}", QUERIES[i]);
         }
@@ -906,7 +801,7 @@ pub fn chaos_kill_executor(objects: usize, tries: usize, cmd: WorkerCmd) -> Figu
 
     let sc = SparkliteContext::new(SparkliteConf::default().with_executors(cores));
     put_dataset(&sc, "hdfs:///confusion.json", &text).expect("dataset fits");
-    let (baseline, base_cells) = run_queries(&sc, tries);
+    let (baseline, base_cells) = run_queries(&sc, &QUERIES, tries);
 
     let kind = if cmd.is_some() { "process" } else { "thread" };
     let sc = dist_context(cores, 2, &cmd, true);
@@ -918,7 +813,7 @@ pub fn chaos_kill_executor(objects: usize, tries: usize, cmd: WorkerCmd) -> Figu
         trigger: 2,
         fired: std::sync::atomic::AtomicBool::new(false),
     }));
-    let (outputs, kill_cells) = run_queries(&sc, tries);
+    let (outputs, kill_cells) = run_queries(&sc, &QUERIES, tries);
     for (i, out) in outputs.iter().enumerate() {
         assert_eq!(out, &baseline[i], "worker death changed the answer of {:?}", QUERIES[i]);
     }
@@ -961,40 +856,59 @@ pub fn chaos_kill_executor(objects: usize, tries: usize, cmd: WorkerCmd) -> Figu
     FigureReport { rows, report, metrics }
 }
 
-/// **Columnar** — row-major vs columnar batch execution (no paper
-/// analogue; exercises the §4.7-adjacent DataFrame runtime): the same
-/// three pipelines run A/B on both physical paths — a typed
+/// Runs `run(arm)` `tries` times (at least once) on each of two A/B arms,
+/// alternating which arm goes first, and returns per arm the best-of
+/// (minimum) wall clock and the last result. The minimum is the noise-free
+/// estimate: scheduler noise only ever adds time.
+fn interleaved<R>(tries: usize, run: impl Fn(usize) -> R) -> [(Cell, R); 2] {
+    let mut best = [Duration::MAX; 2];
+    let mut last: [Option<R>; 2] = [None, None];
+    for t in 0..tries.max(1) {
+        for arm in [t % 2, (t + 1) % 2] {
+            let (r, d) = time(|| run(arm));
+            best[arm] = best[arm].min(d);
+            last[arm] = Some(r);
+        }
+    }
+    let [r0, r1] = last.map(|r| r.expect("at least one try ran"));
+    [(Cell::Time(best[0]), r0), (Cell::Time(best[1]), r1)]
+}
+
+/// **Columnar** — the physical-paths figure (no paper analogue; exercises
+/// the §4.7 DataFrame runtime): every pipeline runs A/B on the row-major
+/// reference interpreter and on the shipping default (fused columnar batch
+/// kernels, the vectorized hash group-by, normalized-key sort, and the
+/// adaptive row fallback). The pipelines are a typed
 /// scan→project→filter chain that the columnar compiler fuses into one
-/// batch pass per partition, plus the Fig. 11 group and sort queries whose
-/// DataFrame mappings run their map sides columnar. Every pipeline must
-/// return byte-identical results on both paths; the engine counters record
-/// how many batches flowed and how many fused pipelines ran.
-pub fn columnar(objects: usize, executors: usize, tries: usize) -> FigureReport {
+/// batch pass per partition; one typed group-by per key distribution —
+/// ~8 rows per key, every key distinct, 16 keys, one dominant key, half
+/// the keys NULL; a multi-key sort; and the Fig. 11 group and sort
+/// queries, whose FLWOR mappings run through the DataFrame runtime. The
+/// arms alternate try by try and cells are best-of-`tries`. Every
+/// pipeline must return byte-identical results on both paths; the
+/// DataFrame pipelines are then re-run under seeded 20% fault injection,
+/// and the Fig. 11 group/sort queries through two executor workers, both
+/// of which must reproduce the fault-free single-process answer exactly.
+pub fn columnar(objects: usize, executors: usize, tries: usize, cmd: WorkerCmd) -> FigureReport {
     use sparklite::dataframe::{
-        CmpOp, DataFrame, DataType, Expr, Field, NumOp, Row, RowCodec, Schema, Value,
+        Agg, CmpOp, DataFrame, DataType, Expr, Field, NumOp, Row, RowCodec, Schema, SortDir, Value,
     };
     use sparklite::CacheCodec;
 
+    const CHAOS_SEED: u64 = 0xA66C;
+    const SHAPES: [&str; 5] =
+        ["high cardinality", "unique keys", "low cardinality", "skewed", "NULL-laden"];
+    const FIG11_SHUFFLES: [ConfusionQuery; 2] = [ConfusionQuery::Group, ConfusionQuery::Sort];
     let text = confusion::generate(objects, DEFAULT_SEED);
     let typed_rows = objects * 8;
-    // The optimizer is pinned off so both configurations execute the
-    // identical logical plan: with rewrites on, filter pushdown shrinks the
-    // row-major path's project work to the filter survivors, and the A/B
-    // would measure rewrite quality instead of the execution model.
-    let make_ctx = |row_major: bool| {
-        SparkliteContext::new(
-            SparkliteConf::default()
-                .with_executors(executors)
-                .with_optimizer(false)
-                .with_row_major(row_major),
-        )
-    };
+    let rows_n = objects as i64;
+
     // The typed pipeline: five adjacent batch operators over native I64
     // columns — a score-style compute chain, the shape where vectorized
     // kernels beat per-row expression walks (each row-major projection
     // rebuilds the row `Vec` and walks the expression tree per row; the
     // batch path runs one kernel per operator node and shares untouched
-    // columns). Built once per context; only collect is timed.
+    // columns).
     let typed_frame = |sc: &SparkliteContext| -> DataFrame {
         let schema = Schema::new(vec![
             Field::new("a", DataType::I64),
@@ -1040,120 +954,6 @@ pub fn columnar(objects: usize, executors: usize, tries: usize) -> FigureReport 
             .filter(Expr::cmp(Expr::col("u"), CmpOp::Lt, Expr::lit(Value::I64(3_072))))
             .expect("filter binds")
     };
-
-    let mut per_config: Vec<(Vec<Cell>, Vec<u8>, Vec<QueryOutput>)> = Vec::new();
-    let mut metrics: Vec<(String, u64)> = Vec::new();
-    let mut notes = String::new();
-    for (label, row_major) in [("row-major", true), ("columnar", false)] {
-        let sc = make_ctx(row_major);
-        put_dataset(&sc, "hdfs:///confusion.json", &text).expect("dataset fits");
-        let mut cells = Vec::new();
-
-        // Pipeline 1: the fused typed chain.
-        let frame = typed_frame(&sc);
-        let _ = frame.collect_rows().expect("warm-up runs");
-        let mut total = Duration::ZERO;
-        let mut bytes = Vec::new();
-        for _ in 0..tries.max(1) {
-            let (rows, d) = time(|| frame.collect_rows().expect("pipeline runs"));
-            bytes = RowCodec.encode(&rows);
-            total += d;
-        }
-        cells.push(Cell::Time(total / tries.max(1) as u32));
-
-        // Pipelines 2 and 3: the Fig. 11 group and sort queries, whose
-        // FLWOR mappings run through the DataFrame runtime.
-        let mut outputs = Vec::new();
-        for query in [ConfusionQuery::Group, ConfusionQuery::Sort] {
-            let mut total = Duration::ZERO;
-            let mut last = None;
-            for _ in 0..tries.max(1) {
-                let (r, d) =
-                    time(|| run_confusion(System::Rumble, &sc, "hdfs:///confusion.json", query));
-                let out = r.unwrap_or_else(|e| panic!("{label} failed on {query:?}: {e}"));
-                total += d;
-                last = Some(out);
-            }
-            outputs.push(last.expect("at least one try ran").normalized());
-            cells.push(Cell::Time(total / tries.max(1) as u32));
-        }
-
-        let m = sc.metrics();
-        if row_major {
-            assert_eq!(m.columnar_batches, 0, "row-major path must not produce batches");
-        } else {
-            assert!(m.columnar_batches > 0, "columnar path never produced a batch");
-            assert!(m.fused_pipelines > 0, "the typed chain never fused");
-        }
-        notes.push_str(&format!(
-            "{label}: {} batch(es) across {} fused pipeline execution(s)\n",
-            m.columnar_batches, m.fused_pipelines
-        ));
-        metrics.push((format!("{label}.columnar_batches"), m.columnar_batches));
-        metrics.push((format!("{label}.fused_pipelines"), m.fused_pipelines));
-        per_config.push((cells, bytes, outputs));
-    }
-
-    // Identity across physical paths: byte-identical typed rows, identical
-    // normalized query outputs.
-    assert_eq!(
-        per_config[0].1, per_config[1].1,
-        "columnar execution changed the typed pipeline's rows"
-    );
-    for (i, query) in [ConfusionQuery::Group, ConfusionQuery::Sort].iter().enumerate() {
-        assert_eq!(
-            per_config[0].2[i], per_config[1].2[i],
-            "columnar execution changed the answer of {query:?}"
-        );
-    }
-
-    let labels = ["scan→project→filter (fused)", "group", "sort"];
-    let rows: Vec<(String, Vec<Cell>)> = labels
-        .iter()
-        .enumerate()
-        .map(|(i, l)| (l.to_string(), vec![per_config[0].0[i].clone(), per_config[1].0[i].clone()]))
-        .collect();
-    let rendered: Vec<(String, Vec<String>)> = rows
-        .iter()
-        .map(|(l, cells)| (l.clone(), cells.iter().map(Cell::render).collect()))
-        .collect();
-    let report = format!(
-        "{}\n{notes}both paths returned byte-identical results; the delta on the fused \
-         chain is what vectorized batch kernels save over per-row expression walks.\n",
-        render_table(
-            &format!(
-                "Columnar — row-major vs batch execution, {typed_rows} typed rows / \
-                 {objects} objects, {executors} cores"
-            ),
-            &["row-major", "columnar"],
-            &rendered
-        )
-    );
-    FigureReport { rows, report, metrics }
-}
-
-/// **§6.3 prose** — the hand-tuned low-level program vs the engines.
-/// **Agg** — vectorized aggregation & sort A/B (no paper analogue;
-/// exercises the §4.7 group/sort key machinery): the same typed group-by
-/// pipeline over four key distributions — every key distinct, 16 keys, one
-/// dominant key, half the keys NULL — plus a multi-key sort, each run on
-/// three physical paths: the row-major interpreter, the PR 8 columnar
-/// per-batch fold, and the vectorized hash kernel with normalized-key
-/// sort. Every cell must return byte-identical rows; the same pipelines
-/// are then re-run under seeded 20% fault injection, and the Fig. 11
-/// group/sort queries through two executor workers, both of which must
-/// reproduce the fault-free single-process answer exactly.
-pub fn agg(objects: usize, executors: usize, tries: usize, cmd: WorkerCmd) -> FigureReport {
-    use sparklite::dataframe::{
-        Agg, DataFrame, DataType, Field, Row, RowCodec, Schema, SortDir, Value,
-    };
-    use sparklite::CacheCodec;
-
-    const CHAOS_SEED: u64 = 0xA66C;
-    const SHAPES: [&str; 5] =
-        ["high cardinality", "unique keys", "low cardinality", "skewed", "NULL-laden"];
-    let rows_n = objects as i64;
-
     let dataset = |shape: &str| -> Vec<Row> {
         (0..rows_n)
             .map(|i| {
@@ -1163,7 +963,7 @@ pub fn agg(objects: usize, executors: usize, tries: usize, cmd: WorkerCmd) -> Fi
                     "high cardinality" => Value::I64(i % (rows_n / 8).max(1)),
                     // The degenerate extreme: every key distinct, map-side
                     // aggregation merges nothing and the whole input crosses
-                    // the shuffle. The vectorized path must not lose here.
+                    // the shuffle. The columnar path must not lose here.
                     "unique keys" => Value::I64(i),
                     "low cardinality" => Value::I64(i % 16),
                     "skewed" => Value::I64(if i % 10 == 0 { i % 1_000 } else { 0 }),
@@ -1213,101 +1013,104 @@ pub fn agg(objects: usize, executors: usize, tries: usize, cmd: WorkerCmd) -> Fi
             ])
             .expect("order-by binds")
     };
-    // One pipeline per figure row: the four grouped shapes, then the sort.
+    // One DataFrame pipeline per figure row: the fused chain, the grouped
+    // shapes, then the sort. Each is built per context; only collect is
+    // timed.
     type BuildFrame<'a> = Box<dyn Fn(&SparkliteContext) -> DataFrame + 'a>;
-    let pipelines: Vec<(String, BuildFrame<'_>)> = SHAPES
-        .iter()
-        .map(|&shape| {
-            let label = format!("group-by {shape}");
-            let f: BuildFrame<'_> =
-                Box::new(move |sc: &SparkliteContext| group_pipeline(sc, dataset(shape)));
-            (label, f)
-        })
-        .chain(std::iter::once((
-            "sort (multi-key)".to_string(),
-            Box::new(move |sc: &SparkliteContext| sort_pipeline(sc, dataset("high cardinality")))
-                as BuildFrame<'_>,
-        )))
-        .collect();
+    let mut pipelines: Vec<(String, BuildFrame<'_>)> =
+        vec![("scan→project→filter (fused)".to_string(), Box::new(typed_frame) as BuildFrame<'_>)];
+    for shape in SHAPES {
+        let build = move |sc: &SparkliteContext| group_pipeline(sc, dataset(shape));
+        pipelines.push((format!("group-by {shape}"), Box::new(build)));
+    }
+    pipelines.push((
+        "sort (multi-key)".to_string(),
+        Box::new(|sc: &SparkliteContext| sort_pipeline(sc, dataset("high cardinality"))),
+    ));
 
-    // The optimizer stays off for the same reason as the columnar figure:
-    // all three configurations must execute the identical logical plan.
+    // The optimizer is pinned off so both paths execute the identical
+    // logical plan: with rewrites on, filter pushdown shrinks the
+    // row-major path's project work to the filter survivors, and the A/B
+    // would measure rewrite quality instead of the execution model.
     let base = || SparkliteConf::default().with_executors(executors).with_optimizer(false);
-    type Tweak = fn(SparkliteConf) -> SparkliteConf;
-    let configs: [(&str, Tweak); 3] = [
-        ("row-major", |c| c.with_row_major(true)),
-        ("columnar", |c| c.with_vectorized(false)),
-        ("vectorized", |c| c.with_adaptive(false)),
-    ];
+    // Both arms stay alive and alternate try by try, as in the obs figure:
+    // run one after the other, the A/B would measure drift in machine load
+    // between the arms, which on a shared host exceeds the group/sort
+    // margins.
+    let arms: Vec<SparkliteContext> = [true, false]
+        .into_iter()
+        .map(|row_major| {
+            let sc = SparkliteContext::new(base().with_row_major(row_major));
+            put_dataset(&sc, "hdfs:///confusion.json", &text).expect("dataset fits");
+            sc
+        })
+        .collect();
+    let mut arm_cells: [Vec<Cell>; 2] = Default::default();
+    // The row-major arm's DataFrame rows (RowCodec bytes): the reference
+    // every other run must reproduce.
+    let mut reference: Vec<Vec<u8>> = Vec::new();
+    for (name, build) in &pipelines {
+        let frames: Vec<DataFrame> = arms.iter().map(build).collect();
+        for frame in &frames {
+            frame.collect_rows().expect("warm-up runs");
+        }
+        let runs = interleaved(tries, |a| {
+            frames[a].collect_rows().unwrap_or_else(|e| panic!("{name}: {e}"))
+        });
+        let [(row_cell, row_rows), (col_cell, col_rows)] = runs;
+        let bytes = RowCodec.encode(&row_rows);
+        assert_eq!(RowCodec.encode(&col_rows), bytes, "columnar execution changed '{name}'");
+        reference.push(bytes);
+        arm_cells[0].push(row_cell);
+        arm_cells[1].push(col_cell);
+    }
+    let mut ref_outputs = Vec::new();
+    for query in FIG11_SHUFFLES {
+        let runs = interleaved(tries, |a| {
+            run_confusion(System::Rumble, &arms[a], "hdfs:///confusion.json", query)
+                .unwrap_or_else(|e| panic!("query {query:?} failed: {e}"))
+                .normalized()
+        });
+        let [(row_cell, row_out), (col_cell, col_out)] = runs;
+        assert_eq!(col_out, row_out, "columnar execution changed the answer of {query:?}");
+        ref_outputs.push(row_out);
+        arm_cells[0].push(row_cell);
+        arm_cells[1].push(col_cell);
+    }
 
-    let mut per_config: Vec<Vec<(Cell, Vec<u8>)>> = Vec::new();
     let mut metrics: Vec<(String, u64)> = Vec::new();
     let mut notes = String::new();
-    for (label, tweak) in configs {
-        let sc = SparkliteContext::new(tweak(base()));
-        let mut cells = Vec::new();
-        for (name, build) in &pipelines {
-            let frame = build(&sc);
-            let _ = frame.collect_rows().expect("warm-up runs");
-            let mut total = Duration::ZERO;
-            let mut bytes = Vec::new();
-            for _ in 0..tries.max(1) {
-                let (rows, d) =
-                    time(|| frame.collect_rows().unwrap_or_else(|e| panic!("{name}: {e}")));
-                bytes = RowCodec.encode(&rows);
-                total += d;
-            }
-            cells.push((Cell::Time(total / tries.max(1) as u32), bytes));
-        }
+    for (label, sc) in ["row-major", "columnar"].into_iter().zip(&arms) {
         let m = sc.metrics();
-        match label {
-            "row-major" => assert_eq!(m.columnar_batches, 0, "row-major produced batches"),
-            "columnar" => assert_eq!(m.agg_rows_in, 0, "PR 8 fold fired the vectorized kernel"),
-            _ => {
-                assert!(m.agg_rows_in > 0, "vectorized path never ran the hash kernel");
-                assert!(m.agg_groups_out > 0, "vectorized kernel emitted no groups");
-            }
+        if label == "row-major" {
+            assert_eq!(m.columnar_batches, 0, "row-major path must not produce batches");
+        } else {
+            assert!(m.columnar_batches > 0, "columnar path never produced a batch");
+            assert!(m.fused_pipelines > 0, "the typed chain never fused");
+            assert!(m.agg_rows_in > 0, "columnar path never ran the hash kernel");
+            assert!(m.agg_groups_out > 0, "hash kernel emitted no groups");
         }
         notes.push_str(&format!(
-            "{label}: {} batch(es), {} row(s) into the agg kernel, {} group(s) out\n",
-            m.columnar_batches, m.agg_rows_in, m.agg_groups_out
+            "{label}: {} batch(es) across {} fused pipeline execution(s), {} row(s) into the \
+             agg kernel, {} group(s) out\n",
+            m.columnar_batches, m.fused_pipelines, m.agg_rows_in, m.agg_groups_out
         ));
         for (k, v) in [
             ("columnar_batches", m.columnar_batches),
+            ("fused_pipelines", m.fused_pipelines),
             ("agg_rows_in", m.agg_rows_in),
             ("agg_groups_out", m.agg_groups_out),
         ] {
             metrics.push((format!("{label}.{k}"), v));
         }
-        per_config.push(cells);
     }
 
-    // Identity across the three physical paths, per pipeline.
-    for (i, (name, _)) in pipelines.iter().enumerate() {
-        for cfg in 1..configs.len() {
-            assert_eq!(
-                per_config[cfg][i].1, per_config[0][i].1,
-                "{} changed the rows of '{name}'",
-                configs[cfg].0
-            );
-        }
-    }
-
-    // Fault tolerance: the vectorized path under seeded 20% chaos must
-    // still reproduce every pipeline byte-for-byte.
-    let chaos = SparkliteContext::new(
-        SparkliteConf::default()
-            .with_executors(executors)
-            .with_optimizer(false)
-            .with_faults(FaultPlan::chaos(CHAOS_SEED, 0.20)),
-    );
+    // Fault tolerance: the shipping default under seeded 20% chaos must
+    // still reproduce every DataFrame pipeline byte-for-byte.
+    let chaos = SparkliteContext::new(base().with_faults(FaultPlan::chaos(CHAOS_SEED, 0.20)));
     for (i, (name, build)) in pipelines.iter().enumerate() {
         let rows = build(&chaos).collect_rows().unwrap_or_else(|e| panic!("chaos {name}: {e}"));
-        assert_eq!(
-            RowCodec.encode(&rows),
-            per_config[0][i].1,
-            "20% chaos changed the rows of '{name}' on the vectorized path"
-        );
+        assert_eq!(RowCodec.encode(&rows), reference[i], "20% chaos changed the rows of '{name}'");
     }
     let cm = chaos.metrics();
     notes.push_str(&format!(
@@ -1319,48 +1122,50 @@ pub fn agg(objects: usize, executors: usize, tries: usize, cmd: WorkerCmd) -> Fi
 
     // Cross-process identity: the Fig. 11 group/sort queries (whose FLWOR
     // mappings aggregate and sort through the DataFrame runtime) via two
-    // executor workers must match the local threaded engine.
+    // executor workers must match the single-process answer.
     let kind = if cmd.is_some() { "process" } else { "thread" };
-    let text = confusion::generate(objects, DEFAULT_SEED);
-    let local = SparkliteContext::new(SparkliteConf::default().with_executors(executors));
-    put_dataset(&local, "hdfs:///confusion.json", &text).expect("dataset fits");
-    let (baseline, _) = run_queries(&local, 1);
     let dist = dist_context(executors, 2, &cmd, true);
     put_dataset(&dist, "hdfs:///confusion.json", &text).expect("dataset fits");
-    let (outputs, _) = run_queries(&dist, 1);
-    for (i, out) in outputs.iter().enumerate() {
-        assert_eq!(out, &baseline[i], "2 {kind} workers changed the answer of {:?}", QUERIES[i]);
+    let (outputs, _) = run_queries(&dist, &FIG11_SHUFFLES, 1);
+    for (i, query) in FIG11_SHUFFLES.iter().enumerate() {
+        assert_eq!(outputs[i], ref_outputs[i], "2 {kind} workers changed the answer of {query:?}");
     }
-    let dm = reconcile_dist_run(&dist, "agg two-worker check");
+    let dm = reconcile_dist_run(&dist, "columnar two-worker check");
     notes.push_str(&format!(
-        "2 {kind} worker(s): {} block(s) pushed, all Fig. 11 answers identical\n",
+        "2 {kind} worker(s): {} block(s) pushed, Fig. 11 group/sort answers identical\n",
         dm.blocks_pushed
     ));
     metrics.push((format!("2 {kind} workers.blocks_pushed"), dm.blocks_pushed));
 
-    let rows: Vec<(String, Vec<Cell>)> = pipelines
+    let labels = pipelines
         .iter()
+        .map(|(name, _)| name.clone())
+        .chain(["Fig. 11 group".to_string(), "Fig. 11 sort".to_string()]);
+    let rows: Vec<(String, Vec<Cell>)> = labels
         .enumerate()
-        .map(|(i, (name, _))| {
-            (name.clone(), per_config.iter().map(|cfg| cfg[i].0.clone()).collect())
-        })
+        .map(|(i, l)| (l, arm_cells.iter().map(|cells| cells[i].clone()).collect()))
         .collect();
     let rendered: Vec<(String, Vec<String>)> = rows
         .iter()
         .map(|(l, cells)| (l.clone(), cells.iter().map(Cell::render).collect()))
         .collect();
     let report = format!(
-        "{}\n{notes}all paths returned byte-identical rows; the high-cardinality delta is \
-         what typed accumulators over encoded keys save over per-row state merges.\n",
+        "{}\n{notes}both paths returned byte-identical results; the fused-chain delta is what \
+         vectorized batch kernels save over per-row expression walks, the high-cardinality \
+         delta what typed accumulators over encoded keys save over per-row state merges.\n",
         render_table(
-            &format!("Agg — group/sort physical paths, {rows_n} rows, {executors} cores"),
-            &["row-major", "columnar", "vectorized"],
+            &format!(
+                "Columnar — physical paths, {typed_rows} typed rows / {rows_n} keyed rows / \
+                 {objects} objects, {executors} cores"
+            ),
+            &["row-major", "columnar"],
             &rendered
         )
     );
     FigureReport { rows, report, metrics }
 }
 
+/// **§6.3 prose** — the hand-tuned low-level program vs the engines.
 pub fn handtuned_comparison(objects: usize) -> FigureReport {
     let sc = SparkliteContext::new(SparkliteConf::default());
     put_dataset(&sc, "hdfs:///confusion.json", &confusion::generate(objects, DEFAULT_SEED))
@@ -1420,19 +1225,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_smoke_validates_and_reconciles() {
-        // The figure itself asserts reconciliation and artifact validity;
-        // the smoke run checks shape and that artifacts are non-trivial.
-        let (r, jsonl, chrome) = trace(2_000, 3, 1);
-        assert_eq!(r.rows.len(), 3);
-        assert!(r.rows.iter().all(|(_, cells)| cells.len() == 2));
-        assert!(r.metrics.iter().any(|(k, v)| k == "events" && *v > 0));
-        assert!(r.report.contains("instrumentation overhead"));
-        assert!(jsonl.lines().count() > 10);
-        assert!(chrome.contains("\"traceEvents\""));
-    }
-
-    #[test]
     fn dist_smoke_matches_local() {
         // Thread-mode workers run the same wire protocol as processes;
         // the figure asserts identity with the local engine, reconciles
@@ -1456,13 +1248,17 @@ mod tests {
     #[test]
     fn columnar_smoke_matches_and_fuses() {
         // The figure asserts internally that both physical paths return
-        // byte-identical results and that the columnar path actually ran
-        // batches through fused pipelines.
-        let r = columnar(2_000, 3, 1);
-        assert_eq!(r.rows.len(), 3);
+        // byte-identical results (also under 20% chaos and through two
+        // thread workers) and that the columnar path actually ran batches
+        // through fused pipelines and the hash group-by kernel.
+        let r = columnar(2_000, 3, 1, None);
+        // Fused chain, five group-by shapes, multi-key sort, Fig. 11
+        // group and sort.
+        assert_eq!(r.rows.len(), 9);
         assert!(r.rows.iter().all(|(_, cells)| cells.len() == 2));
         assert!(r.metrics.iter().any(|(k, v)| k == "columnar.fused_pipelines" && *v > 0));
         assert!(r.metrics.iter().any(|(k, v)| k == "columnar.columnar_batches" && *v > 0));
+        assert!(r.metrics.iter().any(|(k, v)| k == "columnar.agg_rows_in" && *v > 0));
         assert!(r.metrics.iter().any(|(k, v)| k == "row-major.columnar_batches" && *v == 0));
         assert!(r.report.contains("byte-identical"));
     }

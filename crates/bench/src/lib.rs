@@ -120,7 +120,7 @@ pub fn write_bench_json(
 
 /// The JSONL event-log fields every event of a given type must carry,
 /// beyond the `{"ev": …, "at_us": …}` envelope — the schema contract the
-/// trace figure checks on every line the harness writes.
+/// obs figure checks on every line of its merged event log.
 fn required_event_fields(ev: &str) -> Option<&'static [&'static str]> {
     Some(match ev {
         "JobStart" => &["job", "stage", "num_tasks"],
@@ -286,6 +286,30 @@ mod tests {
         assert_eq!(validate_chrome_trace(ok), Ok(1));
         assert!(validate_chrome_trace("{}").is_err());
         assert!(validate_chrome_trace("{\"traceEvents\":[{\"ph\":\"B\"}]}").is_err());
+    }
+
+    #[test]
+    fn traced_fig11_run_exports_valid_artifacts() {
+        use rumble_datagen::{confusion, put_dataset, DEFAULT_SEED};
+        use sparklite::{SparkliteConf, SparkliteContext};
+        let sc = SparkliteContext::new(
+            SparkliteConf::default()
+                .with_executors(3)
+                .with_block_size(64 * 1024)
+                .with_event_collection(true)
+                .with_event_capacity(1 << 20),
+        );
+        put_dataset(&sc, "hdfs:///confusion.json", &confusion::generate(2_000, DEFAULT_SEED))
+            .unwrap();
+        for query in figures::QUERIES {
+            systems::run_confusion(systems::System::Rumble, &sc, "hdfs:///confusion.json", query)
+                .unwrap();
+        }
+        let timeline = sc.timeline().unwrap();
+        let events = validate_event_log(&timeline.to_jsonl()).unwrap();
+        assert!(events > 10, "only {events} events logged");
+        let slices = validate_chrome_trace(&timeline.to_chrome_trace()).unwrap();
+        assert!(slices > 0, "the Chrome trace has no slices");
     }
 
     #[test]

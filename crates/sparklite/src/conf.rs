@@ -191,12 +191,6 @@ pub struct ExecConf {
     /// Rows per [`ColumnBatch`](crate::dataframe::batch::ColumnBatch) in the
     /// vectorized pipeline (clamped to at least 1).
     pub batch_size: usize,
-    /// When true (the default), GROUP BY runs the columnar hash-aggregation
-    /// kernel (pre-aggregating per partition before the shuffle) and ORDER
-    /// BY sorts on the §4.7 normalized byte keys. When false, the PR 8
-    /// batched-but-per-row map sides run instead — the mid-point of the
-    /// three-way aggregation differential. Ignored under `row_major`.
-    pub vectorized: bool,
     /// When true (the default), short single-operator pipeline segments
     /// fall back to the row interpreter once observed batch statistics show
     /// average batch occupancy too low to amortize row↔column
@@ -206,7 +200,7 @@ pub struct ExecConf {
 
 impl Default for ExecConf {
     fn default() -> Self {
-        ExecConf { row_major: false, batch_size: 1024, vectorized: true, adaptive: true }
+        ExecConf { row_major: false, batch_size: 1024, adaptive: true }
     }
 }
 
@@ -399,13 +393,6 @@ impl SparkliteConf {
         self
     }
 
-    /// Enables (or disables) the vectorized GROUP BY kernel and
-    /// normalized-key ORDER BY; see [`ExecConf::vectorized`].
-    pub fn with_vectorized(mut self, on: bool) -> Self {
-        self.exec.vectorized = on;
-        self
-    }
-
     /// Enables (or disables) the adaptive row-vs-batch fallback for short
     /// pipeline segments; see [`ExecConf::adaptive`].
     pub fn with_adaptive(mut self, on: bool) -> Self {
@@ -466,8 +453,7 @@ mod tests {
         assert_eq!(c.exec.batch_size, 1);
         assert!(!c.exec.row_major);
         assert!(SparkliteConf::default().with_row_major(true).exec.row_major);
-        assert!(c.exec.vectorized && c.exec.adaptive);
-        assert!(!SparkliteConf::default().with_vectorized(false).exec.vectorized);
+        assert!(c.exec.adaptive);
         assert!(!SparkliteConf::default().with_adaptive(false).exec.adaptive);
     }
 

@@ -20,7 +20,7 @@
 //! **iff** its logical value is `NULL`. `Column::get` reconstructs `NULL`
 //! from a clear bit, so typed storage never needs a NULL sentinel.
 
-use super::expr::{self, value_cmp, BoundExpr, CmpOp, KeyValue, NumOp, SortDir, SortKey};
+use super::expr::{self, value_cmp, BoundExpr, CmpOp, KeyValue, NumOp, SortDir};
 use super::plan::{Agg, AggState};
 use super::{Row, Value};
 use crate::rdd::util::{fx_hash, fx_hash_bytes};
@@ -762,24 +762,6 @@ pub fn explode(batch: &ColumnBatch, col: usize) -> ColumnBatch {
     out
 }
 
-/// Materializes §4.7 grouping keys for every row of the batch: one
-/// [`KeyValue`] vector per row, hashable/equatable by exact representation.
-pub fn group_keys(batch: &ColumnBatch, key_cols: &[usize]) -> Vec<Vec<KeyValue>> {
-    (0..batch.len)
-        .map(|i| key_cols.iter().map(|&c| KeyValue(batch.columns[c].get(i))).collect())
-        .collect()
-}
-
-/// Materializes sort keys for every row of the batch: one [`SortKey`]
-/// vector per row, ordered so a plain ascending sort realizes the requested
-/// multi-key order. The reference the normalized-key encoding
-/// ([`sort_key_bytes`]) is proven equivalent to.
-pub fn sort_keys(batch: &ColumnBatch, spec: &[(usize, SortDir)]) -> Vec<Vec<SortKey>> {
-    (0..batch.len)
-        .map(|i| spec.iter().map(|&(c, d)| SortKey::new(batch.columns[c].get(i), d)).collect())
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // §4.7 normalized key encodings
 // ---------------------------------------------------------------------------
@@ -789,13 +771,13 @@ pub fn sort_keys(batch: &ColumnBatch, spec: &[(usize, SortDir)]) -> Vec<Vec<Sort
 // `I64(1)` and `F64(1.0)` encode as numeric ties, disambiguated only by a
 // type-rank byte), while the *group* encoding is equality-faithful to
 // `KeyValue` (`I64(1)`, `F64(1.0)` and `Str("1")` are three distinct keys,
-// floats identified by bit pattern). Both are built column-at-a-time so the
-// shuffle boundary never materializes per-row `Vec<SortKey>`/`Vec<KeyValue>`
-// scratch values.
+// floats identified by bit pattern). Neither materializes per-row
+// `Vec<SortKey>`/`Vec<KeyValue>` scratch values: a sort key is one flat
+// buffer per row, and group keys are built column-at-a-time.
 
 /// Iterates `(dense position, batch row index)` pairs of a selection
 /// (`None` selects every row) — the driving loop shared by the
-/// column-at-a-time key encoders and accumulators.
+/// column-at-a-time group-key encoder and accumulators.
 fn for_each_row(len: usize, sel: Option<&[u32]>, mut f: impl FnMut(usize, usize)) {
     match sel {
         Some(s) => {
@@ -861,26 +843,6 @@ fn push_terminated(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&[0x00, 0x00]);
 }
 
-fn sort_canonical_i64(out: &mut Vec<u8>, x: i64) {
-    out.push(SORT_TAG_NUM);
-    out.extend_from_slice(&ordered_f64(x as f64).to_be_bytes());
-    out.push(SORT_NUM_I64);
-    // The widening above loses precision past 2^53; the exact payload
-    // breaks those ties so the encoding stays a total order on integers.
-    out.extend_from_slice(&ordered_i64(x).to_be_bytes());
-}
-
-fn sort_canonical_f64(out: &mut Vec<u8>, x: f64) {
-    out.push(SORT_TAG_NUM);
-    out.extend_from_slice(&ordered_f64(x).to_be_bytes());
-    out.push(SORT_NUM_F64);
-}
-
-fn sort_canonical_str(out: &mut Vec<u8>, s: &str) {
-    out.push(SORT_TAG_STR);
-    push_terminated(out, s.as_bytes());
-}
-
 /// The ascending canonical encoding of a non-null value: memcmp order over
 /// these byte strings equals `value_cmp`, byte equality equals
 /// `value_cmp == Equal`, and every encoding is prefix-free (so cells
@@ -893,9 +855,24 @@ fn sort_canonical(out: &mut Vec<u8>, v: &Value) {
             out.push(SORT_TAG_BOOL);
             out.push(*b as u8);
         }
-        Value::I64(x) => sort_canonical_i64(out, *x),
-        Value::F64(x) => sort_canonical_f64(out, *x),
-        Value::Str(s) => sort_canonical_str(out, s),
+        Value::I64(x) => {
+            out.push(SORT_TAG_NUM);
+            out.extend_from_slice(&ordered_f64(*x as f64).to_be_bytes());
+            out.push(SORT_NUM_I64);
+            // The widening above loses precision past 2^53; the exact
+            // payload breaks those ties so the encoding stays a total order
+            // on integers.
+            out.extend_from_slice(&ordered_i64(*x).to_be_bytes());
+        }
+        Value::F64(x) => {
+            out.push(SORT_TAG_NUM);
+            out.extend_from_slice(&ordered_f64(*x).to_be_bytes());
+            out.push(SORT_NUM_F64);
+        }
+        Value::Str(s) => {
+            out.push(SORT_TAG_STR);
+            push_terminated(out, s.as_bytes());
+        }
         Value::Bin(b) => {
             out.push(SORT_TAG_BIN);
             push_terminated(out, b);
@@ -917,9 +894,9 @@ fn complement(bytes: &mut [u8]) {
 }
 
 /// Appends the normalized sort encoding of one cell: bytewise comparison of
-/// the result equals [`SortKey`] comparison. NULL placement is applied
-/// before direction (a single un-complemented placement byte), descending
-/// cells complement the canonical encoding.
+/// the result equals [`SortKey`](expr::SortKey) comparison. NULL placement
+/// is applied before direction (a single un-complemented placement byte),
+/// descending cells complement the canonical encoding.
 pub fn encode_sort_cell(out: &mut Vec<u8>, v: &Value, dir: SortDir) {
     if v.is_null() {
         out.push(if dir.nulls_last { SORT_NULL_LAST } else { SORT_NULL_FIRST });
@@ -933,8 +910,7 @@ pub fn encode_sort_cell(out: &mut Vec<u8>, v: &Value, dir: SortDir) {
 }
 
 /// Encodes one row's sort key as a single flat byte string — the per-row
-/// closure of the normalized-key ORDER BY, sharing the cell encoders with
-/// the [`sort_key_bytes`] batch kernel.
+/// key of the columnar ORDER BY.
 pub fn encode_row_sort_key(row: &[Value], spec: &[(usize, SortDir)]) -> Vec<u8> {
     // 19 bytes covers the widest fixed-size cell (I64: tag + magnitude +
     // rank + exact payload), so typical keys encode without a mid-key
@@ -944,83 +920,6 @@ pub fn encode_row_sort_key(row: &[Value], spec: &[(usize, SortDir)]) -> Vec<u8> 
         encode_sort_cell(&mut out, &row[i], d);
     }
     out
-}
-
-/// Materializes normalized sort keys for every row of the batch,
-/// column-at-a-time with typed fast paths: bytewise order over the results
-/// equals lexicographic [`SortKey`] order (see [`sort_keys`]).
-pub fn sort_key_bytes(batch: &ColumnBatch, spec: &[(usize, SortDir)]) -> Vec<Vec<u8>> {
-    let mut keys: Vec<Vec<u8>> = vec![Vec::with_capacity(spec.len() * 19); batch.len];
-    for &(c, dir) in spec {
-        encode_sort_column(&batch.columns[c], batch.len, None, dir, &mut keys);
-    }
-    keys
-}
-
-/// Appends column `col`'s sort cells to the per-row key buffers.
-fn encode_sort_column(
-    col: &Column,
-    len: usize,
-    sel: Option<&[u32]>,
-    dir: SortDir,
-    bufs: &mut [Vec<u8>],
-) {
-    let null_byte = if dir.nulls_last { SORT_NULL_LAST } else { SORT_NULL_FIRST };
-    let desc = !dir.ascending;
-    match &col.data {
-        ColumnData::I64(xs) => for_each_row(len, sel, |p, i| {
-            let out = &mut bufs[p];
-            if !col.validity.get(i) {
-                return out.push(null_byte);
-            }
-            let start = out.len();
-            sort_canonical_i64(out, xs[i]);
-            if desc {
-                complement(&mut out[start..]);
-            }
-        }),
-        ColumnData::F64(xs) => for_each_row(len, sel, |p, i| {
-            let out = &mut bufs[p];
-            if !col.validity.get(i) {
-                return out.push(null_byte);
-            }
-            let start = out.len();
-            sort_canonical_f64(out, xs[i]);
-            if desc {
-                complement(&mut out[start..]);
-            }
-        }),
-        ColumnData::Bool(bits) => for_each_row(len, sel, |p, i| {
-            let out = &mut bufs[p];
-            if !col.validity.get(i) {
-                return out.push(null_byte);
-            }
-            let (tag, payload) = (SORT_TAG_BOOL, bits.get(i) as u8);
-            if desc {
-                out.extend_from_slice(&[!tag, !payload]);
-            } else {
-                out.extend_from_slice(&[tag, payload]);
-            }
-        }),
-        ColumnData::Str(arena) => for_each_row(len, sel, |p, i| {
-            let out = &mut bufs[p];
-            if !col.validity.get(i) {
-                return out.push(null_byte);
-            }
-            let start = out.len();
-            sort_canonical_str(out, arena.get(i));
-            if desc {
-                complement(&mut out[start..]);
-            }
-        }),
-        ColumnData::Boxed(vs) => for_each_row(len, sel, |p, i| {
-            let out = &mut bufs[p];
-            if !col.validity.get(i) {
-                return out.push(null_byte);
-            }
-            encode_sort_cell(out, &vs[i], dir);
-        }),
-    }
 }
 
 // Group-identity alphabet: tag + exact payload, mirroring `KeyValue`'s
@@ -1722,6 +1621,7 @@ impl GroupByKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataframe::expr::SortKey;
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -1856,20 +1756,6 @@ mod tests {
     }
 
     #[test]
-    fn key_kernels_encode_rows() {
-        let rows: Vec<Row> =
-            vec![vec![Value::I64(2), Value::str("b")], vec![Value::Null, Value::str("a")]];
-        let batch = ColumnBatch::from_rows(2, rows);
-        let gk = group_keys(&batch, &[0, 1]);
-        assert_eq!(gk.len(), 2);
-        assert_eq!(gk[0][0], KeyValue(Value::I64(2)));
-        assert_eq!(gk[1][0], KeyValue(Value::Null));
-        let sk = sort_keys(&batch, &[(0, SortDir::asc())]);
-        // NULL sorts first under ascending nulls-first.
-        assert!(sk[1][0] < sk[0][0]);
-    }
-
-    #[test]
     fn validity_carries_across_batch_seams() {
         // Split one logical column at an awkward seam (mid-word for the
         // bitmaps) and check both halves agree with the whole.
@@ -2001,23 +1887,6 @@ mod tests {
                 encode_row_sort_key(&ra, &spec).cmp(&encode_row_sort_key(&rb, &spec)),
                 keys(&ra).cmp(&keys(&rb))
             );
-        }
-
-        // The batch kernel produces byte-for-byte the same encoding as the
-        // per-row encoder the sort pipeline uses at shuffle boundaries.
-        #[test]
-        fn sort_key_bytes_kernel_matches_row_encoder(
-            rows in prop::collection::vec(prop::collection::vec(arb_value(), 2..3), 0..30),
-            dirs in prop::collection::vec(0usize..4, 2..3),
-        ) {
-            let spec: Vec<(usize, SortDir)> =
-                dirs.iter().enumerate().map(|(i, &d)| (i, sort_dirs()[d])).collect();
-            let batch = ColumnBatch::from_rows(2, rows.clone());
-            let got = sort_key_bytes(&batch, &spec);
-            prop_assert_eq!(got.len(), rows.len());
-            for (row, key) in rows.iter().zip(&got) {
-                prop_assert_eq!(key, &encode_row_sort_key(row, &spec));
-            }
         }
 
         // --- group identity encoding ---

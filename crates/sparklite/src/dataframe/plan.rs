@@ -804,24 +804,26 @@ fn compile_row_major(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Ro
             let schema = input.schema();
             let key_idx: Vec<usize> =
                 keys.iter().map(|k| schema.resolve(k)).collect::<Result<_>>()?;
-            let specs = Arc::new(agg_specs(schema, aggs)?);
-            let paired = rdd.map(move |row| {
-                let key: Vec<KeyValue> =
-                    key_idx.iter().map(|&i| KeyValue(row[i].clone())).collect();
-                let states: Vec<AggState> = specs
-                    .iter()
-                    .map(|(a, idx)| AggState::create(a, idx.map(|i| &row[i])))
-                    .collect();
-                (key, states)
-            });
+            let specs = agg_specs(schema, aggs)?;
+            let paired = rdd.map(move |row| group_pair(&key_idx, &specs, &row));
             Ok(finish_group_by(paired, keys.len(), num_parts, false))
         }
         LogicalPlan::OrderBy { input, keys } => {
             let rdd = compile_row_major(core, input)?;
-            // The row-major reference path always sorts on materialized
+            // The row-major reference path sorts on materialized
             // `SortKey`s — the baseline the normalized-key encoding's
             // differential battery compares against.
-            compile_order_by(rdd, input.schema(), keys, num_parts, false)
+            let spec = sort_spec(input.schema(), keys)?;
+            Ok(rdd.sort_by_with_codec(
+                move |row| {
+                    spec.iter()
+                        .map(|(i, d)| SortKey::new(row[*i].clone(), *d))
+                        .collect::<Vec<SortKey>>()
+                },
+                true,
+                num_parts,
+                Arc::new(RowCodec),
+            ))
         }
         LogicalPlan::ZipWithIndex { input, start, .. } => {
             let rdd = compile_row_major(core, input)?;
@@ -844,6 +846,25 @@ fn agg_specs(schema: &Arc<Schema>, aggs: &[(Agg, String)]) -> Result<Vec<(Agg, O
     aggs.iter()
         .map(|(a, _)| Ok((a.clone(), a.input_col().map(|c| schema.resolve(c)).transpose()?)))
         .collect()
+}
+
+/// One row's GROUP BY shuffle pair: its key values and a fresh state per
+/// aggregate. The map side of the row-major reference and of the adaptive
+/// row fallback.
+fn group_pair(
+    key_idx: &[usize],
+    specs: &[(Agg, Option<usize>)],
+    row: &[Value],
+) -> (Vec<KeyValue>, Vec<AggState>) {
+    let key: Vec<KeyValue> = key_idx.iter().map(|&i| KeyValue(row[i].clone())).collect();
+    let states: Vec<AggState> =
+        specs.iter().map(|(a, idx)| AggState::create(a, idx.map(|i| &row[i]))).collect();
+    (key, states)
+}
+
+/// Resolves ORDER BY keys to `(column index, direction)` pairs.
+fn sort_spec(schema: &Arc<Schema>, keys: &[(String, SortDir)]) -> Result<Vec<(usize, SortDir)>> {
+    keys.iter().map(|(k, d)| Ok((schema.resolve(k)?, *d))).collect()
 }
 
 /// The shuffle + finish half of GROUP BY, shared by all physical paths
@@ -884,43 +905,6 @@ fn finish_group_by(
         row.extend(states.into_iter().map(|s| s.finish()));
         row
     })
-}
-
-/// Range-partitioned ORDER BY. `vectorized` selects the sort key
-/// representation: the §4.7 normalized byte encoding
-/// ([`batch::encode_row_sort_key`] — one flat memcmp-comparable buffer per
-/// row, descending via complement, shared with the [`batch::sort_key_bytes`]
-/// kernel), or the materialized per-row `Vec<SortKey>` reference. Both are
-/// proven order- and tie-equivalent, so the range partitioner's sampling,
-/// cut selection, and the stable local sort behave identically.
-fn compile_order_by(
-    rdd: Rdd<Row>,
-    schema: &Arc<Schema>,
-    keys: &[(String, SortDir)],
-    num_parts: usize,
-    vectorized: bool,
-) -> Result<Rdd<Row>> {
-    let sort_spec: Vec<(usize, SortDir)> =
-        keys.iter().map(|(k, d)| Ok((schema.resolve(k)?, *d))).collect::<Result<_>>()?;
-    if vectorized {
-        return Ok(rdd.sort_by_with_codec(
-            move |row| batch::encode_row_sort_key(row, &sort_spec),
-            true,
-            num_parts,
-            Arc::new(RowCodec),
-        ));
-    }
-    Ok(rdd.sort_by_with_codec(
-        move |row| {
-            sort_spec
-                .iter()
-                .map(|(i, d)| SortKey::new(row[*i].clone(), *d))
-                .collect::<Vec<SortKey>>()
-        },
-        true,
-        num_parts,
-        Arc::new(RowCodec),
-    ))
 }
 
 /// One operator of a fused columnar pipeline segment.
@@ -1193,20 +1177,23 @@ fn compile_boundary(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Row
     match plan.as_ref() {
         LogicalPlan::FromRdd { rows, .. } => Ok(rows.clone()),
         LogicalPlan::GroupBy { input, keys, aggs, .. } => {
-            let vectorized = core.conf.exec.vectorized;
-            let paired = if vectorized {
-                compile_group_by_vectorized(core, input, keys, aggs)?
-            } else {
-                compile_group_by_batched(core, input, keys, aggs)?
-            };
-            // Only the vectorized kernel pre-aggregates its partition; the
-            // batched path emits one pair per row and *needs* the shuffle's
-            // map-side combine.
-            Ok(finish_group_by(paired, keys.len(), num_parts, vectorized))
+            let paired = compile_group_by_vectorized(core, input, keys, aggs)?;
+            Ok(finish_group_by(paired, keys.len(), num_parts, true))
         }
         LogicalPlan::OrderBy { input, keys } => {
             let rdd = compile_columnar(core, input)?;
-            compile_order_by(rdd, input.schema(), keys, num_parts, core.conf.exec.vectorized)
+            // §4.7 normalized byte keys: one flat memcmp-comparable buffer
+            // per row, descending via complement. The encoding is proven
+            // order- and tie-equivalent to the row-major path's
+            // `Vec<SortKey>`, so range-partition sampling, cut selection,
+            // and the stable local sort behave identically on both paths.
+            let spec = sort_spec(input.schema(), keys)?;
+            Ok(rdd.sort_by_with_codec(
+                move |row| batch::encode_row_sort_key(row, &spec),
+                true,
+                num_parts,
+                Arc::new(RowCodec),
+            ))
         }
         LogicalPlan::ZipWithIndex { input, start, .. } => {
             let rdd = compile_columnar(core, input)?;
@@ -1223,80 +1210,6 @@ fn compile_boundary(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Row
             unreachable!("fusable operators are peeled before compile_boundary")
         }
     }
-}
-
-/// PR 8's batched GROUP BY map side (`ExecConf::vectorized` off): batches
-/// the partition, materializes one `(Vec<KeyValue>, Vec<AggState>)` pair
-/// per *row*, and leaves per-partition aggregation to the shuffle's
-/// map-side combine. Kept as the mid-point of the three-way aggregation
-/// differential (row-major / batched / vectorized).
-fn compile_group_by_batched(
-    core: &Arc<Core>,
-    input: &Arc<LogicalPlan>,
-    keys: &[String],
-    aggs: &[(Agg, String)],
-) -> Result<Rdd<(Vec<KeyValue>, Vec<AggState>)>> {
-    let rdd = compile_columnar(core, input)?;
-    let schema = input.schema();
-    let key_idx: Vec<usize> = keys.iter().map(|k| schema.resolve(k)).collect::<Result<_>>()?;
-    let specs = Arc::new(agg_specs(schema, aggs)?);
-    let width = schema.len();
-    let batch_size = core.conf.exec.batch_size;
-    let events = Arc::clone(&core.events);
-    // Columnar map side: batch the partition and materialize the keys per
-    // batch; the shuffle pair format and the merge/finish phases are shared
-    // with the row-major path.
-    Ok(rdd.map_partitions(move |_part, mut input: BoxIter<Row>| {
-        let specs = Arc::clone(&specs);
-        let key_idx = key_idx.clone();
-        let events = Arc::clone(&events);
-        let mut out: std::vec::IntoIter<(Vec<KeyValue>, Vec<AggState>)> = Vec::new().into_iter();
-        let mut batches: u64 = 0;
-        let mut rows_in: u64 = 0;
-        let mut done = false;
-        let iter = std::iter::from_fn(move || loop {
-            if let Some(pair) = out.next() {
-                return Some(pair);
-            }
-            if done {
-                return None;
-            }
-            let mut buf: Vec<Row> = Vec::with_capacity(batch_size);
-            while buf.len() < batch_size {
-                match input.next() {
-                    Some(r) => buf.push(r),
-                    None => break,
-                }
-            }
-            if buf.is_empty() {
-                done = true;
-                if batches > 0 {
-                    events.emit(Event::ColumnarBatch { fused_ops: 1, batches, rows: rows_in });
-                }
-                return None;
-            }
-            let batch = ColumnBatch::from_rows(width, buf);
-            let keys = batch::group_keys(&batch, &key_idx);
-            batches += 1;
-            rows_in += batch.len() as u64;
-            let pairs: Vec<(Vec<KeyValue>, Vec<AggState>)> = keys
-                .into_iter()
-                .enumerate()
-                .map(|(i, key)| {
-                    let states: Vec<AggState> = specs
-                        .iter()
-                        .map(|(a, idx)| {
-                            let v = idx.map(|c| batch.column(c).get(i));
-                            AggState::create(a, v.as_ref())
-                        })
-                        .collect();
-                    (key, states)
-                })
-                .collect();
-            out = pairs.into_iter();
-        });
-        Box::new(iter) as BoxIter<(Vec<KeyValue>, Vec<AggState>)>
-    }))
 }
 
 /// The vectorized GROUP BY map side: the fused segment below the
@@ -1328,14 +1241,9 @@ fn compile_group_by_vectorized(
     };
     if seg.is_none() && adaptive_prefers_rows(core) {
         // Adaptive fallback: tiny batches make even the kernel's single
-        // transposition a loss; pair per row and let the shuffle's map-side
-        // combine aggregate, as the row-major reference does.
-        return Ok(rdd.map(move |row| {
-            let key: Vec<KeyValue> = key_idx.iter().map(|&i| KeyValue(row[i].clone())).collect();
-            let states: Vec<AggState> =
-                specs.iter().map(|(a, idx)| AggState::create(a, idx.map(|i| &row[i]))).collect();
-            (key, states)
-        }));
+        // transposition a loss; pair per row, as the row-major reference
+        // does, and leave the aggregation to the reduce-side bucket merge.
+        return Ok(rdd.map(move |row| group_pair(&key_idx, &specs, &row)));
     }
     let width = seg.as_ref().map(|s| s.width).unwrap_or(schema.len());
     let batch_size = core.conf.exec.batch_size;

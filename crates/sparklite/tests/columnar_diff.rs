@@ -1,10 +1,9 @@
 //! The physical-path differential battery: every random pipeline the PR 6
 //! generator can produce must collect to byte-identical rows (under
-//! [`RowCodec`]) on **every** physical path — the legacy row-at-a-time
-//! operators (`ExecConf::row_major`), the PR 8 columnar batch kernels
-//! (`with_vectorized(false)`), the vectorized hash-aggregation /
-//! normalized-key-sort path, and the shipping default with the adaptive
-//! row fallback armed. Batch sizes are fuzzed too, so batch seams land
+//! [`RowCodec`]) on **every** physical path — the row-at-a-time reference
+//! operators (`ExecConf::row_major`), the columnar batch kernels with
+//! vectorized hash aggregation and normalized-key sort, and the shipping
+//! default with the adaptive row fallback armed. Batch sizes are fuzzed too, so batch seams land
 //! inside, on, and around partition boundaries; dedicated cases pin the
 //! empty / one-row / N−1 / N / N+1 input sizes, null-heavy mixed-type
 //! columns, and group/sort-heavy shapes (high-cardinality, skewed,
@@ -22,27 +21,23 @@ use sparklite::{CacheCodec, SparkliteConf, SparkliteContext};
 /// The physical execution paths under differential test.
 #[derive(Debug, Clone, Copy)]
 enum Mode {
-    /// Legacy row-at-a-time operators.
+    /// Row-at-a-time reference operators.
     RowMajor,
-    /// Columnar batch kernels with the per-batch group/sort fold (PR 8),
-    /// vectorized aggregation and adaptivity forced off.
-    Batched,
-    /// Vectorized hash aggregation and normalized-key sort, adaptivity
-    /// forced off so the kernels always run.
+    /// Columnar kernels with vectorized hash aggregation and normalized-key
+    /// sort, adaptivity forced off so the kernels always run.
     Vectorized,
     /// The shipping default: vectorized with the adaptive row fallback.
     Adaptive,
 }
 
-const MODES: [Mode; 4] = [Mode::RowMajor, Mode::Batched, Mode::Vectorized, Mode::Adaptive];
+const MODES: [Mode; 3] = [Mode::RowMajor, Mode::Vectorized, Mode::Adaptive];
 
 fn ctx_mode(mode: Mode, batch: usize) -> SparkliteContext {
     let conf =
         SparkliteConf::default().with_executors(3).with_optimizer(false).with_batch_size(batch);
     SparkliteContext::new(match mode {
         Mode::RowMajor => conf.with_row_major(true),
-        Mode::Batched => conf.with_vectorized(false).with_adaptive(false),
-        Mode::Vectorized => conf.with_vectorized(true).with_adaptive(false),
+        Mode::Vectorized => conf.with_adaptive(false),
         Mode::Adaptive => conf,
     })
 }
@@ -221,7 +216,7 @@ fn grouping_stress_shapes_agree_on_all_paths() {
     for shape in ["high", "skewed", "null", "mixed"] {
         for batch in [1usize, 7, 64, 1024] {
             let baseline = run(Mode::RowMajor, batch, shape);
-            for mode in [Mode::Batched, Mode::Vectorized, Mode::Adaptive] {
+            for mode in [Mode::Vectorized, Mode::Adaptive] {
                 assert_eq!(
                     run(mode, batch, shape),
                     baseline,
@@ -286,7 +281,7 @@ fn null_heavy_and_mixed_type_columns_agree() {
     };
     let baseline = run(Mode::RowMajor, 1024);
     for batch in [1usize, 4, 19, 20, 21, 1024] {
-        for mode in [Mode::Batched, Mode::Vectorized, Mode::Adaptive] {
+        for mode in [Mode::Vectorized, Mode::Adaptive] {
             assert_eq!(run(mode, batch), baseline, "{mode:?} diverged at batch={batch}");
         }
     }
@@ -326,7 +321,7 @@ fn float_payloads_survive_bit_exactly() {
         RowCodec.encode(&out)
     };
     let baseline = run(Mode::RowMajor);
-    for mode in [Mode::Batched, Mode::Vectorized, Mode::Adaptive] {
+    for mode in [Mode::Vectorized, Mode::Adaptive] {
         assert_eq!(run(mode), baseline, "{mode:?} diverged");
     }
 }
