@@ -25,64 +25,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 step "cargo test (workspace)"
 cargo test --workspace --offline -q
 
-# The chaos suite runs as part of the workspace tests above; this explicit
-# pass re-runs every chaos/fault test by name so a failure is attributable
-# at a glance. All injection seeds are fixed inside the tests.
-step "chaos suite (fixed seeds)"
-cargo test --workspace --offline -q chaos
-
-# Same idea for the persist/cache layer: unit + property suites (LRU
-# eviction, serialized round-trip, cache-vs-lineage equivalence under
-# fixed-seed faults) re-run by name.
-step "cache suite (fixed seeds)"
-cargo test --workspace --offline -q cache
-
-# And the observability layer: event-log golden tests (fixed-seed
-# reproducibility, span pairing, timeline-vs-metrics reconciliation),
-# the reconciliation property suite, and the EXPLAIN ANALYZE tests.
-step "events suite (fixed seeds)"
-cargo test --workspace --offline -q events
-cargo test --workspace --offline -q explain_analyze
-
-# The verified-optimizer gate: per-rule golden plans, the per-site
-# differential equivalence fuzzer, and the mutation suite that proves the
-# property checker and differential executor catch deliberately broken
-# rules. Re-run by name so a rule regression is attributable at a glance.
-step "verify-rules (golden + fuzzer + mutations)"
-cargo test -p sparklite --offline -q --test rules_golden
-cargo test -p sparklite --offline -q --test rule_fuzz
-cargo test --offline -q --test cross_crate every_optimizer_rule
-
-# Distributed-mode gate: protocol framing/codec round-trips, thread-mode
-# cluster equivalence + lineage recovery (sparklite), then the real thing —
-# worker *processes* spawned from the harness binary, exchanging shuffle
-# blocks over TCP and surviving a SIGKILL mid-job (rumble-bench).
-step "distributed suite (wire protocol + process executors)"
-cargo test -p sparklite --offline -q --test dist
-cargo test -p rumble-bench --offline -q --test dist_process
-
-# Cluster-observability gate: executor stream-merge ordering (seq wins
-# over skewed clocks, gaps and ring drops counted as lost), the
-# interleaved/batched/clock-skewed merge property suite, the merged
-# two-executor golden timeline (job table, :top lanes, worker process
-# lanes in the Chrome trace), and the killed worker's cut-stream
-# accounting. Re-run by name so a stream regression is attributable.
-step "obs-dist suite (executor event streams + merged timelines)"
-cargo test -p sparklite --offline -q --lib events::tests::stream_merge
-cargo test -p sparklite --offline -q --test events skewed_executor_streams
-cargo test -p sparklite --offline -q --test events merged_dist_timeline
-cargo test -p sparklite --offline -q --test dist killed_worker
-
-# Columnar-execution gate: the two-way differential battery (200+ random
-# pipelines plus group/sort-heavy and stress shapes, the row-major
-# reference vs the columnar path with the adaptive fallback forced off
-# and on, byte-compared through RowCodec) plus the batch kernel property
-# suites (validity bitmaps, string arenas, gather under arbitrary
-# selection vectors, sort-key order-equivalence to SortKey, group-key
-# identity, hash kernel and bucket merge vs the row fold).
-step "columnar suite (differential battery + kernel proptests)"
-cargo test -p sparklite --offline -q --test columnar_diff
-cargo test -p sparklite --offline -q --lib batch::tests
+# The benchmark's own tests: every fig11bench workload at 2 K objects,
+# failing on a wrong answer, so an engine change that breaks the benchmark
+# shows up here.
+step "fig11bench tests"
+cargo test --offline -q --manifest-path fig11bench/Cargo.toml
 
 if [[ "$QUICK" -eq 0 ]]; then
   step "cargo build --release"

@@ -4,6 +4,16 @@
 //! wall-clock milliseconds per cell, engine counters) into the current
 //! directory.
 //!
+//! Every figure is timed one of two ways: a single-arm loop that runs a
+//! measurement `--tries` times and keeps the mean, or (the `obs` and
+//! `columnar` A/Bs) an interleaved driver that warms both arms up, then
+//! alternates them try by try and keeps each arm's best run and its
+//! median − min spread. A figure with an entry in the harness's gate table
+//! dies unless each gated row's second cell stays within its budget of the
+//! first (`cache`: warm vs cold, `columnar`: columnar vs row-major); `obs`
+//! dies if its overhead exceeds 3% while the delta clears its A/A noise
+//! floor plus 10 ms.
+//!
 //! ```text
 //! harness [figure] [--scale N] [--tries N] [--kill-executor]
 //!
@@ -20,8 +30,8 @@
 //!   serves tasks and shuffle blocks until told to shut down.
 //! ```
 
-use rumble_bench::figures::{self, Cell, FigureReport};
-use rumble_bench::write_bench_json;
+use rumble_bench::figures::{self, check_ab, FigureReport};
+use rumble_bench::{host_cores, write_bench_json};
 use std::time::Duration;
 
 struct Args {
@@ -95,9 +105,27 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Prints a figure's report and writes its `BENCH_<name>.json` artifact.
+/// The A/B gates the smoke runs hold the figures to, per figure: `(row
+/// label or prefix*, budget)` — each matching row's second cell may take at
+/// most `budget ×` its first (see [`check_ab`]).
+const GATES: &[(&str, &[(&str, f64)])] = &[
+    // Warm runs of the fault-free persisted configurations are no slower
+    // than cold ones.
+    ("cache", &[("deserialized", 1.0), ("serialized", 1.0)]),
+    // The shipping columnar path is no slower than the row-major reference
+    // on the fused chain and loses no more than 10% on any DataFrame
+    // group-by or sort row. The Fig. 11 group/sort rows spend their time in
+    // per-row UDFs both paths share, so they may tie and are not gated.
+    ("columnar", &[("scan→project→filter (fused)", 1.0), ("group-by *", 1.10), ("sort *", 1.10)]),
+];
+
+/// Prints a figure's report, dies if it misses one of its [`GATES`], and
+/// writes its `BENCH_<name>.json` artifact.
 fn emit(name: &str, params: &[(&str, u64)], r: &FigureReport) {
     println!("{}", r.report);
+    if let Some((_, gates)) = GATES.iter().find(|(figure, _)| *figure == name) {
+        check_ab(r, gates).unwrap_or_else(|e| die(&format!("{name} figure: {e}")));
+    }
     let rows: Vec<(String, Vec<Option<f64>>)> = r
         .rows
         .iter()
@@ -108,56 +136,6 @@ fn emit(name: &str, params: &[(&str, u64)], r: &FigureReport) {
     match write_bench_json(name, params, &rows, &r.metrics) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write BENCH_{name}.json: {e}"),
-    }
-}
-
-/// The warm cells of the cache figure must not be slower than the cold
-/// ones for the fault-free persisted configurations — this is the smoke
-/// assertion CI runs (`ci.sh` invokes `harness cache`).
-fn check_cache_figure(r: &FigureReport) {
-    for (label, cells) in &r.rows {
-        if !label.contains("chaos") && label != "no persist" {
-            let (cold, warm) = match (&cells[0], &cells[1]) {
-                (Cell::Time(c), Cell::Time(w)) => (*c, *w),
-                _ => die(&format!("cache figure row '{label}' failed to measure")),
-            };
-            if warm > cold {
-                die(&format!(
-                    "cache figure: warm run slower than cold for '{label}' \
-                     ({warm:?} > {cold:?})"
-                ));
-            }
-        }
-    }
-}
-
-/// The columnar A/B must show the shipping columnar path no slower than
-/// the row-major reference on the fused chain, and losing no more than 10%
-/// on any DataFrame group-by or sort row — the smoke assertion CI runs
-/// (`ci.sh` invokes `harness columnar`). The Fig. 11 group/sort rows spend
-/// their time in per-row UDFs both paths share, so they may tie and are
-/// not gated. Dies otherwise.
-fn check_columnar_figure(r: &FigureReport) {
-    for (label, cells) in &r.rows {
-        let (row_major, columnar) = match (&cells[0], &cells[1]) {
-            (Cell::Time(r), Cell::Time(c)) => (r.as_secs_f64(), c.as_secs_f64()),
-            _ => die(&format!("columnar figure row '{label}' failed to measure")),
-        };
-        let budget = if label.contains("fused") {
-            1.0
-        } else if label.starts_with("group-by") || label.starts_with("sort") {
-            1.10
-        } else {
-            continue;
-        };
-        if columnar > row_major * budget {
-            die(&format!(
-                "columnar figure: columnar execution lost to row-major for '{label}' \
-                 ({:.1}ms vs {:.1}ms)",
-                columnar * 1e3,
-                row_major * 1e3
-            ));
-        }
     }
 }
 
@@ -195,7 +173,7 @@ fn main() {
     let args = parse_args();
     let s = args.scale;
     let t = args.tries;
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let cores = host_cores();
     let run_fig = |name: &str| args.figure == "all" || args.figure == name;
     let mut ran = false;
 
@@ -222,46 +200,14 @@ fn main() {
         ran = true;
         let counts = [1usize, 2, 4, 8, 16, 32];
         let n = 300_000 * s;
-        let (points, report) = figures::fig14(n, &counts, t);
-        println!("{report}");
-        let rows: Vec<(String, Vec<Option<f64>>)> = points
-            .iter()
-            .map(|p| {
-                (
-                    format!("{} executors", p.executors),
-                    vec![
-                        Some(p.runtime.as_secs_f64() * 1000.0),
-                        Some(p.aggregated.as_secs_f64() * 1000.0),
-                        Some(p.modeled.as_secs_f64() * 1000.0),
-                    ],
-                )
-            })
-            .collect();
-        match write_bench_json("fig14", &[("objects", n as u64), ("tries", t as u64)], &rows, &[]) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: could not write BENCH_fig14.json: {e}"),
-        }
+        let r = figures::fig14(n, &counts, t);
+        emit("fig14", &[("objects", n as u64), ("tries", t as u64)], &r);
     }
     if run_fig("fig15") {
         ran = true;
         let n = 100_000 * s;
-        let (points, report) = figures::fig15(n, &[1, 2, 4, 8], cores);
-        println!("{report}");
-        let rows: Vec<(String, Vec<Option<f64>>)> = points
-            .iter()
-            .map(|p| {
-                (format!("{} objects", p.objects), vec![Some(p.runtime.as_secs_f64() * 1000.0)])
-            })
-            .collect();
-        match write_bench_json(
-            "fig15",
-            &[("base_objects", n as u64), ("executors", cores as u64)],
-            &rows,
-            &[],
-        ) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: could not write BENCH_fig15.json: {e}"),
-        }
+        let r = figures::fig15(n, &[1, 2, 4, 8], cores);
+        emit("fig15", &[("base_objects", n as u64), ("executors", cores as u64)], &r);
     }
     if run_fig("handtuned") {
         ran = true;
@@ -288,7 +234,6 @@ fn main() {
         ran = true;
         let n = 50_000 * s;
         let r = figures::cache(n, cores, t);
-        check_cache_figure(&r);
         emit(
             "cache",
             &[("objects", n as u64), ("executors", cores as u64), ("tries", t as u64)],
@@ -305,7 +250,6 @@ fn main() {
         ran = true;
         let n = 50_000 * s;
         let r = figures::columnar(n, cores, t, Some(Vec::new()));
-        check_columnar_figure(&r);
         emit(
             "columnar",
             &[("objects", n as u64), ("executors", cores as u64), ("tries", t as u64)],

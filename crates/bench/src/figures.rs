@@ -3,7 +3,7 @@
 //! the raw measurements (for EXPERIMENTS.md and the tests).
 
 use crate::systems::{rumble_query, run_confusion, run_reddit_filter, System};
-use crate::{fmt_duration, render_table, time};
+use crate::{fmt_duration, host_cores, render_table, time};
 use rumble_baselines::{ConfusionQuery, QueryOutput};
 use rumble_datagen::{confusion, put_dataset, reddit, DEFAULT_SEED};
 use sparklite::{FaultPlan, SparkliteConf, SparkliteContext};
@@ -49,24 +49,87 @@ pub struct FigureReport {
     pub metrics: Vec<(String, u64)>,
 }
 
-/// Runs one confusion query `tries` times (at least once) and returns the
-/// last output with the mean wall clock, or the first error.
-fn time_query(
-    system: System,
-    sc: &SparkliteContext,
-    path: &str,
-    query: ConfusionQuery,
-    tries: usize,
-) -> Result<(QueryOutput, Duration), String> {
+/// The declarative A/B gate: for every `(pattern, budget)` — a row label,
+/// or a label prefix ending in `*` — each matching row's second cell (arm
+/// B) may take at most `budget ×` its first (arm A). A matching row whose
+/// cells failed to measure, or a pattern that matches no row, is an error
+/// too, so a renamed row cannot slip out of its gate.
+pub fn check_ab(report: &FigureReport, gates: &[(&str, f64)]) -> Result<(), String> {
+    for &(pattern, budget) in gates {
+        let matches = |label: &str| match pattern.strip_suffix('*') {
+            Some(prefix) => label.starts_with(prefix),
+            None => label == pattern,
+        };
+        let mut matched = false;
+        for (label, cells) in report.rows.iter().filter(|(l, _)| matches(l)) {
+            matched = true;
+            let cell = |i: usize| cells.get(i).and_then(Cell::seconds);
+            let (Some(a), Some(b)) = (cell(0), cell(1)) else {
+                return Err(format!("row '{label}' failed to measure"));
+            };
+            if b > a * budget {
+                return Err(format!(
+                    "row '{label}' is over its {budget:.2}x budget ({:.1} ms vs {:.1} ms)",
+                    b * 1e3,
+                    a * 1e3
+                ));
+            }
+        }
+        if !matched {
+            return Err(format!("no row matches the gate '{pattern}'"));
+        }
+    }
+    Ok(())
+}
+
+/// The single-arm repeat loop every figure times through: runs `run`
+/// `tries` times (at least once) and returns the last result with the mean
+/// wall clock, or the first error.
+fn repeat<R, E>(tries: usize, mut run: impl FnMut() -> Result<R, E>) -> Result<(R, Duration), E> {
     let tries = tries.max(1);
     let mut total = Duration::ZERO;
     let mut last = None;
     for _ in 0..tries {
-        let (r, d) = time(|| run_confusion(system, sc, path, query));
+        let (r, d) = time(&mut run);
         last = Some(r?);
         total += d;
     }
     Ok((last.expect("at least one try ran"), total / tries as u32))
+}
+
+/// The interleaved A/B driver: one discarded warm-up run per arm, then
+/// `run(arm)` `tries` times (at least once) on each of two arms, alternating
+/// which arm goes first so that slow drift in machine load lands on both
+/// equally. Returns per arm the best-of (minimum) wall clock — the
+/// noise-free estimate, since scheduler noise only ever adds time — the
+/// median − min spread, which is that arm's A/A repeatability, and the last
+/// result.
+fn interleaved<R>(tries: usize, run: impl Fn(usize) -> R) -> [(Duration, Duration, R); 2] {
+    let mut walls: [Vec<Duration>; 2] = Default::default();
+    let mut last = [run(0), run(1)];
+    for t in 0..tries.max(1) {
+        for arm in [t % 2, (t + 1) % 2] {
+            let (r, d) = time(|| run(arm));
+            walls[arm].push(d);
+            last[arm] = r;
+        }
+    }
+    let [(a_best, a_spread), (b_best, b_spread)] = walls.map(|mut w| {
+        w.sort();
+        let median = (w[(w.len() - 1) / 2] + w[w.len() / 2]) / 2;
+        (w[0], median - w[0])
+    });
+    let [a, b] = last;
+    [(a_best, a_spread, a), (b_best, b_spread, b)]
+}
+
+/// Appends one counter per `(key, value)` as `"{label}.{key}"`.
+fn push_metrics<'a>(
+    metrics: &mut Vec<(String, u64)>,
+    label: &str,
+    counters: impl IntoIterator<Item = (&'a str, u64)>,
+) {
+    metrics.extend(counters.into_iter().map(|(k, v)| (format!("{label}.{k}"), v)));
 }
 
 fn measure_systems(
@@ -80,7 +143,7 @@ fn measure_systems(
         .map(|&system| {
             let cells = QUERIES
                 .iter()
-                .map(|&query| match time_query(system, sc, path, query, tries) {
+                .map(|&query| match repeat(tries, || run_confusion(system, sc, path, query)) {
                     Ok((_, d)) => Cell::Time(d),
                     Err(e) => Cell::Failed(e),
                 })
@@ -90,12 +153,18 @@ fn measure_systems(
         .collect()
 }
 
-fn render_rows(title: &str, rows: &[(String, Vec<Cell>)]) -> String {
+/// Renders measured rows as a table under `header`.
+fn render_cells(title: &str, header: &[&str], rows: &[(String, Vec<Cell>)]) -> String {
     let rendered: Vec<(String, Vec<String>)> = rows
         .iter()
         .map(|(l, cells)| (l.clone(), cells.iter().map(Cell::render).collect()))
         .collect();
-    render_table(title, &["filter", "group", "sort"], &rendered)
+    render_table(title, header, &rendered)
+}
+
+/// Renders rows of Fig. 11 query cells.
+fn render_rows(title: &str, rows: &[(String, Vec<Cell>)]) -> String {
+    render_cells(title, &["filter", "group", "sort"], rows)
 }
 
 /// **Figure 11** — local measurements: Rumble vs Spark vs Spark SQL vs
@@ -171,32 +240,17 @@ pub fn fig13(objects: usize, executors: usize, tries: usize) -> FigureReport {
     FigureReport { rows, report, metrics: Vec::new() }
 }
 
-/// One Fig. 14 measurement point.
-#[derive(Debug, Clone)]
-pub struct SpeedupPoint {
-    pub executors: usize,
-    /// Measured wall-clock runtime. On a host with fewer physical cores
-    /// than executors this flattens out (threads time-share), so the
-    /// modeled runtime below is the comparable series.
-    pub runtime: Duration,
-    /// Total busy time across all executor cores (the paper's "aggregated
-    /// runtime over the cluster").
-    pub aggregated: Duration,
-    /// `aggregated / executors`: the runtime a host with that many
-    /// physical cores would see for this embarrassingly parallel scan.
-    pub modeled: Duration,
-}
-
-/// **Figure 14** — speedup: the Reddit filter query for 1..=32 executors;
-/// reports runtime and aggregated core time (which must grow by no more
-/// than ~2× end to end).
-pub fn fig14(
-    objects: usize,
-    executor_counts: &[usize],
-    tries: usize,
-) -> (Vec<SpeedupPoint>, String) {
+/// **Figure 14** — speedup: the Reddit filter query for 1..=32 executors.
+/// Each row holds the measured wall-clock runtime, the aggregated busy time
+/// across all executor cores (the paper's "aggregated runtime over the
+/// cluster", which must grow by no more than ~2× end to end), and the
+/// modeled runtime `aggregated / executors` — what a host with that many
+/// physical cores would see for this embarrassingly parallel scan. On a
+/// host with fewer cores than executors the measured runtime flattens out
+/// (threads time-share), so the modeled one is the comparable series.
+pub fn fig14(objects: usize, executor_counts: &[usize], tries: usize) -> FigureReport {
     let text = reddit::generate(objects, DEFAULT_SEED);
-    let mut points = Vec::new();
+    let mut rows = Vec::new();
     for &e in executor_counts {
         let sc = SparkliteContext::new(
             SparkliteConf::default().with_executors(e).with_default_parallelism((e * 2).max(4)),
@@ -204,86 +258,50 @@ pub fn fig14(
         put_dataset(&sc, "hdfs:///reddit.json", &text).expect("dataset fits");
         // Warm-up run, then measured runs.
         run_reddit_filter(&sc, "hdfs:///reddit.json").expect("query runs");
-        let mut total = Duration::ZERO;
         let busy_before = sc.metrics().task_busy_us;
-        for _ in 0..tries.max(1) {
-            let (r, d) = time(|| run_reddit_filter(&sc, "hdfs:///reddit.json"));
-            r.expect("query runs");
-            total += d;
-        }
+        let (_, runtime) =
+            repeat(tries, || run_reddit_filter(&sc, "hdfs:///reddit.json")).expect("query runs");
         let busy = sc.metrics().task_busy_us - busy_before;
         let aggregated = Duration::from_micros(busy / tries.max(1) as u64);
-        points.push(SpeedupPoint {
-            executors: e,
-            runtime: total / tries.max(1) as u32,
-            aggregated,
-            modeled: aggregated / e as u32,
-        });
+        let cells = [runtime, aggregated, aggregated / e as u32].map(Cell::Time).to_vec();
+        rows.push((format!("{e} executors"), cells));
     }
-    let rows: Vec<(String, Vec<String>)> = points
-        .iter()
-        .map(|p| {
-            (
-                format!("{} executors", p.executors),
-                vec![fmt_duration(p.runtime), fmt_duration(p.aggregated), fmt_duration(p.modeled)],
-            )
-        })
-        .collect();
-    let physical = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let report = format!(
-        "{}\nhost has {physical} physical core(s): wall runtime flattens once executors \
+        "{}\nhost has {} physical core(s): wall runtime flattens once executors \
          exceed cores; `modeled` (= aggregated / executors) is the multicore projection.\n\
          paper (30GB Reddit, 9 nodes): near-linear speedup 1→32 executors; aggregated \
          core time rises by no more than ~2x.\n",
-        render_table(
+        render_cells(
             &format!("Fig. 14 — speedup, Reddit filter, {objects} objects"),
             &["runtime", "aggregated", "modeled"],
             &rows
-        )
+        ),
+        host_cores(),
     );
-    (points, report)
-}
-
-/// One Fig. 15 measurement point.
-#[derive(Debug, Clone)]
-pub struct ScalePoint {
-    pub objects: usize,
-    pub runtime: Duration,
+    FigureReport { rows, report, metrics: Vec::new() }
 }
 
 /// **Figure 15** — scaling with input size: the Reddit filter query over
 /// replicated datasets; runtime must stay linear in input size.
-pub fn fig15(
-    base_objects: usize,
-    factors: &[usize],
-    executors: usize,
-) -> (Vec<ScalePoint>, String) {
+pub fn fig15(base_objects: usize, factors: &[usize], executors: usize) -> FigureReport {
     let base = reddit::generate(base_objects, DEFAULT_SEED);
-    let mut points = Vec::new();
+    let mut rows = Vec::new();
     for &f in factors {
         let sc = SparkliteContext::new(
             SparkliteConf::default().with_executors(executors).with_block_size(1 << 20),
         );
         // Replication, like the paper's ×400 duplication of the dump.
-        let mut text = String::with_capacity(base.len() * f);
-        for _ in 0..f {
-            text.push_str(&base);
-        }
-        put_dataset(&sc, "hdfs:///reddit.json", &text).expect("dataset fits");
+        put_dataset(&sc, "hdfs:///reddit.json", &base.repeat(f)).expect("dataset fits");
         run_reddit_filter(&sc, "hdfs:///reddit.json").expect("warm-up runs");
-        let (r, d) = time(|| run_reddit_filter(&sc, "hdfs:///reddit.json"));
-        r.expect("query runs");
-        points.push(ScalePoint { objects: base_objects * f, runtime: d });
+        let (_, d) =
+            repeat(1, || run_reddit_filter(&sc, "hdfs:///reddit.json")).expect("query runs");
+        rows.push((format!("{} objects", base_objects * f), vec![Cell::Time(d)]));
     }
-    let rows: Vec<(String, Vec<String>)> = points
-        .iter()
-        .map(|p| (format!("{:>10} objects", p.objects), vec![fmt_duration(p.runtime)]))
-        .collect();
     let report = format!(
         "{}\npaper (up to 21.6B objects / 12TB on S3): runtime is linear in input size.\n",
-        render_table("Fig. 15 — scale-up, Reddit filter", &["runtime"], &rows)
+        render_cells("Fig. 15 — scale-up, Reddit filter", &["runtime"], &rows)
     );
-    (points, report)
+    FigureReport { rows, report, metrics: Vec::new() }
 }
 
 /// **Chaos** — recovery overhead (no paper analogue; exercises the §2/§4.1
@@ -315,14 +333,16 @@ pub fn chaos(objects: usize, executors: usize, tries: usize) -> FigureReport {
             "{label}: {} failed / {} retried / {} recomputed task(s), {} injected fault(s)\n",
             m.failed_tasks, m.retried_tasks, m.recomputed_tasks, m.injected_faults
         ));
-        for (k, v) in [
-            ("failed_tasks", m.failed_tasks),
-            ("retried_tasks", m.retried_tasks),
-            ("recomputed_tasks", m.recomputed_tasks),
-            ("injected_faults", m.injected_faults),
-        ] {
-            metrics.push((format!("{label}.{k}"), v));
-        }
+        push_metrics(
+            &mut metrics,
+            label,
+            [
+                ("failed_tasks", m.failed_tasks),
+                ("retried_tasks", m.retried_tasks),
+                ("recomputed_tasks", m.recomputed_tasks),
+                ("injected_faults", m.injected_faults),
+            ],
+        );
         match &baseline {
             None => baseline = Some(outputs),
             Some(base) => {
@@ -388,15 +408,11 @@ pub fn cache(objects: usize, executors: usize, tries: usize) -> FigureReport {
         // The timed runs are pure pipeline work (count, nothing
         // materialized on the driver): the first pays the JSON parse and
         // fills the cache, the warm ones are averaged over `tries`.
-        let run = || prepared.count().expect("query runs");
-        let (cold_n, cold) = time(run);
-        let mut warm_total = Duration::ZERO;
-        for _ in 0..tries.max(1) {
-            let (n, d) = time(run);
-            assert_eq!(n, cold_n, "{label}: warm run diverged from the cold run");
-            warm_total += d;
-        }
-        let warm = warm_total / tries.max(1) as u32;
+        let (cold_n, cold) = time(|| prepared.count().expect("query runs"));
+        let (_, warm) = repeat(tries, || {
+            prepared.count().map(|n| assert_eq!(n, cold_n, "{label}: warm run diverged"))
+        })
+        .expect("query runs");
         // Identity is checked on the full (untimed) result set, not just
         // the count: every configuration must produce the same items.
         let mut out: Vec<String> =
@@ -417,28 +433,26 @@ pub fn cache(objects: usize, executors: usize, tries: usize) -> FigureReport {
              {} cached byte(s)\n",
             m.cache_hits, m.cache_misses, m.cache_evictions, m.cached_bytes
         ));
-        for (k, v) in [
-            ("cache_hits", m.cache_hits),
-            ("cache_misses", m.cache_misses),
-            ("cache_evictions", m.cache_evictions),
-            ("cached_bytes", m.cached_bytes),
-        ] {
-            metrics.push((format!("{label}.{k}"), v));
-        }
+        push_metrics(
+            &mut metrics,
+            label,
+            [
+                ("cache_hits", m.cache_hits),
+                ("cache_misses", m.cache_misses),
+                ("cache_evictions", m.cache_evictions),
+                ("cached_bytes", m.cached_bytes),
+            ],
+        );
         rows.push((label.to_string(), vec![Cell::Time(cold), Cell::Time(warm)]));
     }
-    let rendered: Vec<(String, Vec<String>)> = rows
-        .iter()
-        .map(|(l, cells)| (l.clone(), cells.iter().map(Cell::render).collect()))
-        .collect();
     let report = format!(
         "{}\n{notes}every configuration returned identical results; with a storage level set, \
          warm runs serve source partitions from the partition cache instead of re-parsing \
          JSON, and chaos-hit partitions fall back to lineage recomputation.\n",
-        render_table(
+        render_cells(
             &format!("Cache — cold vs warm, {objects} objects, {executors} cores, seed {SEED:#x}"),
             &["cold", "warm"],
-            &rendered
+            &rows
         )
     );
     FigureReport { rows, report, metrics }
@@ -488,8 +502,10 @@ fn run_queries(
     queries
         .iter()
         .map(|&query| {
-            let (out, d) = time_query(System::Rumble, sc, "hdfs:///confusion.json", query, tries)
-                .unwrap_or_else(|e| panic!("query {query:?} failed: {e}"));
+            let (out, d) = repeat(tries, || {
+                run_confusion(System::Rumble, sc, "hdfs:///confusion.json", query)
+            })
+            .unwrap_or_else(|e| panic!("query {query:?} failed: {e}"));
             (out.normalized(), Cell::Time(d))
         })
         .unzip()
@@ -517,7 +533,7 @@ fn reconcile_dist_run(sc: &SparkliteContext, label: &str) -> sparklite::MetricsS
 /// heartbeat overhead of the control plane.
 pub fn dist(objects: usize, worker_counts: &[usize], tries: usize, cmd: WorkerCmd) -> FigureReport {
     let text = confusion::generate(objects, DEFAULT_SEED);
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let cores = host_cores();
     let mut rows: Vec<(String, Vec<Cell>)> = Vec::new();
     let mut metrics: Vec<(String, u64)> = Vec::new();
     let mut notes = String::new();
@@ -549,15 +565,17 @@ pub fn dist(objects: usize, worker_counts: &[usize], tries: usize, cmd: WorkerCm
             m.block_bytes_fetched,
             m.heartbeats
         ));
-        for (k, v) in [
-            ("blocks_pushed", m.blocks_pushed),
-            ("block_bytes_pushed", m.block_bytes_pushed),
-            ("blocks_fetched", m.blocks_fetched),
-            ("block_bytes_fetched", m.block_bytes_fetched),
-            ("heartbeats", m.heartbeats),
-        ] {
-            metrics.push((format!("{label}.{k}"), v));
-        }
+        push_metrics(
+            &mut metrics,
+            &label,
+            [
+                ("blocks_pushed", m.blocks_pushed),
+                ("block_bytes_pushed", m.block_bytes_pushed),
+                ("blocks_fetched", m.blocks_fetched),
+                ("block_bytes_fetched", m.block_bytes_fetched),
+                ("heartbeats", m.heartbeats),
+            ],
+        );
         rows.push((label, cells));
     }
     let report = format!(
@@ -566,22 +584,6 @@ pub fn dist(objects: usize, worker_counts: &[usize], tries: usize, cmd: WorkerCm
         render_rows(&format!("Dist — executor scaling, {objects} objects, {cores} cores"), &rows)
     );
     FigureReport { rows, report, metrics }
-}
-
-fn min_f64(v: &[f64]) -> f64 {
-    v.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-/// The median of an unsorted sample (mean of the middle two when even).
-fn median_f64(v: &[f64]) -> f64 {
-    let mut s = v.to_vec();
-    s.sort_by(f64::total_cmp);
-    let n = s.len();
-    if n % 2 == 1 {
-        s[n / 2]
-    } else {
-        (s[n / 2 - 1] + s[n / 2]) / 2.0
-    }
 }
 
 /// Counts the distinct executor worker process lanes (synthetic pids in
@@ -614,62 +616,58 @@ fn worker_lane_count(chrome: &str) -> usize {
 /// snapshot, lose zero events, drain both executor streams, and export a
 /// Chrome trace whose slices span at least two distinct worker process
 /// lanes; the A/B delta is the cross-process instrumentation overhead.
-/// Both arms stay alive and alternate run by run, cells are
-/// best-of-`tries` (minimum wall clock), and the figure also reports the
-/// within-arm spread as the box's A/A noise floor — the resolution limit
+/// Both arms run through [`interleaved`], cells are best-of-`tries`
+/// (minimum wall clock), and the figure also reports the within-arm
+/// spread as the box's A/A noise floor — the resolution limit
 /// below which the harness's overhead gate refuses to rule. Returns the
 /// figure plus the traced run's Chrome trace for the harness to write.
 pub fn obs(objects: usize, tries: usize, cmd: WorkerCmd) -> (FigureReport, String) {
     const WORKERS: usize = 2;
     let text = confusion::generate(objects, DEFAULT_SEED);
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let cores = host_cores();
     let kind = if cmd.is_some() { "process" } else { "thread" };
 
     // Both arms stay alive for the whole measurement and alternate within
-    // each try, so slow drift in machine load lands on both equally — with
-    // sequential arms the A/B would measure "was the box busier later",
-    // which at this scale is far larger than the instrumentation cost.
-    // Arm A: collection off — the executor protocol still flows
-    // (heartbeats, event batches), but the driver has no collector
-    // listening. Arm B: collection on — the arm whose timeline must hold
-    // up.
+    // each try (`interleaved`): with sequential arms the A/B would measure
+    // "was the box busier later", which at this scale is far larger than
+    // the instrumentation cost. Arm A: collection off — the executor
+    // protocol still flows (heartbeats, event batches), but the driver has
+    // no collector listening. Arm B: collection on — the arm whose timeline
+    // must hold up. The driver's warm-up run pays process spawn,
+    // page-cache, and allocator warm-up — cold-start cost, not
+    // instrumentation cost, and bigger than the effect being measured.
     let sc_off = dist_context(cores, WORKERS, &cmd, false);
     put_dataset(&sc_off, "hdfs:///confusion.json", &text).expect("dataset fits");
     let sc = dist_context(cores, WORKERS, &cmd, true);
     put_dataset(&sc, "hdfs:///confusion.json", &text).expect("dataset fits");
-    // One untimed warm-up pass per arm and query: the first run pays
-    // process spawn, page-cache, and allocator warm-up — cold-start cost,
-    // not instrumentation cost, and bigger than the effect being measured.
-    for arm in [&sc_off, &sc] {
-        for query in QUERIES {
-            run_confusion(System::Rumble, arm, "hdfs:///confusion.json", query)
-                .unwrap_or_else(|e| panic!("obs warm-up failed on {query:?}: {e}"));
-        }
-    }
-    let mut base_runs = vec![Vec::new(); QUERIES.len()];
-    let mut traced_runs = vec![Vec::new(); QUERIES.len()];
-    for t in 0..tries.max(1) {
-        for (qi, query) in QUERIES.iter().enumerate() {
-            // Alternate which arm goes first: whichever runs second gets
-            // the same query's data hot in cache, and that bias must not
-            // consistently favor one arm.
-            let mut pair = [(&sc_off, &mut base_runs), (&sc, &mut traced_runs)];
-            if (t + qi) % 2 == 1 {
-                pair.reverse();
-            }
-            for (arm, runs) in pair {
-                let (r, d) =
-                    time(|| run_confusion(System::Rumble, arm, "hdfs:///confusion.json", *query));
-                r.unwrap_or_else(|e| panic!("obs run failed on {query:?}: {e}"));
-                runs[qi].push(d.as_secs_f64());
-            }
-        }
+    let arms = [&sc_off, &sc];
+    let mut rows: Vec<(String, Vec<Cell>)> = Vec::new();
+    // The overhead estimate is best-of vs best-of: the sum of per-query
+    // minima is the classic noise-free-time estimate. Alongside it, the
+    // within-arm spread (median − min of the *same* configuration's runs)
+    // measures the A/A repeatability of this box right now: an A/B
+    // difference smaller than the difference between identical runs is
+    // unresolvable, so the harness's percentage gate only binds once the
+    // delta clears this floor (the sum over queries of the wider arm's
+    // spread). On a quiet multicore machine the spread is a few ms and the
+    // gate has its full 3% teeth; on a loaded single-core box it refuses to
+    // turn scheduler jitter into a verdict.
+    let (mut best_base, mut best_traced, mut noise_floor) =
+        (Duration::ZERO, Duration::ZERO, Duration::ZERO);
+    for query in QUERIES {
+        let [(base, base_spread, _), (traced, traced_spread, _)] = interleaved(tries, |a| {
+            run_confusion(System::Rumble, arms[a], "hdfs:///confusion.json", query)
+                .unwrap_or_else(|e| panic!("obs run failed on {query:?}: {e}"))
+        });
+        best_base += base;
+        best_traced += traced;
+        noise_floor += base_spread.max(traced_spread);
+        rows.push((
+            format!("{query:?}").to_lowercase(),
+            vec![Cell::Time(base), Cell::Time(traced)],
+        ));
     }
     sc_off.shutdown_cluster();
-    let base_walls: Vec<Duration> =
-        base_runs.iter().map(|v| Duration::from_secs_f64(min_f64(v))).collect();
-    let traced_walls: Vec<Duration> =
-        traced_runs.iter().map(|v| Duration::from_secs_f64(min_f64(v))).collect();
     let m = reconcile_dist_run(&sc, "obs"); // exact or panic
     assert_eq!(m.executors_registered, WORKERS as u64, "obs: registration count");
     assert_eq!(m.events_lost, 0, "obs: a clean run must not lose executor events");
@@ -703,26 +701,9 @@ pub fn obs(objects: usize, tries: usize, cmd: WorkerCmd) -> (FigureReport, Strin
         "obs: Chrome trace has spans from only {lanes} worker process lane(s), need 2"
     );
 
-    // The overhead estimate is best-of vs best-of: the sum of per-query
-    // minima is the classic noise-free-time estimate, since scheduler
-    // noise only ever adds time. Alongside it, the within-arm spread
-    // (median − min of the *same* configuration's runs) measures the A/A
-    // repeatability of this box right now: an A/B difference smaller than
-    // the difference between identical runs is unresolvable, so the
-    // harness's percentage gate only binds once the delta clears this
-    // floor. On a quiet multicore machine the spread is a few ms and the
-    // gate has its full 3% teeth; on a loaded single-core box it refuses
-    // to turn scheduler jitter into a verdict.
-    let best_base: f64 = base_runs.iter().map(|v| min_f64(v)).sum();
-    let best_traced: f64 = traced_runs.iter().map(|v| min_f64(v)).sum();
-    let delta_secs = best_traced - best_base;
-    let overhead_pct = delta_secs / best_base.max(1e-9) * 100.0;
-    let noise_floor_secs: f64 = base_runs
-        .iter()
-        .zip(&traced_runs)
-        .map(|(b, t)| (median_f64(b) - min_f64(b)).max(median_f64(t) - min_f64(t)))
-        .sum();
-    let delta = Duration::from_secs_f64(delta_secs.max(0.0));
+    let delta_secs = best_traced.as_secs_f64() - best_base.as_secs_f64();
+    let overhead_pct = delta_secs / best_base.as_secs_f64().max(1e-9) * 100.0;
+    let delta = best_traced.saturating_sub(best_base);
     metrics.extend([
         ("events".to_string(), events_checked as u64),
         ("trace_slices".to_string(), slices as u64),
@@ -731,32 +712,23 @@ pub fn obs(objects: usize, tries: usize, cmd: WorkerCmd) -> (FigureReport, Strin
         ("heartbeats".to_string(), m.heartbeats),
         ("overhead_bp".to_string(), (overhead_pct * 100.0).max(0.0).round() as u64),
         ("overhead_delta_us".to_string(), delta.as_micros() as u64),
-        ("noise_floor_us".to_string(), (noise_floor_secs * 1e6).max(0.0).round() as u64),
+        ("noise_floor_us".to_string(), noise_floor.as_micros() as u64),
     ]);
-
-    let rows: Vec<(String, Vec<Cell>)> = QUERIES
-        .iter()
-        .zip(base_walls.iter().zip(&traced_walls))
-        .map(|(q, (b, t))| (format!("{q:?}").to_lowercase(), vec![Cell::Time(*b), Cell::Time(*t)]))
-        .collect();
     let report = format!(
         "{}\n{stream_notes}cross-process instrumentation overhead: {overhead_pct:+.1}% wall \
          clock (best of {} interleaved tries per arm, A/A noise floor {:.1} ms, collection \
          on vs off, {WORKERS} {kind} workers); \
          {events_checked} events merged, {slices} trace slices across {lanes} worker process \
          lanes; the merged timeline reconciled exactly with the metrics snapshot.\n",
-        render_table(
+        render_cells(
             &format!(
                 "Obs — executor event streams A/B, {objects} objects, {WORKERS} {kind} workers"
             ),
             &["events off", "events on"],
-            &rows
-                .iter()
-                .map(|(l, cells)| (l.clone(), cells.iter().map(Cell::render).collect()))
-                .collect::<Vec<_>>(),
+            &rows,
         ),
         tries.max(1),
-        noise_floor_secs * 1e3,
+        noise_floor.as_secs_f64() * 1e3,
     );
     (FigureReport { rows, report, metrics }, chrome)
 }
@@ -797,7 +769,7 @@ impl sparklite::EventListener for KillOnPush {
 /// answer as the local threaded engine.
 pub fn chaos_kill_executor(objects: usize, tries: usize, cmd: WorkerCmd) -> FigureReport {
     let text = confusion::generate(objects, DEFAULT_SEED);
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let cores = host_cores();
 
     let sc = SparkliteContext::new(SparkliteConf::default().with_executors(cores));
     put_dataset(&sc, "hdfs:///confusion.json", &text).expect("dataset fits");
@@ -856,35 +828,17 @@ pub fn chaos_kill_executor(objects: usize, tries: usize, cmd: WorkerCmd) -> Figu
     FigureReport { rows, report, metrics }
 }
 
-/// Runs `run(arm)` `tries` times (at least once) on each of two A/B arms,
-/// alternating which arm goes first, and returns per arm the best-of
-/// (minimum) wall clock and the last result. The minimum is the noise-free
-/// estimate: scheduler noise only ever adds time.
-fn interleaved<R>(tries: usize, run: impl Fn(usize) -> R) -> [(Cell, R); 2] {
-    let mut best = [Duration::MAX; 2];
-    let mut last: [Option<R>; 2] = [None, None];
-    for t in 0..tries.max(1) {
-        for arm in [t % 2, (t + 1) % 2] {
-            let (r, d) = time(|| run(arm));
-            best[arm] = best[arm].min(d);
-            last[arm] = Some(r);
-        }
-    }
-    let [r0, r1] = last.map(|r| r.expect("at least one try ran"));
-    [(Cell::Time(best[0]), r0), (Cell::Time(best[1]), r1)]
-}
-
 /// **Columnar** — the physical-paths figure (no paper analogue; exercises
 /// the §4.7 DataFrame runtime): every pipeline runs A/B on the row-major
 /// reference interpreter and on the shipping default (fused columnar batch
-/// kernels, the vectorized hash group-by, normalized-key sort, and the
-/// adaptive row fallback). The pipelines are a typed
+/// kernels, the vectorized hash group-by and normalized-key sort). The
+/// pipelines are a typed
 /// scan→project→filter chain that the columnar compiler fuses into one
 /// batch pass per partition; one typed group-by per key distribution —
 /// ~8 rows per key, every key distinct, 16 keys, one dominant key, half
 /// the keys NULL; a multi-key sort; and the Fig. 11 group and sort
 /// queries, whose FLWOR mappings run through the DataFrame runtime. The
-/// arms alternate try by try and cells are best-of-`tries`. Every
+/// arms run through [`interleaved`] and cells are best-of-`tries`. Every
 /// pipeline must return byte-identical results on both paths; the
 /// DataFrame pipelines are then re-run under seeded 20% fault injection,
 /// and the Fig. 11 group/sort queries through two executor workers, both
@@ -1033,8 +987,8 @@ pub fn columnar(objects: usize, executors: usize, tries: usize, cmd: WorkerCmd) 
     // row-major path's project work to the filter survivors, and the A/B
     // would measure rewrite quality instead of the execution model.
     let base = || SparkliteConf::default().with_executors(executors).with_optimizer(false);
-    // Both arms stay alive and alternate try by try, as in the obs figure:
-    // run one after the other, the A/B would measure drift in machine load
+    // Both arms stay alive and alternate try by try (`interleaved`): run
+    // one after the other, the A/B would measure drift in machine load
     // between the arms, which on a shared host exceeds the group/sort
     // margins.
     let arms: Vec<SparkliteContext> = [true, false]
@@ -1051,31 +1005,26 @@ pub fn columnar(objects: usize, executors: usize, tries: usize, cmd: WorkerCmd) 
     let mut reference: Vec<Vec<u8>> = Vec::new();
     for (name, build) in &pipelines {
         let frames: Vec<DataFrame> = arms.iter().map(build).collect();
-        for frame in &frames {
-            frame.collect_rows().expect("warm-up runs");
-        }
-        let runs = interleaved(tries, |a| {
+        let [(row_wall, _, row_rows), (col_wall, _, col_rows)] = interleaved(tries, |a| {
             frames[a].collect_rows().unwrap_or_else(|e| panic!("{name}: {e}"))
         });
-        let [(row_cell, row_rows), (col_cell, col_rows)] = runs;
         let bytes = RowCodec.encode(&row_rows);
         assert_eq!(RowCodec.encode(&col_rows), bytes, "columnar execution changed '{name}'");
         reference.push(bytes);
-        arm_cells[0].push(row_cell);
-        arm_cells[1].push(col_cell);
+        arm_cells[0].push(Cell::Time(row_wall));
+        arm_cells[1].push(Cell::Time(col_wall));
     }
     let mut ref_outputs = Vec::new();
     for query in FIG11_SHUFFLES {
-        let runs = interleaved(tries, |a| {
+        let [(row_wall, _, row_out), (col_wall, _, col_out)] = interleaved(tries, |a| {
             run_confusion(System::Rumble, &arms[a], "hdfs:///confusion.json", query)
                 .unwrap_or_else(|e| panic!("query {query:?} failed: {e}"))
                 .normalized()
         });
-        let [(row_cell, row_out), (col_cell, col_out)] = runs;
         assert_eq!(col_out, row_out, "columnar execution changed the answer of {query:?}");
         ref_outputs.push(row_out);
-        arm_cells[0].push(row_cell);
-        arm_cells[1].push(col_cell);
+        arm_cells[0].push(Cell::Time(row_wall));
+        arm_cells[1].push(Cell::Time(col_wall));
     }
 
     let mut metrics: Vec<(String, u64)> = Vec::new();
@@ -1095,14 +1044,16 @@ pub fn columnar(objects: usize, executors: usize, tries: usize, cmd: WorkerCmd) 
              agg kernel, {} group(s) out\n",
             m.columnar_batches, m.fused_pipelines, m.agg_rows_in, m.agg_groups_out
         ));
-        for (k, v) in [
-            ("columnar_batches", m.columnar_batches),
-            ("fused_pipelines", m.fused_pipelines),
-            ("agg_rows_in", m.agg_rows_in),
-            ("agg_groups_out", m.agg_groups_out),
-        ] {
-            metrics.push((format!("{label}.{k}"), v));
-        }
+        push_metrics(
+            &mut metrics,
+            label,
+            [
+                ("columnar_batches", m.columnar_batches),
+                ("fused_pipelines", m.fused_pipelines),
+                ("agg_rows_in", m.agg_rows_in),
+                ("agg_groups_out", m.agg_groups_out),
+            ],
+        );
     }
 
     // Fault tolerance: the shipping default under seeded 20% chaos must
@@ -1145,21 +1096,17 @@ pub fn columnar(objects: usize, executors: usize, tries: usize, cmd: WorkerCmd) 
         .enumerate()
         .map(|(i, l)| (l, arm_cells.iter().map(|cells| cells[i].clone()).collect()))
         .collect();
-    let rendered: Vec<(String, Vec<String>)> = rows
-        .iter()
-        .map(|(l, cells)| (l.clone(), cells.iter().map(Cell::render).collect()))
-        .collect();
     let report = format!(
         "{}\n{notes}both paths returned byte-identical results; the fused-chain delta is what \
          vectorized batch kernels save over per-row expression walks, the high-cardinality \
          delta what typed accumulators over encoded keys save over per-row state merges.\n",
-        render_table(
+        render_cells(
             &format!(
                 "Columnar — physical paths, {typed_rows} typed rows / {rows_n} keyed rows / \
                  {objects} objects, {executors} cores"
             ),
             &["row-major", "columnar"],
-            &rendered
+            &rows
         )
     );
     FigureReport { rows, report, metrics }
@@ -1264,16 +1211,59 @@ mod tests {
     }
 
     #[test]
+    fn obs_smoke_reconciles() {
+        // Thread-mode workers: the figure asserts internally that the merged
+        // timeline reconciles with the metrics, no executor event is lost,
+        // both streams drain, and the Chrome trace has two worker lanes.
+        let (r, chrome) = obs(2_000, 1, None);
+        assert_eq!(r.rows.len(), QUERIES.len());
+        assert!(r.rows.iter().all(|(_, cells)| cells.iter().all(|c| c.seconds().is_some())));
+        assert!(r.metrics.iter().any(|(k, v)| k == "events" && *v > 0));
+        assert!(r.metrics.iter().any(|(k, v)| k == "events_lost" && *v == 0));
+        assert!(r.metrics.iter().any(|(k, _)| k == "noise_floor_us"));
+        assert!(chrome.contains("traceEvents"));
+    }
+
+    #[test]
+    fn check_ab_applies_budgets() {
+        let ms = |v: u64| Cell::Time(Duration::from_millis(v));
+        let report = FigureReport {
+            rows: vec![
+                ("fused".to_string(), vec![ms(10), ms(10)]),
+                ("sort a".to_string(), vec![ms(100), ms(110)]),
+                ("sort b".to_string(), vec![ms(100), ms(111)]),
+                ("broken".to_string(), vec![ms(10), Cell::Failed("oom".into())]),
+            ],
+            report: String::new(),
+            metrics: Vec::new(),
+        };
+        // At budget passes, exact labels and prefixes alike.
+        assert_eq!(check_ab(&report, &[("fused", 1.0), ("sort a", 1.10)]), Ok(()));
+        // One row over budget fails, naming the row.
+        let err = check_ab(&report, &[("sort *", 1.10)]).unwrap_err();
+        assert!(err.contains("'sort b'"), "{err}");
+        // A failed cell is an error, and so is a gate that matches nothing.
+        assert!(check_ab(&report, &[("broken", 10.0)]).unwrap_err().contains("'broken'"));
+        assert!(check_ab(&report, &[("missing", 1.0)]).is_err());
+    }
+
+    #[test]
     fn fig14_smoke() {
-        let (points, report) = fig14(2_000, &[1, 2], 1);
-        assert_eq!(points.len(), 2);
-        assert!(points.iter().all(|p| p.aggregated >= Duration::ZERO));
-        assert!(report.contains("speedup"));
+        let r = fig14(2_000, &[1, 2], 1);
+        assert_eq!(r.rows.len(), 2);
+        assert_eq!(r.rows[1].0, "2 executors");
+        assert!(r
+            .rows
+            .iter()
+            .all(|(_, cells)| cells.len() == 3 && cells.iter().all(|c| c.seconds().is_some())));
+        assert!(r.report.contains("speedup"));
     }
 
     #[test]
     fn fig15_smoke_is_monotone() {
-        let (points, _) = fig15(1_000, &[1, 4], 2);
-        assert!(points[1].runtime >= points[0].runtime / 2, "larger input not faster");
+        let r = fig15(1_000, &[1, 4], 2);
+        assert_eq!(r.rows[1].0, "4000 objects");
+        let runtime = |i: usize| r.rows[i].1[0].seconds().expect("runtime measured");
+        assert!(runtime(1) >= runtime(0) / 2.0, "larger input not faster");
     }
 }

@@ -19,6 +19,11 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (r, start.elapsed())
 }
 
+/// The host's available parallelism (4 when it cannot be read).
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
+}
+
 /// Renders a table of `(row label, column values)` with a header.
 pub fn render_table(title: &str, header: &[&str], rows: &[(String, Vec<String>)]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();

@@ -191,16 +191,11 @@ pub struct ExecConf {
     /// Rows per [`ColumnBatch`](crate::dataframe::batch::ColumnBatch) in the
     /// vectorized pipeline (clamped to at least 1).
     pub batch_size: usize,
-    /// When true (the default), short single-operator pipeline segments
-    /// fall back to the row interpreter once observed batch statistics show
-    /// average batch occupancy too low to amortize row↔column
-    /// transposition. Forced modes for differentials turn this off.
-    pub adaptive: bool,
 }
 
 impl Default for ExecConf {
     fn default() -> Self {
-        ExecConf { row_major: false, batch_size: 1024, adaptive: true }
+        ExecConf { row_major: false, batch_size: 1024 }
     }
 }
 
@@ -393,13 +388,6 @@ impl SparkliteConf {
         self
     }
 
-    /// Enables (or disables) the adaptive row-vs-batch fallback for short
-    /// pipeline segments; see [`ExecConf::adaptive`].
-    pub fn with_adaptive(mut self, on: bool) -> Self {
-        self.exec.adaptive = on;
-        self
-    }
-
     /// Tunes the heartbeat cadence and death-detection deadline (both
     /// clamped to at least 1 ms). A deadline shorter than the cadence is
     /// honored but guarantees false-positive deaths — useful only to drive
@@ -453,8 +441,6 @@ mod tests {
         assert_eq!(c.exec.batch_size, 1);
         assert!(!c.exec.row_major);
         assert!(SparkliteConf::default().with_row_major(true).exec.row_major);
-        assert!(c.exec.adaptive);
-        assert!(!SparkliteConf::default().with_adaptive(false).exec.adaptive);
     }
 
     #[test]

@@ -805,7 +805,15 @@ fn compile_row_major(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Ro
             let key_idx: Vec<usize> =
                 keys.iter().map(|k| schema.resolve(k)).collect::<Result<_>>()?;
             let specs = agg_specs(schema, aggs)?;
-            let paired = rdd.map(move |row| group_pair(&key_idx, &specs, &row));
+            let paired = rdd.map(move |row| {
+                let key: Vec<KeyValue> =
+                    key_idx.iter().map(|&i| KeyValue(row[i].clone())).collect();
+                let states: Vec<AggState> = specs
+                    .iter()
+                    .map(|(a, idx)| AggState::create(a, idx.map(|i| &row[i])))
+                    .collect();
+                (key, states)
+            });
             Ok(finish_group_by(paired, keys.len(), num_parts, false))
         }
         LogicalPlan::OrderBy { input, keys } => {
@@ -846,20 +854,6 @@ fn agg_specs(schema: &Arc<Schema>, aggs: &[(Agg, String)]) -> Result<Vec<(Agg, O
     aggs.iter()
         .map(|(a, _)| Ok((a.clone(), a.input_col().map(|c| schema.resolve(c)).transpose()?)))
         .collect()
-}
-
-/// One row's GROUP BY shuffle pair: its key values and a fresh state per
-/// aggregate. The map side of the row-major reference and of the adaptive
-/// row fallback.
-fn group_pair(
-    key_idx: &[usize],
-    specs: &[(Agg, Option<usize>)],
-    row: &[Value],
-) -> (Vec<KeyValue>, Vec<AggState>) {
-    let key: Vec<KeyValue> = key_idx.iter().map(|&i| KeyValue(row[i].clone())).collect();
-    let states: Vec<AggState> =
-        specs.iter().map(|(a, idx)| AggState::create(a, idx.map(|i| &row[i]))).collect();
-    (key, states)
 }
 
 /// Resolves ORDER BY keys to `(column index, direction)` pairs.
@@ -1094,19 +1088,12 @@ fn segment_rows(core: &Arc<Core>, source: Rdd<Row>, seg: Arc<SegmentPlan>) -> Rd
 /// Columnar compiler: peels the maximal fusable suffix of the plan
 /// (Project/Filter/Explode chains, plus a segment-leading Limit), compiles
 /// whatever is below it as a boundary, and executes the suffix as one fused
-/// pass over [`ColumnBatch`]es of `ExecConf::batch_size` rows. With
-/// `ExecConf::adaptive` on, a single-operator segment falls back to the row
-/// interpreter once observed batch statistics say transposition costs more
-/// than the kernel saves.
+/// pass over [`ColumnBatch`]es of `ExecConf::batch_size` rows.
 fn compile_columnar(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Row>> {
     let (ops, global_limit, node) = peel_ops(plan)?;
     let source = compile_boundary(core, node)?;
     if ops.is_empty() {
         return Ok(source);
-    }
-    if global_limit.is_none() && ops.len() == 1 && adaptive_prefers_rows(core) {
-        let op = ops.into_iter().next().expect("one fused op");
-        return Ok(apply_op_row(source, op));
     }
     let seg = Arc::new(SegmentPlan { ops, width: node.schema().len() });
     let fused = segment_rows(core, source, seg);
@@ -1116,55 +1103,6 @@ fn compile_columnar(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Row
             Ok(Rdd::new(Arc::clone(core), Arc::new(FromPartitionsRdd::new(vec![rows]))))
         }
         None => Ok(fused),
-    }
-}
-
-/// Whether the adaptive heuristic currently prefers the row interpreter for
-/// *short* (single-operator) pipeline segments: once enough batches have
-/// flowed through this context to trust the statistics (`>= 16`), a mean
-/// batch occupancy under 8 rows means the row↔column transposition
-/// dominates whatever the kernel saves. Multi-operator fusion and the
-/// pre-aggregating GROUP BY kernel always stay columnar — their win does
-/// not hinge on occupancy the same way. Derived from the [`Event`] stream's
-/// `columnar_batches` / `columnar_rows` counters, so the heuristic works
-/// with or without an event collector attached.
-fn adaptive_prefers_rows(core: &Arc<Core>) -> bool {
-    use std::sync::atomic::Ordering;
-    if !core.conf.exec.adaptive {
-        return false;
-    }
-    let batches = core.metrics.columnar_batches.load(Ordering::Relaxed);
-    if batches < 16 {
-        return false;
-    }
-    core.metrics.columnar_rows.load(Ordering::Relaxed) / batches < 8
-}
-
-/// Executes one fused operator with the row interpreter — the adaptive
-/// fallback target for segments too short to amortize transposition.
-fn apply_op_row(rdd: Rdd<Row>, op: FusedOp) -> Rdd<Row> {
-    match op {
-        FusedOp::Project(bound) => {
-            rdd.map(move |row| bound.iter().map(|b| b.eval(&row)).collect::<Row>())
-        }
-        FusedOp::Filter(p) => rdd.filter(move |row| p.eval_predicate(row)),
-        FusedOp::Explode { idx } => rdd.flat_map(move |row| {
-            let items: Vec<Row> = match &row[idx] {
-                Value::List(l) => l
-                    .iter()
-                    .map(|v| {
-                        let mut r = row.clone();
-                        r[idx] = v.clone();
-                        r
-                    })
-                    .collect(),
-                _ => Vec::new(),
-            };
-            items
-        }),
-        // LocalLimit is only ever peeled together with a global limit,
-        // which routes around the adaptive fallback.
-        FusedOp::LocalLimit(_) => unreachable!("a lone LocalLimit implies a global limit"),
     }
 }
 
@@ -1239,12 +1177,6 @@ fn compile_group_by_vectorized(
         let width = node.schema().len();
         (compile_boundary(core, node)?, Some(Arc::new(SegmentPlan { ops, width })))
     };
-    if seg.is_none() && adaptive_prefers_rows(core) {
-        // Adaptive fallback: tiny batches make even the kernel's single
-        // transposition a loss; pair per row, as the row-major reference
-        // does, and leave the aggregation to the reduce-side bucket merge.
-        return Ok(rdd.map(move |row| group_pair(&key_idx, &specs, &row)));
-    }
     let width = seg.as_ref().map(|s| s.width).unwrap_or(schema.len());
     let batch_size = core.conf.exec.batch_size;
     let events = Arc::clone(&core.events);

@@ -177,8 +177,7 @@ pub struct Metrics {
     /// ColumnBatches processed by vectorized DataFrame pipeline segments.
     pub columnar_batches: AtomicU64,
     /// Rows emitted by vectorized DataFrame pipeline segments; paired with
-    /// `columnar_batches`, the mean batch occupancy the adaptive
-    /// row-vs-batch heuristic reads.
+    /// `columnar_batches`, the mean batch occupancy.
     pub columnar_rows: AtomicU64,
     /// Per-partition executions of fused (multi-operator, single-pass)
     /// columnar pipeline segments.

@@ -1,10 +1,10 @@
-//! The physical-path differential battery: every random pipeline the PR 6
+//! The physical-path differential battery: every random pipeline the
 //! generator can produce must collect to byte-identical rows (under
-//! [`RowCodec`]) on **every** physical path — the row-at-a-time reference
-//! operators (`ExecConf::row_major`), the columnar batch kernels with
-//! vectorized hash aggregation and normalized-key sort, and the shipping
-//! default with the adaptive row fallback armed. Batch sizes are fuzzed too, so batch seams land
-//! inside, on, and around partition boundaries; dedicated cases pin the
+//! [`RowCodec`]) on both physical paths — the row-at-a-time reference
+//! operators (`ExecConf::row_major`) and the shipping columnar default, with
+//! vectorized hash aggregation and normalized-key sort. Batch sizes are
+//! fuzzed too, so batch seams land inside, on, and around partition
+//! boundaries; dedicated cases pin the
 //! empty / one-row / N−1 / N / N+1 input sizes, null-heavy mixed-type
 //! columns, and group/sort-heavy shapes (high-cardinality, skewed,
 //! all-NULL, and mixed-type keys).
@@ -23,23 +23,17 @@ use sparklite::{CacheCodec, SparkliteConf, SparkliteContext};
 enum Mode {
     /// Row-at-a-time reference operators.
     RowMajor,
-    /// Columnar kernels with vectorized hash aggregation and normalized-key
-    /// sort, adaptivity forced off so the kernels always run.
+    /// The shipping default: columnar kernels with vectorized hash
+    /// aggregation and normalized-key sort.
     Vectorized,
-    /// The shipping default: vectorized with the adaptive row fallback.
-    Adaptive,
 }
 
-const MODES: [Mode; 3] = [Mode::RowMajor, Mode::Vectorized, Mode::Adaptive];
+const MODES: [Mode; 2] = [Mode::RowMajor, Mode::Vectorized];
 
 fn ctx_mode(mode: Mode, batch: usize) -> SparkliteContext {
     let conf =
         SparkliteConf::default().with_executors(3).with_optimizer(false).with_batch_size(batch);
-    SparkliteContext::new(match mode {
-        Mode::RowMajor => conf.with_row_major(true),
-        Mode::Vectorized => conf.with_adaptive(false),
-        Mode::Adaptive => conf,
-    })
+    SparkliteContext::new(conf.with_row_major(matches!(mode, Mode::RowMajor)))
 }
 
 /// Runs the same pipeline over the same seed on every physical path and
@@ -216,13 +210,11 @@ fn grouping_stress_shapes_agree_on_all_paths() {
     for shape in ["high", "skewed", "null", "mixed"] {
         for batch in [1usize, 7, 64, 1024] {
             let baseline = run(Mode::RowMajor, batch, shape);
-            for mode in [Mode::Vectorized, Mode::Adaptive] {
-                assert_eq!(
-                    run(mode, batch, shape),
-                    baseline,
-                    "{mode:?} diverged on shape={shape} batch={batch}"
-                );
-            }
+            assert_eq!(
+                run(Mode::Vectorized, batch, shape),
+                baseline,
+                "columnar diverged on shape={shape} batch={batch}"
+            );
         }
     }
 }
@@ -281,9 +273,7 @@ fn null_heavy_and_mixed_type_columns_agree() {
     };
     let baseline = run(Mode::RowMajor, 1024);
     for batch in [1usize, 4, 19, 20, 21, 1024] {
-        for mode in [Mode::Vectorized, Mode::Adaptive] {
-            assert_eq!(run(mode, batch), baseline, "{mode:?} diverged at batch={batch}");
-        }
+        assert_eq!(run(Mode::Vectorized, batch), baseline, "columnar diverged at batch={batch}");
     }
 }
 
@@ -321,39 +311,5 @@ fn float_payloads_survive_bit_exactly() {
         RowCodec.encode(&out)
     };
     let baseline = run(Mode::RowMajor);
-    for mode in [Mode::Vectorized, Mode::Adaptive] {
-        assert_eq!(run(mode), baseline, "{mode:?} diverged");
-    }
-}
-
-/// The adaptive heuristic: once enough tiny batches have flowed (≥ 16
-/// batches averaging < 8 rows), single-operator pipelines fall back to the
-/// row interpreter, so the `columnar_batches` counter plateaus. With
-/// adaptivity off the counter keeps growing — and both variants return the
-/// same rows throughout.
-#[test]
-fn adaptive_execution_plateaus_on_tiny_batches() {
-    let tiny_query = |ctx: &SparkliteContext| {
-        seed_n(ctx, 6)
-            .filter(Expr::cmp(Expr::col("k"), CmpOp::Gt, Expr::lit(Value::I64(-1))))
-            .unwrap()
-            .collect_rows()
-            .unwrap()
-    };
-    let conf = || SparkliteConf::default().with_executors(3).with_optimizer(false);
-    let adaptive = SparkliteContext::new(conf());
-    let forced = SparkliteContext::new(conf().with_adaptive(false));
-    let mut outputs = (Vec::new(), Vec::new());
-    for _ in 0..12 {
-        outputs = (tiny_query(&adaptive), tiny_query(&forced));
-    }
-    let (a1, f1) = (adaptive.metrics().columnar_batches, forced.metrics().columnar_batches);
-    for _ in 0..6 {
-        assert_eq!(tiny_query(&adaptive), outputs.0, "fallback changed the rows");
-        assert_eq!(tiny_query(&forced), outputs.1);
-    }
-    let (a2, f2) = (adaptive.metrics().columnar_batches, forced.metrics().columnar_batches);
-    assert!(a1 >= 16, "adaptive context never crossed the batch threshold: {a1}");
-    assert_eq!(a2, a1, "adaptive context kept batching after the heuristic tripped");
-    assert!(f2 > f1, "forced-columnar context should keep producing batches");
+    assert_eq!(run(Mode::Vectorized), baseline, "columnar diverged");
 }
