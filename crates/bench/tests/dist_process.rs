@@ -6,6 +6,7 @@
 
 use rumble_bench::figures;
 use rumble_core::item::decode_items;
+use rumble_core::Rumble;
 use sparklite::{SparkliteConf, SparkliteContext};
 use std::time::Duration;
 
@@ -26,6 +27,43 @@ fn process_workers_match_local_results() {
     assert_eq!(r.rows.len(), 2);
     assert!(r.report.contains("2 process worker(s)"));
     assert!(r.metrics.iter().any(|(k, v)| k.ends_with(".heartbeats") && *v > 0));
+
+    // Messy records through the clauses that carry variable cells: the
+    // group by ships its collected cells, the order by its rows, as bytes
+    // between the worker processes. Items must match the threaded engine.
+    let text = rumble_datagen::heterogeneous::generate(2_000, 7);
+    let queries = [
+        r#"for $r in json-file("hdfs:///messy.json")
+           let $v := $r.value
+           group by $k := $r.nested.k
+           return [$k, count($r), sum(for $x in $v where $x instance of integer return $x)]"#,
+        r#"for $r at $p in json-file("hdfs:///messy.json")
+           where $r.value instance of integer
+           order by $r.value descending, $p
+           return [$p, $r.value, $r.tags]"#,
+    ];
+    let run = |conf: SparkliteConf| {
+        let sc = SparkliteContext::new(conf.with_executors(2).with_block_size(64 * 1024));
+        let engine = Rumble::new(sc.clone());
+        engine.hdfs_put("/messy.json", &text).unwrap();
+        let outputs: Vec<Vec<String>> = queries
+            .iter()
+            .map(|q| {
+                let mut items: Vec<String> =
+                    engine.run(q).unwrap().iter().map(|i| i.serialize()).collect();
+                if q.contains("group by") {
+                    items.sort(); // group order is unspecified
+                }
+                items
+            })
+            .collect();
+        (outputs, sc)
+    };
+    let (expected, _) = run(SparkliteConf::default());
+    let (got, sc) = run(SparkliteConf::default().with_dist_workers(2, worker_cmd()));
+    assert_eq!(got, expected, "process workers changed a messy-data answer");
+    assert!(sc.metrics().blocks_pushed > 0, "no shuffle block crossed a process boundary");
+    sc.shutdown_cluster();
 }
 
 #[test]

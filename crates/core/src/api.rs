@@ -387,6 +387,65 @@ mod tests {
         assert!(!plain.plan.contains("mode=dataframe (fused)"), "plan:\n{}", plain.plan);
     }
 
+    /// The `rows=` figure of the root's first child whose label starts
+    /// with `label`.
+    fn rows_of(plan: &str, label: &str) -> u64 {
+        let line = plan
+            .lines()
+            .find(|l| {
+                ["├─ ", "└─ "]
+                    .iter()
+                    .any(|b| l.strip_prefix(b).is_some_and(|l| l.starts_with(label)))
+            })
+            .unwrap_or_else(|| panic!("no {label} node in plan:\n{plan}"));
+        let rows = line.split("rows=").nth(1).unwrap_or_else(|| panic!("no rows in {line}"));
+        rows.split(' ').next().unwrap().parse().unwrap()
+    }
+
+    #[test]
+    fn explain_analyze_counts_dataframe_predicate_and_key_evaluations() {
+        // One row per evaluation for the nodes DataFrame UDFs run per row:
+        // a `where` compiled to an item predicate, a `where` evaluated
+        // through a bound context, and a group key compiled to a path.
+        let r = Rumble::default_local();
+        let n = 2_000;
+        let lines: String = (0..n)
+            .map(|i| {
+                format!(
+                    "{{\"guess\": \"l{}\", \"target\": \"l{}\", \"country\": \"{}\"}}\n",
+                    i % 3,
+                    i % 2,
+                    ["ch", "fra", "gb", "ita"][i % 4]
+                )
+            })
+            .collect();
+        r.hdfs_put("/prof2k.json", &lines).unwrap();
+        let q = "for $i in json-file(\"hdfs:///prof2k.json\")
+                 where $i.guess eq $i.target
+                 where string-length($i.country) gt 2
+                 group by $c := $i.country
+                 return {\"c\": $c, \"n\": count($i)}";
+        let report = r.analyze_profile(q).unwrap();
+        assert_eq!(report.items, r.run(q).unwrap());
+        assert!(report.plan.contains("mode=dataframe"), "plan:\n{}", report.plan);
+
+        // The compilable `where` sees every row, the second `where` only
+        // the rows the first kept, and the group key only the rows both
+        // kept ("fra" and "ita" are the long countries).
+        let same = (0..n).filter(|i| i % 3 == i % 2).count() as u64;
+        let long = (0..n).filter(|i| i % 3 == i % 2 && i % 2 == 1).count() as u64;
+        let plan = &report.plan;
+        assert_eq!(rows_of(plan, "Compare(ValueEq)"), n as u64, "plan:\n{plan}");
+        assert_eq!(rows_of(plan, "Compare(ValueGt)"), same, "plan:\n{plan}");
+        assert_eq!(rows_of(plan, "Postfix(.country)"), long, "plan:\n{plan}");
+        let counted: i64 = report
+            .items
+            .iter()
+            .map(|g| g.as_object().unwrap().get("n").unwrap().as_i64().unwrap())
+            .sum();
+        assert_eq!(counted as u64, long);
+    }
+
     #[test]
     fn prepared_queries_are_reusable() {
         let r = Rumble::default_local();

@@ -1,18 +1,23 @@
 //! The FLWOR clauses, each with a local tuple path and the DataFrame
 //! mapping of §4.4–§4.9.
 //!
-//! In DataFrame mode every in-scope variable is one `Bin` column holding
-//! its serialized sequence. UDFs rebuild a dynamic context from the columns
-//! an expression actually reads (its declared `uses` footprint — which also
-//! feeds the optimizer's pruning, §4.7's "does not create the column at
-//! all").
+//! In DataFrame mode every in-scope variable is one column of variable
+//! cells (see the module docs of [`super`]): each clause that binds a
+//! variable wraps its sequence in a cell, and each UDF reads the cells of
+//! the columns its expression actually uses — its declared `uses`
+//! footprint, which also feeds the optimizer's pruning (§4.7's "does not
+//! create the column at all"). A key, predicate or return path that is a
+//! static navigation path on one variable reads that variable's items
+//! straight from its cell (`RowExpr`); every other expression binds the
+//! used cells into a dynamic context.
 
 use super::{
-    bin_of, ctx_from_row, ClauseIterator, ClauseRef, FusedScan, Tuple, TupleCursor, TupleFrame,
+    bind_cell, cell_of, ctx_from_row, row_var, ClauseIterator, ClauseRef, FusedScan, Tuple,
+    TupleCursor, TupleFrame,
 };
 use crate::error::{codes, Result, RumbleError};
-use crate::item::{decode_items, group_key, seq, Item};
-use crate::runtime::{eval_ebv, DynamicContext, ExprRef};
+use crate::item::{effective_boolean_value, group_key, seq, Item};
+use crate::runtime::{eval_ebv, DynamicContext, ExprRef, ItemPath};
 use sparklite::dataframe::{Agg, NamedExpr};
 use sparklite::dataframe::{DataFrame, DataType, Expr as DfExpr, Field, Schema, SortDir, Value};
 use sparklite::rdd::task_bail;
@@ -85,7 +90,76 @@ impl Iterator for TupleFlatMap {
     }
 }
 
-/// Builds a DataFrame UDF that evaluates a compiled expression against the
+/// One expression evaluated per row of a tuple frame. When it is a static
+/// navigation path on the only variable it uses, it is compiled to an
+/// [`ItemPath`] that reads that variable's cell directly; otherwise it runs
+/// against a context bound from the row's `uses` cells.
+pub(crate) struct RowExpr {
+    expr: ExprRef,
+    uses: Vec<Arc<str>>,
+    path: Option<(Arc<str>, ItemPath)>,
+    base: DynamicContext,
+}
+
+impl RowExpr {
+    pub(crate) fn new(expr: &ExprRef, uses: &[Arc<str>], ctx: &DynamicContext) -> RowExpr {
+        let path = match uses {
+            [var] => expr.item_path(var).map(|p| (Arc::clone(var), p)),
+            _ => None,
+        };
+        RowExpr { expr: Arc::clone(expr), uses: uses.to_vec(), path, base: ctx.enter_executor() }
+    }
+
+    /// The compiled path's result, if this expression has one and the
+    /// frame carries its variable.
+    fn compiled(&self, schema: &Schema, row: &[Value]) -> Option<Vec<Item>> {
+        let (var, path) = self.path.as_ref()?;
+        Some(path(&row_var(schema, row, var)?))
+    }
+
+    pub(crate) fn eval(&self, schema: &Schema, row: &[Value]) -> Result<Vec<Item>> {
+        self.eval_shared(schema, row, &self.uses, &mut None)
+    }
+
+    /// The effective boolean value of [`eval`](Self::eval)'s result.
+    fn ebv(&self, schema: &Schema, row: &[Value]) -> Result<bool> {
+        match self.compiled(schema, row) {
+            Some(items) => effective_boolean_value(&items),
+            None => eval_ebv(&self.expr, &ctx_from_row(&self.base, schema, row, &self.uses)),
+        }
+    }
+
+    /// [`eval`](Self::eval) for one of several keys a UDF computes per
+    /// row: the first key that needs a context binds `all_uses`, the
+    /// union of the keys' footprints, and the later ones share it.
+    fn eval_shared(
+        &self,
+        schema: &Schema,
+        row: &[Value],
+        all_uses: &[Arc<str>],
+        shared: &mut Option<DynamicContext>,
+    ) -> Result<Vec<Item>> {
+        match self.compiled(schema, row) {
+            Some(items) => Ok(items),
+            None => self.expr.materialize(
+                shared.get_or_insert_with(|| ctx_from_row(&self.base, schema, row, all_uses)),
+            ),
+        }
+    }
+}
+
+/// The union of several expressions' `uses` footprints, in first-use order.
+fn union_uses<'a>(all: impl IntoIterator<Item = &'a [Arc<str>]>) -> Vec<Arc<str>> {
+    let mut uses: Vec<Arc<str>> = Vec::new();
+    for u in all.into_iter().flatten() {
+        if !uses.contains(u) {
+            uses.push(Arc::clone(u));
+        }
+    }
+    uses
+}
+
+/// Builds a DataFrame UDF that evaluates an expression against the
 /// variables of a row and post-processes its result sequence.
 fn row_udf(
     name: &str,
@@ -94,11 +168,10 @@ fn row_udf(
     ctx: &DynamicContext,
     finish: impl Fn(Vec<Item>) -> Value + Send + Sync + 'static,
 ) -> DfExpr {
-    let base = ctx.enter_executor();
     let uses_strings: Vec<String> = uses.iter().map(|u| u.to_string()).collect();
+    let row_expr = RowExpr::new(&expr, &uses, ctx);
     DfExpr::udf(name, Some(uses_strings), move |schema: &Schema, row: &[Value]| {
-        let child = ctx_from_row(&base, schema, row, &uses);
-        match expr.materialize(&child) {
+        match row_expr.eval(schema, row) {
             Ok(items) => finish(items),
             Err(e) => task_bail(e),
         }
@@ -222,7 +295,7 @@ impl ClauseIterator for ForClauseIter {
                     None => {
                         let schema =
                             Schema::new(vec![Field::new(self.var.as_ref(), DataType::Bin)]);
-                        let rows = rdd.map(|item| vec![bin_of(std::slice::from_ref(&item))]);
+                        let rows = rdd.map(|item| vec![cell_of(vec![item])]);
                         (schema, vec![Arc::clone(&self.var)], rows)
                     }
                     Some(pos) => {
@@ -231,10 +304,7 @@ impl ClauseIterator for ForClauseIter {
                             Field::new(pos.as_ref(), DataType::Bin),
                         ]);
                         let rows = rdd.zip_with_index().map(|(item, idx)| {
-                            vec![
-                                bin_of(std::slice::from_ref(&item)),
-                                bin_of(&[Item::Integer(idx as i64 + 1)]),
-                            ]
+                            vec![cell_of(vec![item]), cell_of(vec![Item::Integer(idx as i64 + 1)])]
                         });
                         (schema, vec![Arc::clone(&self.var), Arc::clone(pos)], rows)
                     }
@@ -258,11 +328,7 @@ impl ClauseIterator for ForClauseIter {
                     Arc::clone(&self.expr),
                     self.uses.clone(),
                     ctx,
-                    |items| {
-                        Value::List(Arc::new(
-                            items.iter().map(|i| bin_of(std::slice::from_ref(i))).collect(),
-                        ))
-                    },
+                    |items| Value::list(items.into_iter().map(|i| cell_of(vec![i])).collect()),
                 );
                 let tmp = format!("__rumble_for_{}", self.var);
                 let df = df.with_column(&tmp, items_udf, DataType::List)?.explode(
@@ -339,7 +405,7 @@ impl ClauseIterator for LetClauseIter {
             Arc::clone(&self.expr),
             self.uses.clone(),
             ctx,
-            |items| bin_of(&items),
+            cell_of,
         );
         let df = f.df.with_column(self.var.as_ref(), udf, DataType::Bin)?;
         Ok(Some(TupleFrame { df, vars: self.out.clone() }))
@@ -394,14 +460,21 @@ impl ClauseIterator for WhereClauseIter {
 
     fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
         let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
-        let base = ctx.enter_executor();
-        let pred = Arc::clone(&self.predicate);
-        let uses = self.uses.clone();
-        let uses_strings: Vec<String> = uses.iter().map(|u| u.to_string()).collect();
+        let pred = RowExpr::new(&self.predicate, &self.uses, ctx);
+        // A predicate over one variable's paths compiles to an item
+        // predicate, which holds for a variable bound to exactly one item.
+        let compiled = match self.uses.as_slice() {
+            [var] => self.predicate.item_predicate(var).map(|p| (Arc::clone(var), p)),
+            _ => None,
+        };
+        let uses_strings: Vec<String> = self.uses.iter().map(|u| u.to_string()).collect();
         let udf =
             DfExpr::udf("where", Some(uses_strings), move |schema: &Schema, row: &[Value]| {
-                let child = ctx_from_row(&base, schema, row, &uses);
-                match eval_ebv(&pred, &child) {
+                let one = compiled.as_ref().and_then(|(var, p)| {
+                    let items = row_var(schema, row, var)?;
+                    (items.len() == 1).then(|| p(&items[0]))
+                });
+                match one.unwrap_or_else(|| pred.ebv(schema, row)) {
                     Ok(b) => Value::Bool(b),
                     Err(e) => task_bail(e),
                 }
@@ -465,7 +538,7 @@ impl ClauseIterator for CountClauseIter {
             move |schema: &Schema, row: &[Value]| {
                 let idx = schema.index_of(tmp).expect("tmp column exists");
                 let Value::I64(n) = row[idx] else { task_bail("count column must be I64") };
-                bin_of(&[Item::Integer(n)])
+                cell_of(vec![Item::Integer(n)])
             },
         );
         let df = df.with_column(self.var.as_ref(), encode, DataType::Bin)?.drop_columns(&[tmp])?;
@@ -612,30 +685,32 @@ impl ClauseIterator for GroupByClauseIter {
         // keys are computed by ONE UDF so the row's variables are decoded
         // once, then the native cells are cheap extractions.
         let all_keys_udf = {
-            let base = ctx.enter_executor();
-            let specs: Vec<(Option<ExprRef>, Arc<str>)> =
-                self.keys.iter().map(|s| (s.expr.clone(), Arc::clone(&s.var))).collect();
-            let mut uses: Vec<Arc<str>> = Vec::new();
-            for s in &self.keys {
-                let spec_uses =
-                    if s.expr.is_some() { s.uses.clone() } else { vec![Arc::clone(&s.var)] };
-                for u in spec_uses {
-                    if !uses.iter().any(|x| x == &u) {
-                        uses.push(u);
-                    }
+            // A bare `$var` key reads its own cell.
+            let specs: Vec<(Option<RowExpr>, Arc<str>)> = self
+                .keys
+                .iter()
+                .map(|s| {
+                    (s.expr.as_ref().map(|e| RowExpr::new(e, &s.uses, ctx)), Arc::clone(&s.var))
+                })
+                .collect();
+            let uses = union_uses(self.keys.iter().map(|s| {
+                if s.expr.is_some() {
+                    s.uses.as_slice()
+                } else {
+                    std::slice::from_ref(&s.var)
                 }
-            }
+            }));
             let uses_strings: Vec<String> = uses.iter().map(|u| u.to_string()).collect();
             DfExpr::udf("groupkeys", Some(uses_strings), move |schema: &Schema, row: &[Value]| {
-                let child = ctx_from_row(&base, schema, row, &uses);
+                let mut shared = None;
                 let mut cells = Vec::with_capacity(specs.len() * 3);
                 for (expr, var) in &specs {
                     let value = match expr {
-                        Some(e) => match e.materialize(&child) {
+                        Some(e) => match e.eval_shared(schema, row, &uses, &mut shared) {
                             Ok(v) => v,
                             Err(e) => task_bail(e),
                         },
-                        None => child.lookup(var).map(|s| s.to_vec()).unwrap_or_default(),
+                        None => row_var(schema, row, var).map(|s| s.to_vec()).unwrap_or_default(),
                     };
                     match group_key(&value) {
                         Ok(k) => {
@@ -685,13 +760,7 @@ impl ClauseIterator for GroupByClauseIter {
                     Some(vec![var.to_string()]),
                     move |schema: &Schema, row: &[Value]| {
                         let idx = schema.index_of(&var2).expect("variable column exists");
-                        let Value::Bin(b) = &row[idx] else {
-                            task_bail("variable column must be Bin")
-                        };
-                        match decode_items(b) {
-                            Ok(items) => Value::I64(items.len() as i64),
-                            Err(e) => task_bail(e),
-                        }
+                        Value::I64(bind_cell(&var2, &row[idx]).len() as i64)
                     },
                 );
                 df = df.with_column(format!("__len_{var}"), len_udf, DataType::I64)?;
@@ -746,10 +815,7 @@ impl ClauseIterator for GroupByClauseIter {
                         6 => crate::item::GroupKey::Num(d),
                         _ => task_bail(format!("bad key tag {t}")),
                     };
-                    match key.to_item() {
-                        Some(i) => bin_of(&[i]),
-                        None => bin_of(&[]),
-                    }
+                    cell_of(key.to_item().into_iter().collect())
                 },
             );
             exprs.push(NamedExpr {
@@ -763,6 +829,7 @@ impl ClauseIterator for GroupByClauseIter {
             match usage {
                 NonGroupingUsage::Unused => {}
                 NonGroupingUsage::Materialize => {
+                    let var2 = Arc::clone(var);
                     let merge = DfExpr::udf(
                         format!("merge ${var}"),
                         Some(vec![agg_col.clone()]),
@@ -773,13 +840,9 @@ impl ClauseIterator for GroupByClauseIter {
                             };
                             let mut items = Vec::new();
                             for p in parts.iter() {
-                                let Value::Bin(b) = p else { task_bail("expected Bin parts") };
-                                match decode_items(b) {
-                                    Ok(v) => items.extend(v),
-                                    Err(e) => task_bail(e),
-                                }
+                                items.extend(bind_cell(&var2, p).iter().cloned());
                             }
-                            bin_of(&items)
+                            cell_of(items)
                         },
                     );
                     exprs.push(NamedExpr {
@@ -795,7 +858,7 @@ impl ClauseIterator for GroupByClauseIter {
                         move |schema: &Schema, row: &[Value]| {
                             let idx = schema.index_of(&agg_col).expect("agg col");
                             let n = row[idx].as_i64().unwrap_or(0);
-                            bin_of(&[Item::Integer(n)])
+                            cell_of(vec![Item::Integer(n)])
                         },
                     );
                     exprs.push(NamedExpr {
@@ -969,23 +1032,18 @@ impl ClauseIterator for OrderByClauseIter {
         // plus a class column for the §4.8 type-discovery pass. All keys
         // are computed by ONE UDF (one row decode), then extracted.
         let all_ord_udf = {
-            let base = ctx.enter_executor();
-            let specs: Vec<(ExprRef, bool)> =
-                self.specs.iter().map(|sp| (Arc::clone(&sp.expr), sp.empty_greatest)).collect();
-            let mut uses: Vec<Arc<str>> = Vec::new();
-            for sp in &self.specs {
-                for u in &sp.uses {
-                    if !uses.iter().any(|x| x == u) {
-                        uses.push(Arc::clone(u));
-                    }
-                }
-            }
+            let specs: Vec<(RowExpr, bool)> = self
+                .specs
+                .iter()
+                .map(|sp| (RowExpr::new(&sp.expr, &sp.uses, ctx), sp.empty_greatest))
+                .collect();
+            let uses = union_uses(self.specs.iter().map(|sp| sp.uses.as_slice()));
             let uses_strings: Vec<String> = uses.iter().map(|u| u.to_string()).collect();
             DfExpr::udf("orderkeys", Some(uses_strings), move |schema: &Schema, row: &[Value]| {
-                let child = ctx_from_row(&base, schema, row, &uses);
+                let mut shared = None;
                 let mut cells = Vec::with_capacity(specs.len() * 4);
                 for (expr, empty_greatest) in &specs {
-                    let items = match expr.materialize(&child) {
+                    let items = match expr.eval_shared(schema, row, &uses, &mut shared) {
                         Ok(v) => v,
                         Err(e) => task_bail(e),
                     };

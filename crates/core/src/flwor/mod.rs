@@ -6,11 +6,20 @@
 //!
 //! * a **local pull API** ([`ClauseIterator::tuples`]), and
 //! * a **DataFrame API** ([`ClauseIterator::frame`]) where the tuple stream
-//!   is a DataFrame with one serialized-sequence (`Bin`) column per
-//!   in-scope variable (§4.3). `frame` returns `None` when the stream
-//!   cannot be distributed (e.g. the FLWOR starts from a local `let`),
-//!   in which case the whole expression falls back to local execution —
-//!   exactly the seamless switching of §5.8.
+//!   is a DataFrame with one column per in-scope variable (§4.3). `frame`
+//!   returns `None` when the stream cannot be distributed (e.g. the FLWOR
+//!   starts from a local `let`), in which case the whole expression falls
+//!   back to local execution — exactly the seamless switching of §5.8.
+//!
+//! A variable column holds *variable cells*. The paper stores each variable
+//! as a Kryo-serialized binary column because Spark needs bytes; here a
+//! clause wraps the bound sequence in a sparklite [`Value::Ext`] cell
+//! instead, so rows that pass between operators of one process never
+//! encode or decode their items. The cell turns into the item-codec `Bin`
+//! bytes only where sparklite needs bytes — a shuffle block sent to an
+//! executor worker, either DataFrame cache level — and `bind_cell` is the
+//! one place that reads a cell back: an `Arc` clone for a native cell, a
+//! decode for a `Bin` that crossed one of those boundaries.
 //!
 //! The `return` clause lives in [`FlworIter`], which is an ordinary
 //! expression iterator: in DataFrame mode it maps the frame back to an
@@ -21,8 +30,9 @@ pub mod clauses;
 use crate::error::Result;
 use crate::item::{decode_items, encode_items, Item, Sequence};
 use crate::runtime::{cursor_of, DynamicContext, ExprIterator, ExprRef, ItemCursor};
-use sparklite::dataframe::{DataFrame, Schema, Value};
+use sparklite::dataframe::{DataFrame, ExtCell, Schema, Value};
 use sparklite::rdd::{task_bail, Rdd};
+use std::any::Any;
 use std::sync::Arc;
 
 /// One tuple of a tuple stream: variable name → materialized sequence.
@@ -63,8 +73,8 @@ impl Tuple {
 /// A cursor over a tuple stream.
 pub type TupleCursor = Box<dyn Iterator<Item = Result<Tuple>> + Send>;
 
-/// The DataFrame form of a tuple stream: one `Bin` column per variable,
-/// holding the codec-serialized sequence bound to it.
+/// The DataFrame form of a tuple stream: one column of variable cells per
+/// variable (see the module docs).
 pub struct TupleFrame {
     pub df: DataFrame,
     /// The in-scope variables, in column order.
@@ -93,8 +103,7 @@ pub trait ClauseIterator: Send + Sync {
     /// The clause chain as a fused scan — an initial simple `for` over one
     /// source followed only by `where` filters — if it has that shape.
     /// Fused pipelines run straight over the item RDD (filter + flatMap)
-    /// without the Bin-column DataFrame detour, so no per-row
-    /// encode/decode happens between the scan and the return clause.
+    /// without the tuple-frame DataFrame detour.
     fn fused_scan(&self) -> Option<FusedScan> {
         None
     }
@@ -113,29 +122,62 @@ pub struct FusedScan {
 // Row ↔ context bridging used by every DataFrame-mode UDF
 // ---------------------------------------------------------------------------
 
-/// Decodes the `uses` columns of a row into variable bindings on top of
-/// `base` (which must already be executor-flagged).
+/// A variable's sequence, kept native in a DataFrame cell while its row
+/// stays in one process. It stands for the item-codec bytes of the
+/// sequence, which is what every byte boundary stores.
+#[derive(Debug)]
+struct ItemsCell(Sequence);
+
+impl ExtCell for ItemsCell {
+    fn encode(&self) -> Vec<u8> {
+        encode_items(&self.0)
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+/// Wraps a sequence in a variable cell.
+pub(crate) fn cell_of(items: Vec<Item>) -> Value {
+    Value::Ext(Arc::new(ItemsCell(Arc::new(items))))
+}
+
+/// The sequence a cell of `var`'s column binds: an `Arc` clone of a native
+/// cell, or the decode of the `Bin` a cache or a shuffle block sent to an
+/// executor worker turned one into. Any other value is a task error.
+pub(crate) fn bind_cell(var: &str, cell: &Value) -> Sequence {
+    if let Value::Ext(c) = cell {
+        if let Some(items) = c.as_any().downcast_ref::<ItemsCell>() {
+            return Arc::clone(&items.0);
+        }
+    }
+    match cell {
+        Value::Bin(bytes) => match decode_items(bytes) {
+            Ok(items) => Arc::new(items),
+            Err(e) => task_bail(e),
+        },
+        other => task_bail(format!("column ${var} holds {other:?}, not a variable cell")),
+    }
+}
+
+/// The sequence `row` binds to `var`; `None` if the frame has no column
+/// for it (a variable bound outside the FLWOR).
+pub(crate) fn row_var(schema: &Schema, row: &[Value], var: &str) -> Option<Sequence> {
+    schema.index_of(var).map(|idx| bind_cell(var, &row[idx]))
+}
+
+/// Binds the `uses` columns of a row as variables on top of `base` (which
+/// must already be executor-flagged).
 pub(crate) fn ctx_from_row(
     base: &DynamicContext,
     schema: &Schema,
     row: &[Value],
     uses: &[Arc<str>],
 ) -> DynamicContext {
-    let mut bindings = Vec::with_capacity(uses.len());
-    for var in uses {
-        let Some(idx) = schema.index_of(var) else { continue };
-        let Value::Bin(bytes) = &row[idx] else { continue };
-        match decode_items(bytes) {
-            Ok(items) => bindings.push((Arc::clone(var), Arc::new(items))),
-            Err(e) => task_bail(e),
-        }
-    }
+    let bindings =
+        uses.iter().filter_map(|var| Some((Arc::clone(var), row_var(schema, row, var)?))).collect();
     base.bind_many(bindings)
-}
-
-/// Serializes a sequence into a `Bin` cell.
-pub(crate) fn bin_of(items: &[Item]) -> Value {
-    Value::Bin(Arc::from(encode_items(items).into_boxed_slice()))
 }
 
 // ---------------------------------------------------------------------------
@@ -261,15 +303,10 @@ impl ExprIterator for FlworIter {
         // RDD of items.
         let rows = frame.df.to_rdd()?;
         let schema = Arc::clone(frame.df.schema());
-        let uses: Arc<Vec<Arc<str>>> = Arc::new(self.return_uses.clone());
-        let return_expr = Arc::clone(&self.return_expr);
-        let base = ctx.enter_executor();
-        Ok(rows.flat_map(move |row| {
-            let child = ctx_from_row(&base, &schema, &row, &uses);
-            match return_expr.materialize(&child) {
-                Ok(items) => items,
-                Err(e) => task_bail(e),
-            }
+        let ret = clauses::RowExpr::new(&self.return_expr, &self.return_uses, ctx);
+        Ok(rows.flat_map(move |row| match ret.eval(&schema, &row) {
+            Ok(items) => items,
+            Err(e) => task_bail(e),
         }))
     }
 
@@ -358,10 +395,28 @@ mod tests {
     }
 
     #[test]
-    fn bin_roundtrip() {
+    fn cells_bind_natively_and_through_bytes() {
+        use sparklite::dataframe::RowCodec;
+        use sparklite::CacheCodec;
+
         let items = vec![Item::Integer(1), Item::str("x")];
-        let v = bin_of(&items);
-        let Value::Bin(b) = v else { panic!() };
-        assert_eq!(decode_items(&b).unwrap(), items);
+        let cell = cell_of(items.clone());
+        let Value::Ext(ext) = &cell else { panic!("a native cell") };
+        let ItemsCell(seq) = ext.as_any().downcast_ref::<ItemsCell>().expect("an item cell");
+        assert!(Arc::ptr_eq(&bind_cell("x", &cell), seq), "binding shares, never copies");
+
+        // A byte boundary stores the item codec's bytes as a `Bin`, which
+        // binds to the same items.
+        let crossed = RowCodec.decode(&RowCodec.encode(&[vec![cell.clone()]])).unwrap();
+        let Value::Bin(bytes) = &crossed[0][0] else { panic!("bytes after the boundary") };
+        assert_eq!(bytes.as_ref(), encode_items(&items).as_slice());
+        assert_eq!(*bind_cell("x", &crossed[0][0]), items);
+        assert_eq!(crossed[0][0], cell, "a cell equals the Bin of its bytes");
+    }
+
+    #[test]
+    fn a_non_cell_variable_column_fails_the_task() {
+        let caught = std::panic::catch_unwind(|| bind_cell("x", &Value::I64(1)));
+        assert!(caught.is_err(), "an I64 in a variable column must not bind");
     }
 }

@@ -268,6 +268,22 @@ pub trait ExprIterator: Send + Sync {
         None
     }
 
+    /// [`key_path`] compiled to a closure over the items bound to `var`:
+    /// what this expression yields when `var` is the only FLWOR variable
+    /// it reads. Over a multi-item sequence each item contributes the
+    /// member at the end of the path, if it has one — exactly what the
+    /// lookup iterators materialize. DataFrame UDFs use it to read a key
+    /// or a return path straight from a variable cell, with no per-row
+    /// context bind.
+    ///
+    /// [`key_path`]: ExprIterator::key_path
+    fn item_path(&self, var: &str) -> Option<ItemPath> {
+        let keys = self.key_path(var)?;
+        Some(Arc::new(move |items: &[Item]| {
+            items.iter().filter_map(|item| follow_key_path(item, &keys).cloned()).collect()
+        }))
+    }
+
     /// The constant item this expression always yields, if any.
     fn const_item(&self) -> Option<Item> {
         None
@@ -297,8 +313,12 @@ pub trait ExprIterator: Send + Sync {
     }
 }
 
-/// A compiled single-item predicate for fused scans.
+/// A compiled single-item predicate, for fused scans and `where` UDFs.
 pub type ItemPredicate = Arc<dyn Fn(&Item) -> Result<bool> + Send + Sync>;
+
+/// A compiled navigation path over one variable's items (see
+/// [`ExprIterator::item_path`]).
+pub type ItemPath = Arc<dyn Fn(&[Item]) -> Vec<Item> + Send + Sync>;
 
 /// Follows a static key chain on one item; `None` is the empty sequence.
 pub fn follow_key_path<'a>(item: &'a Item, keys: &[Arc<str>]) -> Option<&'a Item> {

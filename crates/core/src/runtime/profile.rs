@@ -16,7 +16,7 @@
 
 use crate::error::Result;
 use crate::item::Item;
-use crate::runtime::{DynamicContext, ExprIterator, ExprRef, ItemCursor, ItemPredicate};
+use crate::runtime::{DynamicContext, ExprIterator, ExprRef, ItemCursor, ItemPath, ItemPredicate};
 use sparklite::rdd::Rdd;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -118,6 +118,17 @@ impl NodeStats {
 
     fn raise_mode(&self, name: &str) {
         self.mode.fetch_max(mode_code(name), Ordering::Relaxed);
+    }
+
+    /// Runs one evaluation of a compiled accessor: one row, timed, in the
+    /// task that evaluates it.
+    fn evaluation<R>(&self, f: impl FnOnce() -> R) -> R {
+        self.add_rows(1);
+        self.raise_mode("local");
+        let t0 = Instant::now();
+        let out = f();
+        self.add_ns(t0.elapsed().as_nanos() as u64);
+        out
     }
 }
 
@@ -263,8 +274,12 @@ impl ExprIterator for ProfiledIter {
     }
 
     fn ebv(&self, ctx: &DynamicContext) -> Result<bool> {
+        // One row per evaluation: a predicate yields one boolean, and the
+        // DataFrame `where` UDF reaches it through here, never through a
+        // cursor.
         self.stats.note_open();
         self.stats.raise_mode("local");
+        self.stats.add_rows(1);
         let t0 = Instant::now();
         let out = self.inner.ebv(ctx);
         self.stats.add_ns(t0.elapsed().as_nanos() as u64);
@@ -291,15 +306,20 @@ impl ExprIterator for ProfiledIter {
 
     fn item_predicate(&self, var: &str) -> Option<ItemPredicate> {
         // A node that compiles to an item predicate runs *inside* a fused
-        // scan filter — no cursor ever opens on it. Count evaluations as
-        // rows so the plan still shows how much data flowed through.
+        // scan filter or a `where` UDF — no cursor ever opens on it. Count
+        // evaluations as rows so the plan still shows how much data flowed
+        // through.
         let inner = self.inner.item_predicate(var)?;
         let stats = Arc::clone(&self.stats);
-        Some(Arc::new(move |item: &Item| {
-            stats.add_rows(1);
-            stats.raise_mode("rdd (fused)");
-            inner(item)
-        }))
+        Some(Arc::new(move |item: &Item| stats.evaluation(|| inner(item))))
+    }
+
+    fn item_path(&self, var: &str) -> Option<ItemPath> {
+        // Same as `item_predicate`: a compiled key or return path counts
+        // one row per evaluation.
+        let inner = self.inner.item_path(var)?;
+        let stats = Arc::clone(&self.stats);
+        Some(Arc::new(move |items: &[Item]| stats.evaluation(|| inner(items))))
     }
 
     fn mode_hint(&self, ctx: &DynamicContext) -> Option<&'static str> {

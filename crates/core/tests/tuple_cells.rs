@@ -1,0 +1,211 @@
+//! Data independence for every FLWOR clause that carries tuple variables in
+//! DataFrame cells: `for` (initial with `at`, and non-initial), `let`,
+//! `where`, `count`, `group by` and `order by` must return the same items
+//! and raise the same error codes in local mode, in DataFrame mode on
+//! executor threads, and under 20% seeded chaos — on messy records with
+//! absent fields, nulls, mixed types and nested arrays.
+
+use rumble_core::Rumble;
+use sparklite::{FaultPlan, SparkliteConf, SparkliteContext};
+
+const PATH: &str = "hdfs:///cells.json";
+
+/// Messy records in the spirit of `datagen::heterogeneous`: every field
+/// degrades on a deterministic schedule.
+fn dataset(n: usize) -> String {
+    let mut out = String::new();
+    for i in 0..n {
+        let mut fields = Vec::new();
+        fields.push(match i % 23 {
+            0 => format!("\"id\": \"{i}\""),
+            1 => "\"id\": null".to_string(),
+            _ => format!("\"id\": {i}"),
+        });
+        match i % 11 {
+            0 => {}
+            1 => fields.push("\"k\": null".to_string()),
+            2 => fields.push(format!("\"k\": {}", i % 3)),
+            3 => fields.push("\"k\": 1.0".to_string()),
+            _ => fields.push(format!("\"k\": \"{}\"", ["a", "b", "c"][i % 3])),
+        }
+        match i % 13 {
+            0 => {}
+            1 => fields.push("\"v\": null".to_string()),
+            2 => fields.push(format!("\"v\": \"{}\"", i % 50)),
+            3 => fields.push(format!("\"v\": {}.5", i % 40)),
+            _ => fields.push(format!("\"v\": {}", (i * 7) % 60)),
+        }
+        match i % 9 {
+            0 => {}
+            1 => fields.push(format!("\"tags\": \"t{}\"", i % 4)),
+            2 => fields.push(format!("\"tags\": [[\"t{}\"], \"t1\"]", i % 4)),
+            n => {
+                let tags: Vec<String> =
+                    (0..n % 4).map(|j| format!("\"t{}\"", (i + j) % 5)).collect();
+                fields.push(format!("\"tags\": [{}]", tags.join(", ")));
+            }
+        }
+        if i % 5 != 0 {
+            fields.push(format!("\"nested\": {{\"k\": {}, \"flag\": {}}}", i % 6, i % 2 == 0));
+        }
+        out.push('{');
+        out.push_str(&fields.join(", "));
+        out.push_str("}\n");
+    }
+    out
+}
+
+/// The queries, written over `SRC`: the distributed form binds the initial
+/// `for` straight to the file, the local form goes through a `let` (an
+/// initial `let` keeps the whole FLWOR local, §4.5). `sorted` marks
+/// queries whose output order is unspecified (a group by without an order
+/// by); their serialized items are compared as a multiset.
+struct Case {
+    name: &'static str,
+    query: &'static str,
+    sorted: bool,
+}
+
+const CASES: &[Case] = &[
+    Case {
+        name: "initial for with at",
+        query: r#"for $r at $p in SRC where $p mod 7 eq 1 return [$p, $r.id, $r.tags]"#,
+        sorted: false,
+    },
+    Case {
+        name: "non-initial for",
+        query: r#"for $r in SRC for $t in $r.tags[] return [$r.id, $t]"#,
+        sorted: false,
+    },
+    Case {
+        name: "let",
+        query: r#"for $r in SRC let $v := $r.v let $n := $r.nested.k return [$r.id, $v, $n]"#,
+        sorted: false,
+    },
+    Case {
+        // A compilable predicate on a one-item variable, one on a variable
+        // bound to zero, one or several items, and a context-bound one.
+        name: "where",
+        query: r#"for $r in SRC
+                  let $ts := $r.tags[]
+                  where $r.v = 5 or $r.nested.k eq 2
+                  where $ts = "t1"
+                  where $r.nested.flag
+                  return $r"#,
+        sorted: false,
+    },
+    Case {
+        // The second `where` raises a type error on string values, which
+        // the first `where` drops: it must never see them. (The `let`
+        // keeps the FLWOR off the fused scan, whose filters run one by one.)
+        name: "where after where",
+        query: r#"for $r in SRC
+                  let $v := $r.v
+                  where $v instance of integer
+                  where $v + 1 gt 10
+                  return $v"#,
+        sorted: false,
+    },
+    Case {
+        name: "count",
+        query: r#"for $r in SRC where $r.nested.flag count $c return [$c, $r.id]"#,
+        sorted: false,
+    },
+    Case {
+        // `$r` is count-only, `$v` materialized.
+        name: "group by",
+        query: r#"for $r in SRC
+                  let $v := $r.v
+                  group by $k := $r.k
+                  return [$k, count($r), sum(for $x in $v where $x instance of integer return $x)]"#,
+        sorted: true,
+    },
+    Case {
+        // Two keys that each bind a context, over different variables.
+        name: "group by on two variables",
+        query: r#"for $r in SRC
+                  let $n := $r.nested
+                  group by $a := count($r.tags[]), $b := exists($n.flag)
+                  return [$a, $b, count($r)]"#,
+        sorted: true,
+    },
+    Case {
+        name: "order by",
+        query: r#"for $r at $p in SRC
+                  where $r.v instance of integer
+                  let $n := $r.nested
+                  order by $r.v + 0 descending, count($n.flag) descending, $n.k empty greatest, $p
+                  return [$p, $r.v, $n.k]"#,
+        sorted: false,
+    },
+];
+
+/// Queries every path must fail with the same error code.
+const ERRORS: &[(&str, &str)] = &[
+    ("mixed-type order key", r#"for $r in SRC order by $r.id return $r.id"#),
+    ("non-atomic group key", r#"for $r in SRC group by $t := $r.tags return $t"#),
+];
+
+fn engine(faults: FaultPlan) -> Rumble {
+    let r = Rumble::new(SparkliteContext::new(
+        SparkliteConf::default().with_executors(3).with_block_size(4096).with_faults(faults),
+    ));
+    r.hdfs_put("/cells.json", &dataset(700)).unwrap();
+    r
+}
+
+fn distributed(q: &str) -> String {
+    q.replace("SRC", &format!("json-file(\"{PATH}\")"))
+}
+
+fn local(q: &str) -> String {
+    format!("let $a := json-file(\"{PATH}\") {}", q.replace("SRC", "$a"))
+}
+
+/// The serialized result, or the error code.
+fn outcome(r: &Rumble, q: &str, sorted: bool) -> Result<Vec<String>, &'static str> {
+    let mut items: Vec<String> =
+        r.run(q).map_err(|e| e.code)?.iter().map(|i| i.serialize()).collect();
+    if sorted {
+        items.sort();
+    }
+    Ok(items)
+}
+
+#[test]
+fn every_cell_carrying_clause_agrees_on_every_path() {
+    let threads = engine(FaultPlan::default());
+    let chaos = engine(FaultPlan::chaos(0xCE11, 0.2));
+    for case in CASES {
+        let dq = distributed(case.query);
+        assert!(threads.compile(&dq).unwrap().is_distributed().unwrap(), "{}", case.name);
+        let lq = local(case.query);
+        assert!(!threads.compile(&lq).unwrap().is_distributed().unwrap(), "{}", case.name);
+        let expected = outcome(&threads, &lq, case.sorted)
+            .unwrap_or_else(|code| panic!("{}: local run failed with {code}", case.name));
+        assert!(expected.len() > 5, "{}: too few items to compare: {expected:?}", case.name);
+        for (path, r) in [("threads", &threads), ("chaos", &chaos)] {
+            assert_eq!(
+                outcome(r, &dq, case.sorted),
+                Ok(expected.clone()),
+                "{}: {path} diverged from local",
+                case.name
+            );
+        }
+    }
+    let m = chaos.sparklite().metrics();
+    assert!(m.retried_tasks > 0, "20% chaos must retry tasks, got {m:?}");
+}
+
+#[test]
+fn every_path_raises_the_same_error_code() {
+    let threads = engine(FaultPlan::default());
+    let chaos = engine(FaultPlan::chaos(0xE44, 0.2));
+    for (name, q) in ERRORS {
+        let expected = outcome(&threads, &local(q), false).expect_err(name);
+        assert_eq!(expected, "XPTY0004", "{name}");
+        for (path, r) in [("threads", &threads), ("chaos", &chaos)] {
+            assert_eq!(outcome(r, &distributed(q), false), Err(expected), "{name} on {path}");
+        }
+    }
+}

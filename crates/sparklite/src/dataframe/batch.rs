@@ -873,9 +873,9 @@ fn sort_canonical(out: &mut Vec<u8>, v: &Value) {
             out.push(SORT_TAG_STR);
             push_terminated(out, s.as_bytes());
         }
-        Value::Bin(b) => {
+        Value::Bin(_) | Value::Ext(_) => {
             out.push(SORT_TAG_BIN);
-            push_terminated(out, b);
+            push_terminated(out, &v.bin_bytes().expect("binary cell"));
         }
         Value::List(l) => {
             out.push(SORT_TAG_LIST);
@@ -956,10 +956,11 @@ pub fn encode_group_value(out: &mut Vec<u8>, v: &Value) {
             out.extend_from_slice(&(s.len() as u32).to_le_bytes());
             out.extend_from_slice(s.as_bytes());
         }
-        Value::Bin(b) => {
+        Value::Bin(_) | Value::Ext(_) => {
+            let b = v.bin_bytes().expect("binary cell");
             out.push(GK_BIN);
             out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            out.extend_from_slice(b);
+            out.extend_from_slice(&b);
         }
         Value::List(l) => {
             out.push(GK_LIST);

@@ -140,6 +140,18 @@ impl Expr {
         walk(self, &mut acc).then_some(acc)
     }
 
+    /// Whether the tree contains an opaque row function.
+    pub fn has_udf(&self) -> bool {
+        match self {
+            Expr::Col(_) | Expr::Lit(_) => false,
+            Expr::Cmp(a, _, b) | Expr::Num(a, _, b) | Expr::And(a, b) | Expr::Or(a, b) => {
+                a.has_udf() || b.has_udf()
+            }
+            Expr::Not(a) | Expr::IsNull(a) => a.has_udf(),
+            Expr::Udf { .. } => true,
+        }
+    }
+
     /// True when the expression is a bare column reference to `name`.
     pub fn is_col(&self, name: &str) -> bool {
         matches!(self, Expr::Col(c) if c == name)
@@ -282,7 +294,8 @@ pub(crate) fn eval_cmp(a: &Value, op: CmpOp, b: &Value) -> Value {
         (Value::Str(x), Value::Str(y)) => Some(x.as_ref().cmp(y.as_ref())),
         (Value::Bool(x), Value::Bool(y)) => Some(x.cmp(y)),
         // Structural equality only for compound values.
-        (Value::List(_), Value::List(_)) | (Value::Bin(_), Value::Bin(_)) => {
+        (Value::List(_), Value::List(_))
+        | (Value::Bin(_) | Value::Ext(_), Value::Bin(_) | Value::Ext(_)) => {
             return match op {
                 CmpOp::Eq => Value::Bool(a == b),
                 CmpOp::Ne => Value::Bool(a != b),
@@ -364,7 +377,7 @@ pub fn value_cmp(a: &Value, b: &Value) -> Ordering {
             Value::Bool(_) => 1,
             Value::I64(_) | Value::F64(_) => 2,
             Value::Str(_) => 3,
-            Value::Bin(_) => 4,
+            Value::Bin(_) | Value::Ext(_) => 4,
             Value::List(_) => 5,
         }
     }
@@ -376,7 +389,9 @@ pub fn value_cmp(a: &Value, b: &Value) -> Ordering {
         (Value::F64(x), Value::I64(y)) => x.total_cmp(&(*y as f64)).then(Ordering::Greater),
         (Value::F64(x), Value::F64(y)) => x.total_cmp(y),
         (Value::Str(x), Value::Str(y)) => x.as_ref().cmp(y.as_ref()),
-        (Value::Bin(x), Value::Bin(y)) => x.as_ref().cmp(y.as_ref()),
+        (Value::Bin(_) | Value::Ext(_), Value::Bin(_) | Value::Ext(_)) => {
+            a.bin_bytes().cmp(&b.bin_bytes())
+        }
         (Value::List(x), Value::List(y)) => {
             for (xa, ya) in x.iter().zip(y.iter()) {
                 let o = value_cmp(xa, ya);
@@ -492,7 +507,9 @@ fn key_eq(a: &Value, b: &Value) -> bool {
         (Value::I64(x), Value::I64(y)) => x == y,
         (Value::F64(x), Value::F64(y)) => x.to_bits() == y.to_bits(),
         (Value::Str(x), Value::Str(y)) => x == y,
-        (Value::Bin(x), Value::Bin(y)) => x == y,
+        (Value::Bin(_) | Value::Ext(_), Value::Bin(_) | Value::Ext(_)) => {
+            a.bin_bytes() == b.bin_bytes()
+        }
         (Value::List(x), Value::List(y)) => {
             x.len() == y.len() && x.iter().zip(y.iter()).all(|(a, b)| key_eq(a, b))
         }
@@ -522,9 +539,9 @@ impl Hash for KeyValue {
                     state.write(s.as_bytes());
                     state.write_u8(0xFF);
                 }
-                Value::Bin(b) => {
+                Value::Bin(_) | Value::Ext(_) => {
                     state.write_u8(5);
-                    state.write(b);
+                    state.write(&v.bin_bytes().expect("binary cell"));
                     state.write_u8(0xFF);
                 }
                 Value::List(l) => {

@@ -30,22 +30,57 @@ use crate::context::Core;
 use crate::error::{Result, SparkliteError};
 use crate::rdd::Rdd;
 use crate::SparkliteContext;
+use std::any::Any;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
 /// One cell of a DataFrame.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Value {
     Null,
     Bool(bool),
     I64(i64),
     F64(f64),
     Str(Arc<str>),
-    /// Opaque bytes — engines store serialized payloads here (Rumble keeps
-    /// serialized item sequences in `Bin` columns, like Kryo-encoded
-    /// objects in Spark).
+    /// Opaque bytes — engines store serialized payloads here (Rumble's
+    /// tuple variables become `Bin` cells at every byte boundary, like
+    /// Kryo-encoded objects in Spark).
     Bin(Arc<[u8]>),
+    /// An opaque in-memory cell an engine keeps native while rows stay in
+    /// one process. It stands for the `Bin` of its [`ExtCell::encode`]
+    /// bytes everywhere: its type, equality, hashing, ordering and every
+    /// byte encoding are exactly those of that `Bin`, and every byte
+    /// boundary (shuffle, cache, process worker) writes it as that `Bin`.
+    Ext(Arc<dyn ExtCell>),
     List(Arc<Vec<Value>>),
+}
+
+/// The payload of a [`Value::Ext`] cell.
+pub trait ExtCell: Any + Send + Sync + fmt::Debug {
+    /// The bytes this cell stands for; a byte boundary stores them as a
+    /// `Bin`, so they must be what the engine would have put in one.
+    fn encode(&self) -> Vec<u8>;
+
+    /// For downcasting back to the engine's own type.
+    fn as_any(&self) -> &dyn Any;
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::I64(a), Value::I64(b)) => a == b,
+            (Value::F64(a), Value::F64(b)) => a == b,
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::List(a), Value::List(b)) => a == b,
+            _ => match (self.bin_bytes(), other.bin_bytes()) {
+                (Some(a), Some(b)) => a == b,
+                _ => false,
+            },
+        }
+    }
 }
 
 impl Value {
@@ -68,8 +103,30 @@ impl Value {
             Value::I64(_) => Some(DataType::I64),
             Value::F64(_) => Some(DataType::F64),
             Value::Str(_) => Some(DataType::Str),
-            Value::Bin(_) => Some(DataType::Bin),
+            Value::Bin(_) | Value::Ext(_) => Some(DataType::Bin),
             Value::List(_) => Some(DataType::List),
+        }
+    }
+
+    /// The bytes of a `Bin` cell, or of the `Bin` an [`ExtCell`] stands
+    /// for; `None` for every other kind.
+    pub fn bin_bytes(&self) -> Option<Cow<'_, [u8]>> {
+        match self {
+            Value::Bin(b) => Some(Cow::Borrowed(b)),
+            Value::Ext(c) => Some(Cow::Owned(c.encode())),
+            _ => None,
+        }
+    }
+
+    /// This value with every [`Value::Ext`] cell, nested ones included,
+    /// replaced by the `Bin` it stands for — what a byte boundary stores.
+    pub fn lowered(self) -> Value {
+        match self {
+            Value::Ext(c) => Value::Bin(Arc::from(c.encode())),
+            Value::List(l) => {
+                Value::List(Arc::new(l.iter().cloned().map(Value::lowered).collect()))
+            }
+            v => v,
         }
     }
 
@@ -126,6 +183,7 @@ impl fmt::Display for Value {
             Value::F64(v) => write!(f, "{v}"),
             Value::Str(s) => write!(f, "{s}"),
             Value::Bin(b) => write!(f, "<{} bytes>", b.len()),
+            Value::Ext(c) => write!(f, "<{} bytes>", c.encode().len()),
             Value::List(l) => {
                 write!(f, "[")?;
                 for (i, v) in l.iter().enumerate() {
@@ -388,9 +446,16 @@ impl DataFrame {
     /// populates the cache (one task per partition; no rows reach the
     /// driver). `MemorySerialized` stores partitions as compact
     /// [`RowCodec`] bytes, trading decode CPU on re-read for a smaller
-    /// footprint under the cache byte budget.
+    /// footprint under the cache byte budget. Both levels store bytes for
+    /// [`Value::Ext`] cells: the cache holds their `Bin`, never the engine's
+    /// in-memory form.
     pub fn persist(&self, level: StorageLevel) -> Result<DataFrame> {
-        let rdd = self.to_rdd()?;
+        let rdd = self.to_rdd()?.map(|mut row: Row| {
+            for v in &mut row {
+                *v = std::mem::replace(v, Value::Null).lowered();
+            }
+            row
+        });
         let persisted = match level {
             StorageLevel::MemoryDeserialized => rdd.persist(level),
             StorageLevel::MemorySerialized => rdd.persist_with_codec(level, Arc::new(RowCodec)),
@@ -699,6 +764,139 @@ mod tests {
         assert!(s.contains("name"));
         assert!(s.contains("ana"));
         assert!(s.contains("NULL"));
+    }
+
+    /// A test [`ExtCell`] standing for fixed bytes.
+    #[derive(Debug)]
+    struct TestCell(Vec<u8>);
+
+    impl ExtCell for TestCell {
+        fn encode(&self) -> Vec<u8> {
+            self.0.clone()
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// The same bytes as an opaque cell and as a `Bin`.
+    fn twins(bytes: &[u8]) -> (Value, Value) {
+        (Value::Ext(Arc::new(TestCell(bytes.to_vec()))), Value::Bin(Arc::from(bytes)))
+    }
+
+    #[test]
+    fn value_stays_three_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+    }
+
+    #[test]
+    fn ext_cells_encode_to_the_bytes_of_their_bin() {
+        use super::batch::{encode_group_value, encode_row_sort_key};
+        use super::plan::{AggState, GroupPairCodec};
+        use crate::CacheCodec;
+
+        for bytes in [&b""[..], b"\x00", b"\x00\xFFab", b"zzz"] {
+            let (ext, bin) = twins(bytes);
+            assert_eq!(ext.dtype(), Some(DataType::Bin));
+            assert_eq!(ext.to_string(), bin.to_string());
+
+            let row = |v: &Value| vec![Value::I64(1), v.clone(), Value::list(vec![v.clone()])];
+            assert_eq!(RowCodec.encode(&[row(&ext)]), RowCodec.encode(&[row(&bin)]));
+
+            let pair = |v: &Value| {
+                (
+                    vec![KeyValue(v.clone())],
+                    vec![AggState::List(vec![v.clone()]), AggState::Count(2)],
+                )
+            };
+            assert_eq!(GroupPairCodec.encode(&[pair(&ext)]), GroupPairCodec.encode(&[pair(&bin)]));
+
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            encode_group_value(&mut a, &ext);
+            encode_group_value(&mut b, &bin);
+            assert_eq!(a, b);
+
+            for dir in [SortDir::asc(), SortDir::desc()] {
+                let spec = [(1, dir), (2, dir)];
+                assert_eq!(
+                    encode_row_sort_key(&row(&ext), &spec),
+                    encode_row_sort_key(&row(&bin), &spec)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ext_cells_compare_and_hash_as_their_bin() {
+        use super::expr::{eval_cmp, value_cmp};
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+
+        let hash = |v: &Value| {
+            let mut h = DefaultHasher::new();
+            KeyValue(v.clone()).hash(&mut h);
+            h.finish()
+        };
+        let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        let (ext, bin) = twins(b"\x01mid");
+        let others = [
+            Value::Null,
+            Value::Bool(true),
+            Value::I64(7),
+            Value::F64(0.5),
+            Value::str("\x01mid"),
+            Value::Bin(Arc::from(&b"\x01mid"[..])),
+            Value::Bin(Arc::from(&b"\x01a"[..])),
+            Value::Bin(Arc::from(&b"\x02"[..])),
+            twins(b"\x01mid").0,
+            twins(b"\x01zz").0,
+            Value::list(vec![bin.clone()]),
+        ];
+        assert_eq!(KeyValue(ext.clone()), KeyValue(bin.clone()));
+        assert_eq!(hash(&ext), hash(&bin));
+        for other in &others {
+            assert_eq!(ext == *other, bin == *other, "{other:?}");
+            assert_eq!(
+                KeyValue(ext.clone()) == KeyValue(other.clone()),
+                KeyValue(bin.clone()) == KeyValue(other.clone())
+            );
+            assert_eq!(value_cmp(&ext, other), value_cmp(&bin, other), "{other:?}");
+            assert_eq!(value_cmp(other, &ext), value_cmp(other, &bin), "{other:?}");
+            for op in ops {
+                assert_eq!(
+                    eval_cmp(&ext, op, other),
+                    eval_cmp(&bin, op, other),
+                    "{op:?} {other:?}"
+                );
+                assert_eq!(
+                    eval_cmp(other, op, &ext),
+                    eval_cmp(other, op, &bin),
+                    "{op:?} {other:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn persist_stores_ext_cells_as_bytes_at_both_levels() {
+        let ctx = sc();
+        let schema =
+            Schema::new(vec![Field::new("k", DataType::I64), Field::new("v", DataType::List)]);
+        let rows: Vec<Row> = (0..20u8)
+            .map(|i| vec![Value::I64(i as i64), Value::list(vec![twins(&[i, 0xFF]).0])])
+            .collect();
+        let df = DataFrame::from_rows(&ctx, schema, rows.clone(), 3).unwrap();
+        for level in [StorageLevel::MemoryDeserialized, StorageLevel::MemorySerialized] {
+            let cached = df.persist(level).unwrap();
+            let out = cached.collect_rows().unwrap();
+            assert_eq!(out, rows, "{level:?} changed the values");
+            for row in &out {
+                let Value::List(l) = &row[1] else { panic!("a list") };
+                assert!(matches!(l[0], Value::Bin(_)), "{level:?} kept a native cell");
+            }
+            cached.unpersist();
+        }
     }
 
     #[test]

@@ -50,10 +50,11 @@ fn write_value(out: &mut Vec<u8>, v: &Value) {
             write_varu(out, s.len() as u64);
             out.extend_from_slice(s.as_bytes());
         }
-        Value::Bin(b) => {
+        Value::Bin(_) | Value::Ext(_) => {
+            let b = v.bin_bytes().expect("binary cell");
             out.push(TAG_BIN);
             write_varu(out, b.len() as u64);
-            out.extend_from_slice(b);
+            out.extend_from_slice(&b);
         }
         Value::List(items) => {
             out.push(TAG_LIST);

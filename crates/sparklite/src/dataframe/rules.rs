@@ -73,7 +73,10 @@ pub fn rule_by_id(id: &str) -> Option<&'static dyn RewriteRule> {
 // ---------------------------------------------------------------------------
 
 /// RBLO0001: `Filter ∘ Filter → Filter(AND)` — adjacent filters collapse
-/// into one conjunctive predicate, saving a plan node and a row pass.
+/// into one conjunctive predicate, saving a plan node and a row pass. Not
+/// when the outer predicate holds a UDF: `AND` evaluates both sides, and a
+/// UDF may only observe rows that pass the inner filter (a JSONiq `where`
+/// must never see, or fail on, a tuple an earlier `where` dropped).
 pub struct MergeFilters;
 
 impl RewriteRule for MergeFilters {
@@ -91,6 +94,9 @@ impl RewriteRule for MergeFilters {
         let LogicalPlan::Filter { input: inner_in, predicate: inner_pred } = input.as_ref() else {
             return None;
         };
+        if predicate.has_udf() {
+            return None;
+        }
         Some(Arc::new(LogicalPlan::Filter {
             input: Arc::clone(inner_in),
             predicate: Expr::and(inner_pred.clone(), predicate.clone()),
