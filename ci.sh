@@ -35,6 +35,12 @@ if [[ "$QUICK" -eq 0 ]]; then
   step "cargo build --release"
   cargo build --release --offline
 
+  # The Criterion ablations (20 K objects, ~1 min with the build): each
+  # pair of arms that computes the same answer asserts equal results once
+  # before timing, so an ablation never times a wrong answer.
+  step "ablations bench"
+  cargo bench --offline --bench ablations
+
   # Smoke the cache figure end to end: the harness itself dies unless every
   # fault-free persisted configuration has warm <= cold, cache hits, and
   # results identical to the unpersisted run (also checked under 20% chaos).

@@ -4,11 +4,13 @@
 //!   materialization of the group's items;
 //! * unused-column pruning — returning only the key vs also shipping the
 //!   whole group;
-//! * the three-column native key encoding — grouping on a computed
-//!   heterogeneous key vs a pre-stringified one (what a SQL engine would
-//!   force the user to do);
+//! * the native key column — grouping on a computed heterogeneous key vs a
+//!   pre-stringified one (what a SQL engine would force the user to do);
 //! * filter placement — a `where` the optimizer can push below the sort vs
 //!   a count-gated one it cannot.
+//!
+//! Arms that compute the same answer are checked to agree (as sorted
+//! serialized items) once before timing, so no arm times a wrong answer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rumble_core::Rumble;
@@ -27,22 +29,34 @@ fn bench(c: &mut Criterion) {
         let prepared = rumble.compile(q).expect("query compiles");
         move || prepared.collect().expect("query runs").len()
     };
+    let same_answer = |a: &str, b: &str| {
+        let sorted = |q: &str| {
+            let mut items: Vec<String> =
+                rumble.run(q).expect("query runs").iter().map(|i| i.serialize()).collect();
+            items.sort();
+            items
+        };
+        assert_eq!(sorted(a), sorted(b), "ablation arms disagree:\n{a}\n{b}");
+    };
 
     // --- §4.7 COUNT detection ---------------------------------------------
+    let count_optimized = r#"for $i in json-file("hdfs:///confusion.json")
+                             group by $t := $i.target
+                             return { t: $t, n: count($i) }"#;
+    // `[$i]` forces NonGroupingUsage::Materialize: the whole group is
+    // collected and shipped even though only its size is used.
+    let materialized = r#"for $i in json-file("hdfs:///confusion.json")
+                          group by $t := $i.target
+                          return { t: $t, n: size([ $i ]) }"#;
+    same_answer(count_optimized, materialized);
     let mut g = c.benchmark_group("ablation/group-count");
     g.sample_size(10);
     g.bench_function("count-optimized", {
-        let f = run(r#"for $i in json-file("hdfs:///confusion.json")
-                       group by $t := $i.target
-                       return { t: $t, n: count($i) }"#);
+        let f = run(count_optimized);
         move |b| b.iter(&f)
     });
     g.bench_function("materialized", {
-        // `[$o]` forces NonGroupingUsage::Materialize: the whole group is
-        // collected and shipped even though only its size is used.
-        let f = run(r#"for $i in json-file("hdfs:///confusion.json")
-                       group by $t := $i.target
-                       return { t: $t, n: size([ $i ]) }"#);
+        let f = run(materialized);
         move |b| b.iter(&f)
     });
     g.finish();
@@ -65,41 +79,47 @@ fn bench(c: &mut Criterion) {
     g.finish();
 
     // --- heterogeneous keys vs pre-stringified keys --------------------------
+    let native_key = r#"for $i in json-file("hdfs:///confusion.json")
+                        group by $c := ($i.country[], $i.country, "USA")[1], $t := $i.target
+                        return count($i)"#;
+    // What a schema-bound engine forces: build a composite string key.
+    let stringified_key = r#"for $i in json-file("hdfs:///confusion.json")
+                             group by $k := (($i.country[], $i.country, "USA")[1] || "/" || $i.target)
+                             return count($i)"#;
+    same_answer(native_key, stringified_key);
     let mut g = c.benchmark_group("ablation/key-encoding");
     g.sample_size(10);
-    g.bench_function("native-three-column", {
-        let f = run(r#"for $i in json-file("hdfs:///confusion.json")
-                       group by $c := ($i.country[], $i.country, "USA")[1], $t := $i.target
-                       return count($i)"#);
+    g.bench_function("native-key-column", {
+        let f = run(native_key);
         move |b| b.iter(&f)
     });
     g.bench_function("stringified-key", {
-        // What a schema-bound engine forces: build a composite string key.
-        let f = run(r#"for $i in json-file("hdfs:///confusion.json")
-                       group by $k := (($i.country[], $i.country, "USA")[1] || "/" || $i.target)
-                       return count($i)"#);
+        let f = run(stringified_key);
         move |b| b.iter(&f)
     });
     g.finish();
 
     // --- filter placement vs the optimizer ----------------------------------
-    let mut g = c.benchmark_group("ablation/filter-pushdown");
-    g.sample_size(10);
-    g.bench_function("pushable-where", {
-        // The where precedes the sort: only matches get sorted.
-        let f = run(r#"for $i in json-file("hdfs:///confusion.json")
-                       where $i.guess = $i.target
-                       order by $i.target
-                       return $i.sample"#);
-        move |b| b.iter(&f)
-    });
-    g.bench_function("post-sort-where", {
-        // The where is count-gated, so it must run after the sort.
-        let f = run(r#"for $i in json-file("hdfs:///confusion.json")
+    // The where precedes the sort: only matches get sorted.
+    let pushable = r#"for $i in json-file("hdfs:///confusion.json")
+                      where $i.guess = $i.target
+                      order by $i.target
+                      return $i.sample"#;
+    // The where is count-gated, so it must run after the sort.
+    let post_sort = r#"for $i in json-file("hdfs:///confusion.json")
                        order by $i.target
                        count $c
                        where $i.guess = $i.target
-                       return $i.sample"#);
+                       return $i.sample"#;
+    same_answer(pushable, post_sort);
+    let mut g = c.benchmark_group("ablation/filter-pushdown");
+    g.sample_size(10);
+    g.bench_function("pushable-where", {
+        let f = run(pushable);
+        move |b| b.iter(&f)
+    });
+    g.bench_function("post-sort-where", {
+        let f = run(post_sort);
         move |b| b.iter(&f)
     });
     g.finish();

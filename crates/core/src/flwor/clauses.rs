@@ -16,10 +16,12 @@ use super::{
     TupleCursor, TupleFrame,
 };
 use crate::error::{codes, Result, RumbleError};
-use crate::item::{effective_boolean_value, group_key, seq, Item};
+use crate::item::{effective_boolean_value, group_key, seq, GroupKey, Item};
 use crate::runtime::{eval_ebv, DynamicContext, ExprRef, ItemPath};
 use sparklite::dataframe::{Agg, NamedExpr};
-use sparklite::dataframe::{DataFrame, DataType, Expr as DfExpr, Field, Schema, SortDir, Value};
+use sparklite::dataframe::{
+    DataFrame, DataType, Expr as DfExpr, Field, Schema, SortDir, SortKey, Value,
+};
 use sparklite::rdd::task_bail;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -118,7 +120,10 @@ impl RowExpr {
     }
 
     pub(crate) fn eval(&self, schema: &Schema, row: &[Value]) -> Result<Vec<Item>> {
-        self.eval_shared(schema, row, &self.uses, &mut None)
+        match self.compiled(schema, row) {
+            Some(items) => Ok(items),
+            None => self.expr.materialize(&ctx_from_row(&self.base, schema, row, &self.uses)),
+        }
     }
 
     /// The effective boolean value of [`eval`](Self::eval)'s result.
@@ -128,35 +133,6 @@ impl RowExpr {
             None => eval_ebv(&self.expr, &ctx_from_row(&self.base, schema, row, &self.uses)),
         }
     }
-
-    /// [`eval`](Self::eval) for one of several keys a UDF computes per
-    /// row: the first key that needs a context binds `all_uses`, the
-    /// union of the keys' footprints, and the later ones share it.
-    fn eval_shared(
-        &self,
-        schema: &Schema,
-        row: &[Value],
-        all_uses: &[Arc<str>],
-        shared: &mut Option<DynamicContext>,
-    ) -> Result<Vec<Item>> {
-        match self.compiled(schema, row) {
-            Some(items) => Ok(items),
-            None => self.expr.materialize(
-                shared.get_or_insert_with(|| ctx_from_row(&self.base, schema, row, all_uses)),
-            ),
-        }
-    }
-}
-
-/// The union of several expressions' `uses` footprints, in first-use order.
-fn union_uses<'a>(all: impl IntoIterator<Item = &'a [Arc<str>]>) -> Vec<Arc<str>> {
-    let mut uses: Vec<Arc<str>> = Vec::new();
-    for u in all.into_iter().flatten() {
-        if !uses.contains(u) {
-            uses.push(Arc::clone(u));
-        }
-    }
-    uses
 }
 
 /// Builds a DataFrame UDF that evaluates an expression against the
@@ -591,6 +567,15 @@ impl GroupByClauseIter {
     }
 }
 
+/// A group key's cell ([`GroupKey::to_value`]); a key that is not one
+/// atomic item or empty fails the task.
+fn group_key_cell(items: &[Item]) -> Value {
+    match group_key(items) {
+        Ok(k) => k.to_value(),
+        Err(e) => task_bail(e),
+    }
+}
+
 /// Accumulated per-group state on the local path.
 enum LocalAgg {
     Items(Vec<Item>),
@@ -612,8 +597,8 @@ impl ClauseIterator for GroupByClauseIter {
 
     fn tuples(&self, ctx: &DynamicContext) -> Result<TupleCursor> {
         // Grouping is a pipeline breaker: materialize the parent stream.
-        let mut groups: HashMap<Vec<crate::item::GroupKey>, Vec<LocalAgg>> = HashMap::new();
-        let mut order: Vec<Vec<crate::item::GroupKey>> = Vec::new();
+        let mut groups: HashMap<Vec<GroupKey>, Vec<LocalAgg>> = HashMap::new();
+        let mut order: Vec<Vec<GroupKey>> = Vec::new();
         let parent = self.parent.tuples(ctx)?;
         for r in parent {
             let t = r?;
@@ -680,74 +665,29 @@ impl ClauseIterator for GroupByClauseIter {
         let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
         let mut df = f.df;
 
-        // Step 1 (§4.7): for each key, three native columns — type tag,
-        // string value, double value — that Spark SQL can group on. All
-        // keys are computed by ONE UDF so the row's variables are decoded
-        // once, then the native cells are cheap extractions.
-        let all_keys_udf = {
-            // A bare `$var` key reads its own cell.
-            let specs: Vec<(Option<RowExpr>, Arc<str>)> = self
-                .keys
-                .iter()
-                .map(|s| {
-                    (s.expr.as_ref().map(|e| RowExpr::new(e, &s.uses, ctx)), Arc::clone(&s.var))
-                })
-                .collect();
-            let uses = union_uses(self.keys.iter().map(|s| {
-                if s.expr.is_some() {
-                    s.uses.as_slice()
-                } else {
-                    std::slice::from_ref(&s.var)
-                }
-            }));
-            let uses_strings: Vec<String> = uses.iter().map(|u| u.to_string()).collect();
-            DfExpr::udf("groupkeys", Some(uses_strings), move |schema: &Schema, row: &[Value]| {
-                let mut shared = None;
-                let mut cells = Vec::with_capacity(specs.len() * 3);
-                for (expr, var) in &specs {
-                    let value = match expr {
-                        Some(e) => match e.eval_shared(schema, row, &uses, &mut shared) {
-                            Ok(v) => v,
-                            Err(e) => task_bail(e),
+        // Step 1 (§4.7): one native key column per key, whose cell's
+        // variant is the type tag (`GroupKey::to_value`). A bare `$var` key
+        // reads its own cell.
+        let key_cols: Vec<String> = (0..self.keys.len()).map(|i| format!("__k{i}")).collect();
+        for (spec, col) in self.keys.iter().zip(&key_cols) {
+            let name = format!("group key ${}", spec.var);
+            let udf = match &spec.expr {
+                Some(e) => row_udf(&name, Arc::clone(e), spec.uses.clone(), ctx, |items| {
+                    group_key_cell(&items)
+                }),
+                None => {
+                    let var = Arc::clone(&spec.var);
+                    DfExpr::udf(
+                        name,
+                        Some(vec![var.to_string()]),
+                        move |schema: &Schema, row: &[Value]| {
+                            group_key_cell(&row_var(schema, row, &var).unwrap_or_default())
                         },
-                        None => row_var(schema, row, var).map(|s| s.to_vec()).unwrap_or_default(),
-                    };
-                    match group_key(&value) {
-                        Ok(k) => {
-                            let (t, s, d) = k.encode();
-                            cells.push(Value::I64(t));
-                            cells.push(Value::Str(s));
-                            cells.push(Value::F64(d));
-                        }
-                        Err(e) => task_bail(e),
-                    }
+                    )
                 }
-                Value::List(Arc::new(cells))
-            })
-        };
-        df = df.with_column("__keys", all_keys_udf, DataType::List)?;
-        for i in 0..self.keys.len() {
-            for (j, (suffix, dtype)) in
-                [("t", DataType::I64), ("s", DataType::Str), ("d", DataType::F64)]
-                    .into_iter()
-                    .enumerate()
-            {
-                let cell = i * 3 + j;
-                let extract = DfExpr::udf(
-                    format!("__k{i}{suffix}"),
-                    Some(vec!["__keys".to_string()]),
-                    move |schema: &Schema, row: &[Value]| {
-                        let idx = schema.index_of("__keys").expect("encoded column exists");
-                        match &row[idx] {
-                            Value::List(l) => l[cell].clone(),
-                            _ => task_bail("encoded key must be a list"),
-                        }
-                    },
-                );
-                df = df.with_column(format!("__k{i}{suffix}"), extract, dtype)?;
-            }
+            };
+            df = df.with_column(col, udf, DataType::Any)?;
         }
-        df = df.drop_columns(&["__keys"])?;
 
         // Step 2: pre-compute sequence lengths for count-only variables —
         // except unit variables (bound by `for`/`count`, always exactly one
@@ -769,9 +709,6 @@ impl ClauseIterator for GroupByClauseIter {
 
         // Step 3: the native GROUP BY, with SEQUENCE(x) ≈ COLLECT_LIST and
         // the COUNT optimization of §4.7.
-        let key_cols: Vec<String> = (0..self.keys.len())
-            .flat_map(|i| ["t", "s", "d"].into_iter().map(move |s| format!("__k{i}{s}")))
-            .collect();
         let key_col_refs: Vec<&str> = key_cols.iter().map(|s| s.as_str()).collect();
         let mut aggs: Vec<(Agg, String)> = Vec::new();
         for (var, usage) in &self.nongrouping {
@@ -792,30 +729,18 @@ impl ClauseIterator for GroupByClauseIter {
         let grouped = df.group_by(&key_col_refs, aggs)?;
 
         // Step 4: project back to variable columns — rebuild the key item
-        // from its encoded triple, merge collected lists into one sequence.
+        // from its cell, merge collected lists into one sequence.
         let mut exprs: Vec<NamedExpr> = Vec::new();
-        for (i, spec) in self.keys.iter().enumerate() {
-            let (tc, sc, dc) = (format!("__k{i}t"), format!("__k{i}s"), format!("__k{i}d"));
+        for (spec, col) in self.keys.iter().zip(key_cols) {
             let rebuild = DfExpr::udf(
                 format!("rebuild ${}", spec.var),
-                Some(vec![tc.clone(), sc.clone(), dc.clone()]),
+                Some(vec![col.clone()]),
                 move |schema: &Schema, row: &[Value]| {
-                    let t = row[schema.index_of(&tc).expect("tag col")].as_i64().unwrap_or(0);
-                    let s = row[schema.index_of(&sc).expect("str col")].clone();
-                    let d = row[schema.index_of(&dc).expect("dbl col")].as_f64().unwrap_or(0.0);
-                    let key = match t {
-                        1 | 7 => crate::item::GroupKey::Empty,
-                        2 => crate::item::GroupKey::Null,
-                        3 => crate::item::GroupKey::Bool(true),
-                        4 => crate::item::GroupKey::Bool(false),
-                        5 => crate::item::GroupKey::Str(match s {
-                            Value::Str(s) => s,
-                            _ => Arc::from(""),
-                        }),
-                        6 => crate::item::GroupKey::Num(d),
-                        _ => task_bail(format!("bad key tag {t}")),
-                    };
-                    cell_of(key.to_item().into_iter().collect())
+                    let cell = &row[schema.index_of(&col).expect("key column")];
+                    match GroupKey::from_value(cell) {
+                        Some(key) => cell_of(key.to_item().into_iter().collect()),
+                        None => task_bail(format!("bad group key cell {cell:?}")),
+                    }
                 },
             );
             exprs.push(NamedExpr {
@@ -886,98 +811,70 @@ pub struct OrderSpecIter {
     pub empty_greatest: bool,
 }
 
-/// A normalized sort key (§4.8): empty < null < false < true < value, with
-/// `empty greatest` flipping the first rank.
-#[derive(Clone, Debug)]
-enum OrderKey {
-    Empty,
-    Null,
-    Bool(bool),
-    Str(Arc<str>),
-    Num(f64),
+/// One `order by` key's sort cell (§4.8). The paper spreads a key over a
+/// type tag, a string and a double column because a Spark column holds one
+/// type; here the cell's variant is the tag: empty → `Null`, `null` →
+/// `Bool(false)`, booleans → `I64` 0/1, numbers → `F64`, strings → `Str`.
+/// `value_cmp` orders its buckets `Null < Bool < number < Str`, and a valid
+/// key holds at most one of `I64`/`F64`/`Str` (a mix is
+/// `INCOMPATIBLE_SORT_KEYS`), so `null < false < true < value` holds, and
+/// [`order_dir`] places the empty key. Unlike group keys, numbers are not
+/// normalized: the sort keeps `total_cmp`'s order of `-0.0` before `0`.
+/// Local and DataFrame ORDER BY sort these same cells as sparklite
+/// `SortKey`s.
+fn order_cell(items: &[Item]) -> Result<Value> {
+    Ok(match items {
+        [] => Value::Null,
+        [Item::Null] => Value::Bool(false),
+        [Item::Boolean(b)] => Value::I64(*b as i64),
+        [Item::Str(s)] => Value::Str(Arc::clone(s)),
+        [one] => match one.as_f64() {
+            Some(n) => Value::F64(n),
+            None => {
+                return Err(RumbleError::type_err(format!(
+                    "order-by keys must be atomic, got {}",
+                    one.type_name()
+                )))
+            }
+        },
+        _ => return Err(RumbleError::type_err("order-by keys must be single items or empty")),
+    })
 }
 
-impl OrderKey {
-    fn of(items: &[Item]) -> Result<OrderKey> {
-        match items {
-            [] => Ok(OrderKey::Empty),
-            [one] => match one {
-                Item::Null => Ok(OrderKey::Null),
-                Item::Boolean(b) => Ok(OrderKey::Bool(*b)),
-                Item::Str(s) => Ok(OrderKey::Str(Arc::clone(s))),
-                Item::Integer(v) => Ok(OrderKey::Num(*v as f64)),
-                Item::Decimal(d) => Ok(OrderKey::Num(d.to_f64())),
-                Item::Double(v) => Ok(OrderKey::Num(*v)),
-                other => Err(RumbleError::type_err(format!(
-                    "order-by keys must be atomic, got {}",
-                    other.type_name()
-                ))),
-            },
-            _ => Err(RumbleError::type_err("order-by keys must be single items or empty")),
-        }
-    }
+/// The sort direction of one key: `SortKey` places NULL (the empty key)
+/// before it applies the direction, so `empty greatest` puts it last in
+/// ascending order and first in descending order.
+fn order_dir(spec: &OrderSpecIter) -> SortDir {
+    SortDir { ascending: !spec.descending, nulls_last: spec.empty_greatest != spec.descending }
+}
 
-    /// The value class (bool/str/num) for compatibility checking; `None`
-    /// for empty/null which compare with everything.
-    fn class(&self) -> Option<u8> {
-        match self {
-            OrderKey::Empty | OrderKey::Null => None,
-            OrderKey::Bool(_) => Some(1),
-            OrderKey::Str(_) => Some(2),
-            OrderKey::Num(_) => Some(3),
-        }
+/// The §4.8 type-discovery class of an order cell, as a bit: booleans,
+/// numbers and strings; empty and `null` compare with everything.
+fn order_class(cell: &Value) -> u8 {
+    match cell {
+        Value::I64(_) => 1,
+        Value::F64(_) => 2,
+        Value::Str(_) => 4,
+        _ => 0,
     }
+}
 
-    fn rank(&self, empty_greatest: bool) -> u8 {
-        match self {
-            OrderKey::Empty => {
-                if empty_greatest {
-                    9
-                } else {
-                    0
-                }
-            }
-            OrderKey::Null => 1,
-            OrderKey::Bool(false) => 2,
-            OrderKey::Bool(true) => 3,
-            OrderKey::Str(_) | OrderKey::Num(_) => 4,
-        }
+/// Fails unless the classes one key took (OR-ed [`order_class`] bits) are
+/// compatible; JSONiq requires an error on e.g. strings mixed with numbers.
+fn check_classes(mask: u8) -> Result<()> {
+    if mask.count_ones() > 1 {
+        return Err(RumbleError::dynamic(
+            codes::INCOMPATIBLE_SORT_KEYS,
+            "order-by keys mix incompatible types (e.g. strings and numbers)",
+        ));
     }
-
-    fn cmp_same_rank(&self, other: &OrderKey) -> std::cmp::Ordering {
-        match (self, other) {
-            (OrderKey::Str(a), OrderKey::Str(b)) => a.as_ref().cmp(b.as_ref()),
-            (OrderKey::Num(a), OrderKey::Num(b)) => a.total_cmp(b),
-            _ => std::cmp::Ordering::Equal,
-        }
-    }
+    Ok(())
 }
 
 /// `order by expr [descending] [empty greatest], …` (§4.8).
 pub struct OrderByClauseIter {
     pub parent: ClauseRef,
     pub specs: Vec<OrderSpecIter>,
-}
-
-impl OrderByClauseIter {
-    /// Checks that one key class is compatible with the classes seen so far
-    /// for its spec; JSONiq requires an error on e.g. strings mixed with
-    /// numbers.
-    fn merge_class(seen: &mut Option<u8>, class: Option<u8>) -> Result<()> {
-        if let Some(c) = class {
-            match seen {
-                None => *seen = Some(c),
-                Some(existing) if *existing == c => {}
-                Some(_) => {
-                    return Err(RumbleError::dynamic(
-                        codes::INCOMPATIBLE_SORT_KEYS,
-                        "order-by keys mix incompatible types (e.g. strings and numbers)",
-                    ))
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 impl ClauseIterator for OrderByClauseIter {
@@ -990,37 +887,24 @@ impl ClauseIterator for OrderByClauseIter {
     }
 
     fn tuples(&self, ctx: &DynamicContext) -> Result<TupleCursor> {
-        // A pipeline breaker: materialize, key, verify, sort.
-        let mut rows: Vec<(Vec<OrderKey>, Tuple)> = Vec::new();
-        let mut classes: Vec<Option<u8>> = vec![None; self.specs.len()];
+        // A pipeline breaker: materialize, key, verify, sort (stably).
+        let dirs: Vec<SortDir> = self.specs.iter().map(order_dir).collect();
+        let mut masks = vec![0u8; self.specs.len()];
+        let mut rows: Vec<(Vec<SortKey>, Tuple)> = Vec::new();
         let parent = self.parent.tuples(ctx)?;
         for r in parent {
             let t = r?;
             let child = t.bind_into(ctx);
             let mut keys = Vec::with_capacity(self.specs.len());
-            for (spec, seen) in self.specs.iter().zip(classes.iter_mut()) {
-                let items = spec.expr.materialize(&child)?;
-                let k = OrderKey::of(&items)?;
-                Self::merge_class(seen, k.class())?;
-                keys.push(k);
+            for ((spec, dir), mask) in self.specs.iter().zip(&dirs).zip(masks.iter_mut()) {
+                let cell = order_cell(&spec.expr.materialize(&child)?)?;
+                *mask |= order_class(&cell);
+                check_classes(*mask)?;
+                keys.push(SortKey::new(cell, *dir));
             }
             rows.push((keys, t));
         }
-        let specs: Vec<(bool, bool)> =
-            self.specs.iter().map(|s| (s.descending, s.empty_greatest)).collect();
-        rows.sort_by(|(ka, _), (kb, _)| {
-            for ((a, b), (descending, empty_greatest)) in ka.iter().zip(kb).zip(&specs) {
-                let o = a
-                    .rank(*empty_greatest)
-                    .cmp(&b.rank(*empty_greatest))
-                    .then_with(|| a.cmp_same_rank(b));
-                let o = if *descending { o.reverse() } else { o };
-                if o != std::cmp::Ordering::Equal {
-                    return o;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        rows.sort_by(|(a, _), (b, _)| a.cmp(b));
         Ok(Box::new(rows.into_iter().map(|(_, t)| Ok(t))))
     }
 
@@ -1028,129 +912,46 @@ impl ClauseIterator for OrderByClauseIter {
         let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
         let mut df = f.df;
 
-        // Encode every sort key into native columns — tag, string, double,
-        // plus a class column for the §4.8 type-discovery pass. All keys
-        // are computed by ONE UDF (one row decode), then extracted.
-        let all_ord_udf = {
-            let specs: Vec<(RowExpr, bool)> = self
-                .specs
-                .iter()
-                .map(|sp| (RowExpr::new(&sp.expr, &sp.uses, ctx), sp.empty_greatest))
-                .collect();
-            let uses = union_uses(self.specs.iter().map(|sp| sp.uses.as_slice()));
-            let uses_strings: Vec<String> = uses.iter().map(|u| u.to_string()).collect();
-            DfExpr::udf("orderkeys", Some(uses_strings), move |schema: &Schema, row: &[Value]| {
-                let mut shared = None;
-                let mut cells = Vec::with_capacity(specs.len() * 4);
-                for (expr, empty_greatest) in &specs {
-                    let items = match expr.eval_shared(schema, row, &uses, &mut shared) {
-                        Ok(v) => v,
-                        Err(e) => task_bail(e),
-                    };
-                    let key = match OrderKey::of(&items) {
-                        Ok(k) => k,
-                        Err(e) => task_bail(e),
-                    };
-                    let (sv, d) = match &key {
-                        OrderKey::Str(sv) => (Arc::clone(sv), 0.0),
-                        OrderKey::Num(n) => (Arc::from(""), *n),
-                        _ => (Arc::from(""), 0.0),
-                    };
-                    cells.push(Value::I64(key.rank(*empty_greatest) as i64));
-                    cells.push(Value::Str(sv));
-                    cells.push(Value::F64(d));
-                    cells.push(Value::I64(key.class().map(|c| c as i64).unwrap_or(0)));
-                }
-                Value::List(Arc::new(cells))
-            })
-        };
-        df = df.with_column("__ord", all_ord_udf, DataType::List)?;
-        for i in 0..self.specs.len() {
-            for (j, (suffix, dtype)) in [
-                ("t", DataType::I64),
-                ("s", DataType::Str),
-                ("d", DataType::F64),
-                ("c", DataType::I64),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let cell = i * 4 + j;
-                let extract = DfExpr::udf(
-                    format!("__o{i}{suffix}"),
-                    Some(vec!["__ord".to_string()]),
-                    move |schema: &Schema, row: &[Value]| {
-                        let idx = schema.index_of("__ord").expect("encoded column exists");
-                        match &row[idx] {
-                            Value::List(l) => l[cell].clone(),
-                            _ => task_bail("encoded order key must be a list"),
-                        }
-                    },
-                );
-                df = df.with_column(format!("__o{i}{suffix}"), extract, dtype)?;
-            }
+        // One sort-key column per key, holding the key's `order_cell`.
+        let cols: Vec<String> = (0..self.specs.len()).map(|i| format!("__o{i}")).collect();
+        for (spec, col) in self.specs.iter().zip(&cols) {
+            let udf = row_udf(col, Arc::clone(&spec.expr), spec.uses.clone(), ctx, |items| {
+                order_cell(&items).unwrap_or_else(|e| task_bail(e))
+            });
+            df = df.with_column(col, udf, DataType::Any)?;
         }
-        df = df.drop_columns(&["__ord"])?;
 
         // Materialize once: the discovery pass and the sort's sampling +
         // partitioning passes would otherwise each recompute the whole
         // upstream pipeline (Spark serves these from shuffle files).
         let df = df.cache()?;
 
-        // Type-discovery pass (§4.8): one job over the class columns.
-        {
-            let rows = df.to_rdd()?;
-            let schema = Arc::clone(df.schema());
-            let class_idx: Vec<usize> = (0..self.specs.len())
-                .map(|i| schema.index_of(&format!("__o{i}c")).expect("class column"))
-                .collect();
-            let n = self.specs.len();
-            let idx = Arc::new(class_idx);
-            let idx2 = Arc::clone(&idx);
-            let masks = rows.aggregate(
-                vec![0u8; n],
-                move |mut acc, row| {
-                    for (slot, i) in acc.iter_mut().zip(idx.iter()) {
-                        if let Value::I64(c) = row[*i] {
-                            if c > 0 {
-                                *slot |= 1 << (c as u8);
-                            }
-                        }
-                    }
-                    acc
-                },
-                move |mut a, b| {
-                    let _ = &idx2;
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x |= y;
-                    }
-                    a
-                },
-            )?;
-            for mask in masks {
-                if mask.count_ones() > 1 {
-                    return Err(RumbleError::dynamic(
-                        codes::INCOMPATIBLE_SORT_KEYS,
-                        "order-by keys mix incompatible types (e.g. strings and numbers)",
-                    ));
+        // Type-discovery pass (§4.8): one job OR-ing each key's classes.
+        let idx: Vec<usize> =
+            cols.iter().map(|c| df.schema().index_of(c).expect("key column")).collect();
+        let masks = df.to_rdd()?.aggregate(
+            vec![0u8; cols.len()],
+            move |mut acc, row| {
+                for (mask, i) in acc.iter_mut().zip(&idx) {
+                    *mask |= order_class(&row[*i]);
                 }
-            }
+                acc
+            },
+            |mut a, b| {
+                for (x, y) in a.iter_mut().zip(b) {
+                    *x |= y;
+                }
+                a
+            },
+        )?;
+        for mask in masks {
+            check_classes(mask)?;
         }
 
-        // The actual sort on native columns, then drop the scaffolding.
-        let mut sort_keys: Vec<(String, SortDir)> = Vec::new();
-        for (i, spec) in self.specs.iter().enumerate() {
-            let dir = if spec.descending { SortDir::desc() } else { SortDir::asc() };
-            sort_keys.push((format!("__o{i}t"), dir));
-            sort_keys.push((format!("__o{i}s"), dir));
-            sort_keys.push((format!("__o{i}d"), dir));
-        }
-        let df = df.order_by(sort_keys)?;
-        let drop: Vec<String> = (0..self.specs.len())
-            .flat_map(|i| ["t", "s", "d", "c"].into_iter().map(move |s| format!("__o{i}{s}")))
-            .collect();
-        let drop_refs: Vec<&str> = drop.iter().map(|s| s.as_str()).collect();
-        let df = df.drop_columns(&drop_refs)?;
+        // The sort on the key cells, then drop the scaffolding.
+        let sort_keys = cols.iter().cloned().zip(self.specs.iter().map(order_dir)).collect();
+        let col_refs: Vec<&str> = cols.iter().map(|c| c.as_str()).collect();
+        let df = df.order_by(sort_keys)?.drop_columns(&col_refs)?;
         Ok(Some(TupleFrame { df, vars: f.vars }))
     }
 }

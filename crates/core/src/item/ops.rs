@@ -4,6 +4,7 @@
 
 use super::{Dec, Item};
 use crate::error::{codes, Result, RumbleError};
+use sparklite::dataframe::Value;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -238,18 +239,34 @@ pub enum GroupKey {
 }
 
 impl GroupKey {
-    /// The paper's three-column native encoding of a grouping key:
-    /// `(type tag, string column, double column)` with tags 1 = empty,
-    /// 2 = null, 3 = true, 4 = false, 5 = string, 6 = number.
-    pub fn encode(&self) -> (i64, Arc<str>, f64) {
+    /// The key's one native DataFrame cell. The paper spreads a key over
+    /// three Spark columns (type tag, string, double) because a Spark column
+    /// holds one type; a sparklite column holds any `Value`, so the cell's
+    /// variant is the tag: empty → `Null`, `null` → `Bool(false)`, booleans
+    /// → `I64` 0/1, numbers → `F64` (normalized), strings → `Str`. A
+    /// `KeyValue` never equates cells of different variants, so distinct
+    /// keys stay distinct groups.
+    pub fn to_value(&self) -> Value {
         match self {
-            GroupKey::Empty => (1, Arc::from(""), 0.0),
-            GroupKey::Null => (2, Arc::from(""), 0.0),
-            GroupKey::Bool(true) => (3, Arc::from(""), 0.0),
-            GroupKey::Bool(false) => (4, Arc::from(""), 0.0),
-            GroupKey::Str(s) => (5, Arc::clone(s), 0.0),
-            GroupKey::Num(n) => (6, Arc::from(""), *n),
+            GroupKey::Empty => Value::Null,
+            GroupKey::Null => Value::Bool(false),
+            GroupKey::Bool(b) => Value::I64(*b as i64),
+            GroupKey::Str(s) => Value::Str(Arc::clone(s)),
+            GroupKey::Num(n) => Value::F64(*n),
         }
+    }
+
+    /// The inverse of [`to_value`](Self::to_value); `None` for a cell it
+    /// never writes.
+    pub fn from_value(v: &Value) -> Option<GroupKey> {
+        Some(match v {
+            Value::Null => GroupKey::Empty,
+            Value::Bool(false) => GroupKey::Null,
+            Value::I64(b) => GroupKey::Bool(*b != 0),
+            Value::Str(s) => GroupKey::Str(Arc::clone(s)),
+            Value::F64(n) => GroupKey::Num(*n),
+            _ => return None,
+        })
     }
 
     /// The item this key stands for (the empty variant yields `None`).
@@ -441,15 +458,42 @@ mod tests {
     }
 
     #[test]
-    fn group_key_three_column_encoding() {
-        assert_eq!(group_key(&[]).unwrap().encode().0, 1);
-        assert_eq!(group_key(&[Item::Null]).unwrap().encode().0, 2);
-        assert_eq!(group_key(&[Item::Boolean(true)]).unwrap().encode().0, 3);
-        assert_eq!(group_key(&[Item::Boolean(false)]).unwrap().encode().0, 4);
-        let (t, s, _) = group_key(&[Item::str("x")]).unwrap().encode();
-        assert_eq!((t, s.as_ref()), (5, "x"));
-        let (t, _, d) = group_key(&[Item::Integer(7)]).unwrap().encode();
-        assert_eq!((t, d), (6, 7.0));
+    fn group_key_cell_round_trip() {
+        let keys = [
+            GroupKey::Empty,
+            GroupKey::Null,
+            GroupKey::Bool(true),
+            GroupKey::Bool(false),
+            GroupKey::Str(Arc::from("x")),
+            GroupKey::Num(7.0),
+            GroupKey::Num(-1.5),
+        ];
+        for k in keys {
+            assert_eq!(GroupKey::from_value(&k.to_value()), Some(k.clone()), "{k:?}");
+        }
+        assert_eq!(GroupKey::from_value(&Value::Bool(true)), None);
+    }
+
+    #[test]
+    fn group_key_cells_keep_distinct_keys_apart() {
+        use sparklite::dataframe::KeyValue;
+        let cell = |s: &[Item]| KeyValue(group_key(s).unwrap().to_value());
+        assert_eq!(cell(&[Item::Integer(1)]), cell(&[Item::Double(1.0)]));
+        assert_eq!(cell(&[Item::Integer(0)]), cell(&[Item::Double(-0.0)]));
+        let distinct = [
+            cell(&[Item::Integer(1)]),
+            cell(&[Item::str("1")]),
+            cell(&[Item::Boolean(true)]),
+            cell(&[Item::Boolean(false)]),
+            cell(&[Item::str("true")]),
+            cell(&[Item::Null]),
+            cell(&[]),
+        ];
+        for (i, a) in distinct.iter().enumerate() {
+            for b in &distinct[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
     }
 
     #[test]

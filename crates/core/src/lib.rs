@@ -11,9 +11,9 @@
 //!   iterators expose a local pull API *and* an RDD API, switching
 //!   seamlessly;
 //! * **FLWOR clauses → DataFrames** (§4.3–§4.10): tuple streams become
-//!   DataFrames whose columns hold serialized item sequences, with
-//!   grouping/sorting keys encoded into native typed columns so the
-//!   optimizer can work on them.
+//!   DataFrames whose columns hold item sequences, with each
+//!   grouping/sorting key one native column (its cells' variants are the
+//!   type tags) so the kernels can work on them.
 //!
 //! # Quick start
 //!

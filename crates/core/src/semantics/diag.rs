@@ -88,8 +88,8 @@ pub mod lints {
     /// A parallel (RDD-backed) sequence is forced through a local
     /// materialization boundary.
     pub const MATERIALIZATION_BOUNDARY: &str = "RBLW0004";
-    /// A grouping/sorting key cannot use the native three-column key
-    /// encoding (§4.7) because it is statically non-atomic.
+    /// A grouping/sorting key cannot become a native key cell (§4.7)
+    /// because it is statically non-atomic.
     pub const KEY_ENCODING_FALLBACK: &str = "RBLW0005";
     /// A builtin call's argument cardinality statically violates the
     /// function's signature.
@@ -157,9 +157,11 @@ pub const CODE_DOCS: &[(&str, &str)] = &[
     ),
     (
         "RBLW0005",
-        "Native key encoding fallback: group-by/order-by keys are encoded natively as \
-         three typed columns (§4.7) and must be atomic items. This key is statically an object, \
-         array, or multi-item sequence, so evaluation will raise a type error at runtime.",
+        "Native key encoding fallback: each group-by/order-by key is one native DataFrame \
+         cell whose variant is the key's type tag (the paper's three typed Spark columns of \
+         §4.7, folded into one), so it must be an atomic item or empty. This key is statically \
+         an object, array, or multi-item sequence, so evaluation will raise a type error at \
+         runtime.",
     ),
     (
         "RBLW0006",

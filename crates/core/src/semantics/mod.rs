@@ -17,8 +17,8 @@
 //! - **cardinality inference** ([`passes`]): builtin calls whose argument
 //!   cardinality statically violates the signature — `RBLW0006`.
 //! - **execution mode** ([`passes`]): parallel sequences forced through
-//!   local materialization boundaries and group/order keys that defeat the
-//!   native three-column encoding of §4.7 — `RBLW0004`/`RBLW0005`.
+//!   local materialization boundaries and group/order keys that cannot
+//!   become a native key cell (§4.7) — `RBLW0004`/`RBLW0005`.
 
 pub mod diag;
 mod passes;

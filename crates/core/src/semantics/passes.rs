@@ -519,8 +519,8 @@ fn item_shape(e: &Expr) -> Shape {
 }
 
 /// Flags parallel sequences forced through local materialization
-/// boundaries (`RBLW0004`) and group/order keys that defeat the native
-/// three-column encoding of §4.7 (`RBLW0005`).
+/// boundaries (`RBLW0004`) and group/order keys that cannot become a
+/// native key cell (§4.7, `RBLW0005`).
 pub(super) fn execution_mode(p: &Program, diags: &mut Vec<Diagnostic>) {
     for_each_program_expr(p, &mut |e| {
         mode_of(e, diags);
@@ -661,8 +661,8 @@ fn flwor_mode(f: &FlworExpr, diags: &mut Vec<Diagnostic>) -> Mode {
     }
 }
 
-/// §4.7: grouping/sorting keys are encoded natively as three typed columns
-/// and must be single atomic items.
+/// §4.7: each grouping/sorting key becomes one native key cell, whose
+/// variant is the key's type tag, and must be a single atomic item.
 fn check_key(key: &Expr, what: &str, diags: &mut Vec<Diagnostic>) {
     let shape = item_shape(key);
     if shape == Shape::Object || shape == Shape::Array {
@@ -674,7 +674,7 @@ fn check_key(key: &Expr, what: &str, diags: &mut Vec<Diagnostic>) {
                 format!("{what} key is statically {noun}"),
             )
             .with_help(
-                "the native three-column key encoding (§4.7) requires atomic keys; \
+                "a native key column (§4.7) holds one atomic item per key; \
                  evaluation will raise a type error",
             ),
         );

@@ -172,6 +172,26 @@ fn flwor_order_by_semantics() {
         "[null], [2], []"
     );
     fails_with(r#"for $o in ({"k": 1}, {"k": "a"}) order by $o.k return $o"#, "XPTY0004");
+    // null < false < true, with the empty key placed by `empty greatest`
+    // before the direction applies — locally and over a DataFrame.
+    for (order, expected) in [
+        ("", "[], [null], [false], [true]"),
+        ("empty greatest", "[null], [false], [true], []"),
+        ("descending", "[true], [false], [null], []"),
+        ("descending empty greatest", "[], [true], [false], [null]"),
+    ] {
+        let input = r#"({"k": true}, {}, {"k": null}, {"k": false})"#;
+        for source in [input.to_string(), format!("parallelize({input})")] {
+            let q = format!("for $o in {source} order by $o.k {order} return [ $o.k ]");
+            let distributed = engine().compile(&q).unwrap().is_distributed().unwrap();
+            assert_eq!(distributed, source != input, "{q}");
+            assert_eq!(run(&q), expected, "{q}");
+        }
+    }
+    fails_with(
+        r#"for $o in parallelize(({"k": true}, {"k": 1})) order by $o.k return $o"#,
+        "XPTY0004",
+    );
     // Stable multi-key ordering.
     assert_eq!(
         run(r#"for $o in ({"a": 1, "b": "y"}, {"a": 1, "b": "x"}, {"a": 0, "b": "z"})

@@ -2,8 +2,9 @@
 //! DataFrame cells: `for` (initial with `at`, and non-initial), `let`,
 //! `where`, `count`, `group by` and `order by` must return the same items
 //! and raise the same error codes in local mode, in DataFrame mode on
-//! executor threads, and under 20% seeded chaos — on messy records with
-//! absent fields, nulls, mixed types and nested arrays.
+//! executor threads, under 20% seeded chaos and in the row-major
+//! interpreter — on messy records with absent fields, nulls, mixed types
+//! and nested arrays, and on group and order keys of every atomic kind.
 
 use rumble_core::Rumble;
 use sparklite::{FaultPlan, SparkliteConf, SparkliteContext};
@@ -47,6 +48,27 @@ fn dataset(n: usize) -> String {
         }
         if i % 5 != 0 {
             fields.push(format!("\"nested\": {{\"k\": {}, \"flag\": {}}}", i % 6, i % 2 == 0));
+        }
+        // Key edge cases: a boolean field, a key mixing every atomic kind
+        // that JSONiq groups apart (or together: `1` and `1.0`), and
+        // numbers with both zeros.
+        match i % 4 {
+            0 => {}
+            1 => fields.push("\"b\": null".to_string()),
+            n => fields.push(format!("\"b\": {}", n == 2)),
+        }
+        let g = ["null", "true", "false", "1", "1.0", "\"1\"", "\"true\""];
+        if i % 8 != 0 {
+            fields.push(format!("\"g\": {}", g[i % 8 - 1]));
+        }
+        match i % 7 {
+            0 => {}
+            1 => fields.push("\"z\": -0.0".to_string()),
+            2 => fields.push("\"z\": 0".to_string()),
+            3 => fields.push("\"z\": null".to_string()),
+            4 => fields.push(format!("\"z\": {}", i as i64 % 5 - 2)),
+            5 => fields.push(format!("\"z\": {}.5", i as i64 % 3 - 1)),
+            _ => fields.push("\"z\": 0.0".to_string()),
         }
         out.push('{');
         out.push_str(&fields.join(", "));
@@ -138,20 +160,67 @@ const CASES: &[Case] = &[
                   return [$p, $r.v, $n.k]"#,
         sorted: false,
     },
+    Case {
+        name: "group by on a key of every atomic kind",
+        query: r#"for $r in SRC group by $g := $r.g return [$g, count($r)]"#,
+        sorted: true,
+    },
+    Case {
+        name: "order by booleans, then numbers descending empty greatest",
+        query: r#"for $r at $p in SRC
+                  order by $r.b, $r.z descending empty greatest, $p
+                  return [$p, $r.b, $r.z]"#,
+        sorted: false,
+    },
+    Case {
+        name: "order by booleans descending, then numbers empty greatest",
+        query: r#"for $r at $p in SRC
+                  order by $r.b descending, $r.z empty greatest, $p
+                  return [$p, $r.b, $r.z]"#,
+        sorted: false,
+    },
+    Case {
+        name: "order by booleans empty greatest, then numbers descending",
+        query: r#"for $r at $p in SRC
+                  order by $r.b empty greatest, $r.z descending, $p
+                  return [$p, $r.b, $r.z]"#,
+        sorted: false,
+    },
+    Case {
+        name: "order by booleans descending empty greatest, then numbers",
+        query: r#"for $r at $p in SRC
+                  order by $r.b descending empty greatest, $r.z, $p
+                  return [$p, $r.b, $r.z]"#,
+        sorted: false,
+    },
 ];
 
 /// Queries every path must fail with the same error code.
 const ERRORS: &[(&str, &str)] = &[
     ("mixed-type order key", r#"for $r in SRC order by $r.id return $r.id"#),
     ("non-atomic group key", r#"for $r in SRC group by $t := $r.tags return $t"#),
+    (
+        "boolean and number order key",
+        r#"for $r in SRC order by if ($r.b instance of boolean) then $r.b else 1 return $r"#,
+    ),
 ];
 
-fn engine(faults: FaultPlan) -> Rumble {
-    let r = Rumble::new(SparkliteContext::new(
-        SparkliteConf::default().with_executors(3).with_block_size(4096).with_faults(faults),
-    ));
+fn engine(conf: impl FnOnce(SparkliteConf) -> SparkliteConf) -> Rumble {
+    let r = Rumble::new(SparkliteContext::new(conf(
+        SparkliteConf::default().with_executors(3).with_block_size(4096),
+    )));
     r.hdfs_put("/cells.json", &dataset(700)).unwrap();
     r
+}
+
+/// The DataFrame paths: columnar on executor threads, the same under 20%
+/// seeded chaos, and the row-major interpreter.
+fn paths(chaos_seed: u64) -> [(&'static str, Rumble); 3] {
+    [
+        ("threads", engine(|c| c)),
+        ("chaos", engine(|c| c.with_faults(FaultPlan::chaos(chaos_seed, 0.2)))),
+        ("row-major", engine(|c| c.with_row_major(true))),
+    ]
 }
 
 fn distributed(q: &str) -> String {
@@ -174,17 +243,17 @@ fn outcome(r: &Rumble, q: &str, sorted: bool) -> Result<Vec<String>, &'static st
 
 #[test]
 fn every_cell_carrying_clause_agrees_on_every_path() {
-    let threads = engine(FaultPlan::default());
-    let chaos = engine(FaultPlan::chaos(0xCE11, 0.2));
+    let paths = paths(0xCE11);
+    let threads = &paths[0].1;
     for case in CASES {
         let dq = distributed(case.query);
         assert!(threads.compile(&dq).unwrap().is_distributed().unwrap(), "{}", case.name);
         let lq = local(case.query);
         assert!(!threads.compile(&lq).unwrap().is_distributed().unwrap(), "{}", case.name);
-        let expected = outcome(&threads, &lq, case.sorted)
+        let expected = outcome(threads, &lq, case.sorted)
             .unwrap_or_else(|code| panic!("{}: local run failed with {code}", case.name));
         assert!(expected.len() > 5, "{}: too few items to compare: {expected:?}", case.name);
-        for (path, r) in [("threads", &threads), ("chaos", &chaos)] {
+        for (path, r) in &paths {
             assert_eq!(
                 outcome(r, &dq, case.sorted),
                 Ok(expected.clone()),
@@ -193,18 +262,17 @@ fn every_cell_carrying_clause_agrees_on_every_path() {
             );
         }
     }
-    let m = chaos.sparklite().metrics();
+    let m = paths[1].1.sparklite().metrics();
     assert!(m.retried_tasks > 0, "20% chaos must retry tasks, got {m:?}");
 }
 
 #[test]
 fn every_path_raises_the_same_error_code() {
-    let threads = engine(FaultPlan::default());
-    let chaos = engine(FaultPlan::chaos(0xE44, 0.2));
+    let paths = paths(0xE44);
     for (name, q) in ERRORS {
-        let expected = outcome(&threads, &local(q), false).expect_err(name);
+        let expected = outcome(&paths[0].1, &local(q), false).expect_err(name);
         assert_eq!(expected, "XPTY0004", "{name}");
-        for (path, r) in [("threads", &threads), ("chaos", &chaos)] {
+        for (path, r) in &paths {
             assert_eq!(outcome(r, &distributed(q), false), Err(expected), "{name} on {path}");
         }
     }
