@@ -7,10 +7,13 @@
 //! * the native key column — grouping on a computed heterogeneous key vs a
 //!   pre-stringified one (what a SQL engine would force the user to do);
 //! * filter placement — a `where` the optimizer can push below the sort vs
-//!   a count-gated one it cannot.
+//!   a count-gated one it cannot;
+//! * top-K — `take(10)` over an `order by` as one bounded-heap job vs the
+//!   full range sort followed by the take.
 //!
 //! Arms that compute the same answer are checked to agree (as sorted
-//! serialized items) once before timing, so no arm times a wrong answer.
+//! serialized items, or in order for the top-K pair) once before timing,
+//! so no arm times a wrong answer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rumble_core::Rumble;
@@ -120,6 +123,39 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("post-sort-where", {
         let f = run(post_sort);
+        move |b| b.iter(&f)
+    });
+    g.finish();
+
+    // --- top-K vs sort-then-take ---------------------------------------------
+    let take = |q: &str| {
+        let prepared = rumble.compile(q).expect("query compiles");
+        move || prepared.take(10).expect("query runs").len()
+    };
+    // The Fig. 11 sort query: its take runs as one top-K job.
+    let top_k = r#"for $i in json-file("hdfs:///confusion.json")
+                   where $i.guess = $i.target
+                   order by $i.target, $i.country descending, $i.date descending
+                   return $i.sample"#;
+    // A clause after the `order by` keeps top-K from serving the take: the
+    // frame is range-sorted in full, then cut.
+    let sort_then_take = r#"for $i in json-file("hdfs:///confusion.json")
+                            where $i.guess = $i.target
+                            order by $i.target, $i.country descending, $i.date descending
+                            let $s := $i.sample
+                            return $s"#;
+    let taken = |q: &str| -> Vec<String> {
+        rumble.run_take(q, 10).expect("query runs").iter().map(|i| i.serialize()).collect()
+    };
+    assert_eq!(taken(top_k), taken(sort_then_take), "top-K and sort-then-take disagree");
+    let mut g = c.benchmark_group("ablation/top-k");
+    g.sample_size(10);
+    g.bench_function("top-k", {
+        let f = take(top_k);
+        move |b| b.iter(&f)
+    });
+    g.bench_function("sort-then-take", {
+        let f = take(sort_then_take);
         move |b| b.iter(&f)
     });
     g.finish();

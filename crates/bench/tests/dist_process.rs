@@ -57,6 +57,13 @@ fn process_workers_match_local_results() {
                 items
             })
             .collect();
+        // The order by's top-K take, whose one job runs next to the
+        // worker processes, equals its full sort cut short.
+        for n in [1, 10] {
+            let top: Vec<String> =
+                engine.run_take(queries[1], n).unwrap().iter().map(|i| i.serialize()).collect();
+            assert_eq!(top, outputs[1][..n], "top-{n} take diverged from the full sort");
+        }
         (outputs, sc)
     };
     let (expected, _) = run(SparkliteConf::default());

@@ -147,10 +147,28 @@ impl Rumble {
     /// rdd (fused) / dataframe), rows produced, sampled time, and open
     /// count. The shell exposes this as `:profile`.
     pub fn analyze_profile(&self, query: &str) -> Result<ProfileReport> {
+        self.profile_with(query, PreparedQuery::collect)
+    }
+
+    /// [`analyze_profile`](Self::analyze_profile) for [`run_take`]: the
+    /// query runs as `take(n)`, so a FLWOR ending in `order by` shows its
+    /// top-K plan (`mode=dataframe (top-k)`). The shell's `:profile` uses
+    /// this, since the shell takes rather than collects.
+    ///
+    /// [`run_take`]: Rumble::run_take
+    pub fn analyze_profile_take(&self, query: &str, n: usize) -> Result<ProfileReport> {
+        self.profile_with(query, |q| q.take(n))
+    }
+
+    fn profile_with(
+        &self,
+        query: &str,
+        run: impl FnOnce(&PreparedQuery) -> Result<Vec<Item>>,
+    ) -> Result<ProfileReport> {
         let (program, registry) = compile_query_profiled(query)?;
         let prepared = PreparedQuery { engine: Arc::clone(&self.engine), program };
         let started = std::time::Instant::now();
-        let items = prepared.collect()?;
+        let items = run(&prepared)?;
         let wall_us = started.elapsed().as_micros() as u64;
         Ok(ProfileReport { items, wall_us, plan: registry.render() })
     }
@@ -213,6 +231,11 @@ impl PreparedQuery {
     /// Runs and keeps at most `n` items.
     pub fn take(&self, n: usize) -> Result<Vec<Item>> {
         let ctx = self.root_ctx()?;
+        // Top-K goes first: `is_rdd` builds the full-sort frame of an
+        // `order by`, which runs its key pass into a cache.
+        if let Some(items) = self.program.body.take_ordered(&ctx, n)? {
+            return Ok(items);
+        }
         if self.program.body.is_rdd(&ctx) {
             return Ok(self.program.body.rdd(&ctx)?.take(n)?);
         }
@@ -385,6 +408,30 @@ mod tests {
         assert_eq!(plain.items, report.items);
         assert!(plain.plan.contains("mode=dataframe"), "plan:\n{}", plain.plan);
         assert!(!plain.plan.contains("mode=dataframe (fused)"), "plan:\n{}", plain.plan);
+    }
+
+    #[test]
+    fn explain_analyze_reports_top_k_for_a_take_over_order_by() {
+        let r = Rumble::default_local();
+        let lines: String =
+            (0..40).map(|i| format!("{{\"k\": {}, \"i\": {i}}}\n", i % 7)).collect();
+        r.hdfs_put("/topk.json", &lines).unwrap();
+        let q = "for $e in json-file(\"hdfs:///topk.json\") order by $e.k descending return $e.i";
+        let report = r.analyze_profile_take(q, 5).unwrap();
+        assert_eq!(report.items, r.run(q).unwrap()[..5]);
+        assert!(report.plan.contains("mode=dataframe (top-k)"), "plan:\n{}", report.plan);
+        // A collect sorts in full.
+        let full = r.analyze_profile(q).unwrap();
+        assert!(!full.plan.contains("top-k"), "plan:\n{}", full.plan);
+
+        // A return that yields nothing for the top rows falls back to the
+        // full sort, which finds the items past the cut.
+        let sparse = "for $e in json-file(\"hdfs:///topk.json\")
+                      order by $e.k descending
+                      return if ($e.k eq 0) then $e.i else ()";
+        let report = r.analyze_profile_take(sparse, 3).unwrap();
+        assert_eq!(report.items, r.run(sparse).unwrap()[..3]);
+        assert!(!report.plan.contains("top-k"), "plan:\n{}", report.plan);
     }
 
     /// The `rows=` figure of the root's first child whose label starts

@@ -20,10 +20,11 @@ use crate::item::{effective_boolean_value, group_key, seq, GroupKey, Item};
 use crate::runtime::{eval_ebv, DynamicContext, ExprRef, ItemPath};
 use sparklite::dataframe::{Agg, NamedExpr};
 use sparklite::dataframe::{
-    DataFrame, DataType, Expr as DfExpr, Field, Schema, SortDir, SortKey, Value,
+    DataFrame, DataType, Expr as DfExpr, Field, Row, Schema, SortDir, SortKey, Value,
 };
 use sparklite::rdd::task_bail;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Computes the post-clause variable list: parent variables (minus a
@@ -871,10 +872,71 @@ fn check_classes(mask: u8) -> Result<()> {
     Ok(())
 }
 
+/// The §4.8 type discovery of one ORDER BY evaluation: one slot per key,
+/// into which that key's UDF ORs the [`order_class`] of every cell it
+/// computes. A slot is loaded before it is written, so tasks stop writing
+/// (and contending for the cache line) once a class has been seen; a
+/// retried or speculative task only ORs bits again. `Relaxed` suffices:
+/// the slots publish no other data, and the driver reads them only after
+/// the job's results came back from every task, which orders the tasks'
+/// writes before the read.
+struct KeyClasses(Arc<[AtomicU8]>);
+
+impl KeyClasses {
+    fn new(keys: usize) -> KeyClasses {
+        KeyClasses((0..keys).map(|_| AtomicU8::new(0)).collect())
+    }
+
+    fn note(slots: &[AtomicU8], key: usize, cell: &Value) {
+        let class = order_class(cell);
+        let slot = &slots[key];
+        if slot.load(Ordering::Relaxed) & class != class {
+            slot.fetch_or(class, Ordering::Relaxed);
+        }
+    }
+
+    /// Raises `INCOMPATIBLE_SORT_KEYS` if a key took incompatible classes;
+    /// call once the key pass's job has finished.
+    fn check(&self) -> Result<()> {
+        self.0.iter().try_for_each(|slot| check_classes(slot.load(Ordering::Relaxed)))
+    }
+}
+
 /// `order by expr [descending] [empty greatest], …` (§4.8).
 pub struct OrderByClauseIter {
     pub parent: ClauseRef,
     pub specs: Vec<OrderSpecIter>,
+}
+
+/// A tuple frame with one sort-key column per `order by` key.
+struct KeyedFrame {
+    df: DataFrame,
+    /// The key columns with their directions, in key order.
+    keys: Vec<(String, SortDir)>,
+    /// Filled by the job that runs the key columns' UDFs.
+    classes: KeyClasses,
+}
+
+impl OrderByClauseIter {
+    /// Adds one sort-key column (`__o{i}`, the key's [`order_cell`]) per
+    /// key to `df`, each UDF noting its cells' classes in the frame's
+    /// [`KeyClasses`].
+    fn keyed(&self, mut df: DataFrame, ctx: &DynamicContext) -> Result<KeyedFrame> {
+        let classes = KeyClasses::new(self.specs.len());
+        let mut keys = Vec::with_capacity(self.specs.len());
+        for (i, spec) in self.specs.iter().enumerate() {
+            let col = format!("__o{i}");
+            let slots = Arc::clone(&classes.0);
+            let udf = row_udf(&col, Arc::clone(&spec.expr), spec.uses.clone(), ctx, move |items| {
+                let cell = order_cell(&items).unwrap_or_else(|e| task_bail(e));
+                KeyClasses::note(&slots, i, &cell);
+                cell
+            });
+            df = df.with_column(&col, udf, DataType::Any)?;
+            keys.push((col, order_dir(spec)));
+        }
+        Ok(KeyedFrame { df, keys, classes })
+    }
 }
 
 impl ClauseIterator for OrderByClauseIter {
@@ -910,48 +972,30 @@ impl ClauseIterator for OrderByClauseIter {
 
     fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
         let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
-        let mut df = f.df;
-
-        // One sort-key column per key, holding the key's `order_cell`.
-        let cols: Vec<String> = (0..self.specs.len()).map(|i| format!("__o{i}")).collect();
-        for (spec, col) in self.specs.iter().zip(&cols) {
-            let udf = row_udf(col, Arc::clone(&spec.expr), spec.uses.clone(), ctx, |items| {
-                order_cell(&items).unwrap_or_else(|e| task_bail(e))
-            });
-            df = df.with_column(col, udf, DataType::Any)?;
-        }
-
-        // Materialize once: the discovery pass and the sort's sampling +
-        // partitioning passes would otherwise each recompute the whole
-        // upstream pipeline (Spark serves these from shuffle files).
+        let KeyedFrame { df, keys, classes } = self.keyed(f.df, ctx)?;
+        // Materialize once: the sort's sampling and partitioning passes
+        // would otherwise each recompute the whole upstream pipeline (Spark
+        // serves these from shuffle files). The key pass that fills the
+        // cache also runs the §4.8 type discovery.
         let df = df.cache()?;
-
-        // Type-discovery pass (§4.8): one job OR-ing each key's classes.
-        let idx: Vec<usize> =
-            cols.iter().map(|c| df.schema().index_of(c).expect("key column")).collect();
-        let masks = df.to_rdd()?.aggregate(
-            vec![0u8; cols.len()],
-            move |mut acc, row| {
-                for (mask, i) in acc.iter_mut().zip(&idx) {
-                    *mask |= order_class(&row[*i]);
-                }
-                acc
-            },
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x |= y;
-                }
-                a
-            },
-        )?;
-        for mask in masks {
-            check_classes(mask)?;
-        }
-
-        // The sort on the key cells, then drop the scaffolding.
-        let sort_keys = cols.iter().cloned().zip(self.specs.iter().map(order_dir)).collect();
+        classes.check()?;
+        let cols: Vec<String> = keys.iter().map(|(c, _)| c.clone()).collect();
         let col_refs: Vec<&str> = cols.iter().map(|c| c.as_str()).collect();
-        let df = df.order_by(sort_keys)?.drop_columns(&col_refs)?;
+        let df = df.order_by(keys)?.drop_columns(&col_refs)?;
         Ok(Some(TupleFrame { df, vars: f.vars }))
+    }
+
+    fn take_ordered(
+        &self,
+        ctx: &DynamicContext,
+        n: usize,
+    ) -> Result<Option<(Arc<Schema>, Vec<Row>)>> {
+        let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
+        let KeyedFrame { df, keys, classes } = self.keyed(f.df, ctx)?;
+        // One top-K job: no cache, no range sort, and every row's key still
+        // computed, so type discovery sees the rows outside the top `n`.
+        let rows = df.order_by(keys)?.limit(n).collect_rows()?;
+        classes.check()?;
+        Ok(Some((Arc::clone(df.schema()), rows)))
     }
 }

@@ -30,7 +30,7 @@ pub mod clauses;
 use crate::error::Result;
 use crate::item::{decode_items, encode_items, Item, Sequence};
 use crate::runtime::{cursor_of, DynamicContext, ExprIterator, ExprRef, ItemCursor};
-use sparklite::dataframe::{DataFrame, ExtCell, Schema, Value};
+use sparklite::dataframe::{DataFrame, ExtCell, Row, Schema, Value};
 use sparklite::rdd::{task_bail, Rdd};
 use std::any::Any;
 use std::sync::Arc;
@@ -106,6 +106,17 @@ pub trait ClauseIterator: Send + Sync {
     /// without the tuple-frame DataFrame detour.
     fn fused_scan(&self) -> Option<FusedScan> {
         None
+    }
+
+    /// The first `n` tuples of the stream as rows of a tuple frame with
+    /// the frame's schema, computed with one top-K job. `Some` only for an
+    /// `order by` over a distributable stream.
+    fn take_ordered(
+        &self,
+        _ctx: &DynamicContext,
+        _n: usize,
+    ) -> Result<Option<(Arc<Schema>, Vec<Row>)>> {
+        Ok(None)
     }
 }
 
@@ -192,7 +203,7 @@ pub struct FlworIter {
     pub return_uses: Vec<Arc<str>>,
     /// Memo of the last `frame()` probe, keyed by context identity.
     /// `is_rdd` and `rdd` are both asked per evaluation; without the memo an
-    /// order-by frame would run its cache/type-discovery jobs twice.
+    /// order-by frame would run its cache-filling key pass twice.
     frame_memo: parking_lot::Mutex<Option<(usize, Option<TupleFrame>)>>,
 }
 
@@ -308,6 +319,28 @@ impl ExprIterator for FlworIter {
             Ok(items) => items,
             Err(e) => task_bail(e),
         }))
+    }
+
+    fn take_ordered(&self, ctx: &DynamicContext, n: usize) -> Result<Option<Vec<Item>>> {
+        if n == 0 || ctx.in_executor() {
+            return Ok(None);
+        }
+        let Some((schema, rows)) = self.last.take_ordered(ctx, n)? else { return Ok(None) };
+        // The return clause runs on the driver, over at most `n` rows in
+        // order, and stops as soon as it has `n` items.
+        let ret = clauses::RowExpr::new(&self.return_expr, &self.return_uses, ctx);
+        let mut out = Vec::with_capacity(n);
+        for row in &rows {
+            out.extend(ret.eval(&schema, row)?);
+            if out.len() >= n {
+                out.truncate(n);
+                return Ok(Some(out));
+            }
+        }
+        // Short of `n` items: complete only if no row was cut; otherwise
+        // the rows past the cut may still yield items, so the full sort
+        // answers instead.
+        Ok((rows.len() < n).then_some(out))
     }
 
     fn mode_hint(&self, ctx: &DynamicContext) -> Option<&'static str> {

@@ -301,6 +301,17 @@ pub trait ExprIterator: Send + Sync {
         None
     }
 
+    /// The first `n` items, computed with one top-K job, when this
+    /// expression has that shape (a FLWOR whose last clause is `order by`,
+    /// over a distributable tuple stream). `None` means the caller takes
+    /// from [`rdd`] or [`open`] as usual.
+    ///
+    /// [`rdd`]: ExprIterator::rdd
+    /// [`open`]: ExprIterator::open
+    fn take_ordered(&self, _ctx: &DynamicContext, _n: usize) -> Result<Option<Vec<Item>>> {
+        Ok(None)
+    }
+
     /// A short static description of the distributed strategy [`rdd`] would
     /// use in `ctx`, for `EXPLAIN ANALYZE` — e.g. `"rdd (fused)"`,
     /// `"dataframe"` (columnar batch execution) or `"dataframe (fused)"`

@@ -4,8 +4,8 @@
 //! wraps every runtime iterator in a [`ProfiledIter`] that records, per plan
 //! node: how many times it was opened, how many items it produced, a sampled
 //! wall-time estimate, and which execution mode actually ran (local cursor,
-//! RDD, fused RDD scan, columnar DataFrame, or fused columnar DataFrame
-//! pipeline). The [`ProfileRegistry`] collects one
+//! RDD, fused RDD scan, columnar DataFrame, fused columnar DataFrame
+//! pipeline, or a DataFrame top-K `take`). The [`ProfileRegistry`] collects one
 //! [`NodeStats`] per node at compile time and renders the annotated plan
 //! tree after execution.
 //!
@@ -35,6 +35,7 @@ const MODE_RDD: u8 = 2;
 const MODE_RDD_FUSED: u8 = 3;
 const MODE_DATAFRAME: u8 = 4;
 const MODE_DATAFRAME_FUSED: u8 = 5;
+const MODE_DATAFRAME_TOP_K: u8 = 6;
 
 fn mode_code(name: &str) -> u8 {
     match name {
@@ -43,6 +44,7 @@ fn mode_code(name: &str) -> u8 {
         "rdd (fused)" => MODE_RDD_FUSED,
         "dataframe" => MODE_DATAFRAME,
         "dataframe (fused)" => MODE_DATAFRAME_FUSED,
+        "dataframe (top-k)" => MODE_DATAFRAME_TOP_K,
         _ => MODE_NONE,
     }
 }
@@ -54,6 +56,7 @@ fn mode_name(code: u8) -> &'static str {
         MODE_RDD_FUSED => "rdd (fused)",
         MODE_DATAFRAME => "dataframe",
         MODE_DATAFRAME_FUSED => "dataframe (fused)",
+        MODE_DATAFRAME_TOP_K => "dataframe (top-k)",
         _ => "-",
     }
 }
@@ -322,6 +325,18 @@ impl ExprIterator for ProfiledIter {
         Some(Arc::new(move |items: &[Item]| stats.evaluation(|| inner(items))))
     }
 
+    fn take_ordered(&self, ctx: &DynamicContext, n: usize) -> Result<Option<Vec<Item>>> {
+        let t0 = Instant::now();
+        let items = self.inner.take_ordered(ctx, n)?;
+        if let Some(items) = &items {
+            self.stats.note_open();
+            self.stats.raise_mode("dataframe (top-k)");
+            self.stats.add_rows(items.len() as u64);
+            self.stats.add_ns(t0.elapsed().as_nanos() as u64);
+        }
+        Ok(items)
+    }
+
     fn mode_hint(&self, ctx: &DynamicContext) -> Option<&'static str> {
         self.inner.mode_hint(ctx)
     }
@@ -360,7 +375,9 @@ mod tests {
 
     #[test]
     fn mode_codes_round_trip_and_order() {
-        for m in ["local", "rdd", "rdd (fused)", "dataframe", "dataframe (fused)"] {
+        for m in
+            ["local", "rdd", "rdd (fused)", "dataframe", "dataframe (fused)", "dataframe (top-k)"]
+        {
             assert_eq!(mode_name(mode_code(m)), m);
         }
         assert!(mode_code("dataframe (fused)") > mode_code("dataframe"));

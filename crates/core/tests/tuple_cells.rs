@@ -277,3 +277,96 @@ fn every_path_raises_the_same_error_code() {
         }
     }
 }
+
+/// ORDER BY FLWORs for the top-K `take(n)`: the `order by` cases above
+/// plus keys with ties (no position key, so stability decides), and return
+/// expressions yielding 0, 1 or 2 items per tuple (a tuple yielding none
+/// can leave the top `n` rows short of `n` items).
+const TOP_K: &[(&str, &str)] = &[
+    ("ties on one boolean key", r#"for $r in SRC order by $r.b return $r.id"#),
+    (
+        "ties on two keys, descending",
+        r#"for $r in SRC order by $r.nested.k descending empty greatest, $r.b return [$r.id, $r.b]"#,
+    ),
+    (
+        "a return of 0 or 2 items per tuple",
+        r#"for $r in SRC order by $r.z return if ($r.b) then ($r.id, $r.z) else ()"#,
+    ),
+    ("a return that is mostly empty", r#"for $r in SRC order by $r.b return $r.tags[][2]"#),
+];
+
+fn take_outcome(r: &Rumble, q: &str, n: usize) -> Result<Vec<String>, &'static str> {
+    Ok(r.run_take(q, n).map_err(|e| e.code)?.iter().map(|i| i.serialize()).collect())
+}
+
+#[test]
+fn top_k_take_matches_the_full_sort_on_every_path() {
+    let paths = paths(0x70C);
+    let threads = &paths[0].1;
+    let order_cases = CASES.iter().filter(|c| c.query.contains("order by"));
+    let queries: Vec<&str> =
+        order_cases.map(|c| c.query).chain(TOP_K.iter().map(|(_, q)| *q)).collect();
+    for q in queries {
+        let (dq, lq) = (distributed(q), local(q));
+        let full = outcome(threads, &dq, false).unwrap_or_else(|c| panic!("{q}: {c}"));
+        for n in [1usize, 10, 57, full.len() + 5] {
+            let expected: Vec<String> = full.iter().take(n).cloned().collect();
+            assert_eq!(take_outcome(threads, &lq, n), Ok(expected.clone()), "{q}: local, n={n}");
+            for (path, r) in &paths {
+                assert_eq!(take_outcome(r, &dq, n), Ok(expected.clone()), "{q}: {path}, n={n}");
+            }
+        }
+    }
+}
+
+/// A mixed-type order key, or a key that is not atomic, in a row that the
+/// top `n` does not keep still fails every path with the same code: the
+/// top-K job computes every row's key.
+#[test]
+fn top_k_take_raises_errors_from_rows_outside_the_top() {
+    let paths = paths(0x7E4);
+    let cases = [
+        (
+            "a string among number keys",
+            r#"for $r in SRC where $r.id instance of integer
+               order by if ($r.id eq 698) then "late" else $r.id return $r.id"#,
+        ),
+        (
+            "an array key",
+            r#"for $r in SRC where $r.id instance of integer
+               order by if ($r.id eq 698) then [1] else $r.id return $r.id"#,
+        ),
+    ];
+    for (name, q) in cases {
+        let expected = outcome(&paths[0].1, &local(q), false).expect_err(name);
+        assert_eq!(expected, "XPTY0004", "{name}");
+        assert_eq!(take_outcome(&paths[0].1, &local(q), 3), Err(expected), "{name}: local take");
+        for (path, r) in &paths {
+            assert_eq!(take_outcome(r, &distributed(q), 3), Err(expected), "{name} on {path}");
+        }
+    }
+}
+
+/// Jobs of a full ORDER BY `collect()`: the cache-filling key pass (which
+/// also discovers the key types, with no job of its own), the range
+/// sort's sampling, map and sort passes, and the collect.
+const FULL_SORT_JOBS: u64 = 5;
+
+/// Jobs one action launches on a warm engine (the source already cached).
+fn jobs_of(r: &Rumble, action: impl Fn(&Rumble)) -> u64 {
+    action(r);
+    let before = r.sparklite().metrics().jobs;
+    action(r);
+    r.sparklite().metrics().jobs - before
+}
+
+#[test]
+fn order_by_job_counts() {
+    let r = engine(|c| c);
+    let q =
+        distributed(r#"for $r in SRC where $r.v instance of integer order by $r.v return $r.id"#);
+    // Top-K: one job, where the full sort would fill a cache, sample, map,
+    // sort and take.
+    assert_eq!(jobs_of(&r, |r| drop(r.run_take(&q, 10).unwrap())), 1);
+    assert_eq!(jobs_of(&r, |r| drop(r.run(&q).unwrap())), FULL_SORT_JOBS);
+}

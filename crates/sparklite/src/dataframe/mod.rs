@@ -431,8 +431,8 @@ impl DataFrame {
     }
 
     /// Persists the frame at [`StorageLevel::MemoryDeserialized`] so that
-    /// several downstream passes (e.g. a type discovery pass followed by a
-    /// sort) do not recompute the pipeline — the role Spark's `.cache()`
+    /// several downstream passes (e.g. a sort's sampling and partitioning
+    /// passes) do not recompute the pipeline — the role Spark's `.cache()`
     /// plays. Unlike the historical driver-funnel implementation, rows stay
     /// on the executors: partitions land in the [`CacheManager`] where the
     /// task that first computes them runs.
@@ -482,8 +482,14 @@ impl DataFrame {
     /// disables) and reports every rule firing to the event bus as an
     /// [`crate::events::Event::OptimizerRuleFired`].
     pub fn to_rdd(&self) -> Result<Rdd<Row>> {
+        plan::compile(&self.core, &self.optimized())
+    }
+
+    /// The plan [`to_rdd`](Self::to_rdd) compiles, with its rule firings
+    /// reported to the event bus.
+    fn optimized(&self) -> Arc<LogicalPlan> {
         let opt_conf = &self.core.conf.optimizer;
-        let optimized = if opt_conf.enabled {
+        if opt_conf.enabled {
             let engine = Optimizer::standard().without_rules(&opt_conf.disabled_rules);
             let (optimized, trace) = engine.run(Arc::clone(&self.plan));
             for fire in &trace.fires {
@@ -501,8 +507,7 @@ impl DataFrame {
             optimized
         } else {
             Arc::clone(&self.plan)
-        };
-        plan::compile(&self.core, &optimized)
+        }
     }
 
     /// Whether compiling this frame (under the context's optimizer and
@@ -530,8 +535,10 @@ impl DataFrame {
         fused_pipeline_ops(&plan) >= 2
     }
 
+    /// Runs the frame to driver rows. A `limit` directly over an
+    /// `order_by` runs as one top-K job.
     pub fn collect_rows(&self) -> Result<Vec<Row>> {
-        self.to_rdd()?.collect()
+        plan::collect(&self.core, &self.optimized())
     }
 
     pub fn count(&self) -> Result<u64> {

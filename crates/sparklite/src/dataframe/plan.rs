@@ -344,6 +344,14 @@ pub enum LogicalPlan {
     },
 }
 
+/// ORDER BY keys: each column with its direction, most significant first.
+type OrderKeys = [(String, SortDir)];
+
+/// An ORDER BY key list as EXPLAIN prints it.
+fn render_keys(keys: &OrderKeys) -> String {
+    keys.iter().map(|(k, d)| format!("{k} {d:?}")).collect::<Vec<_>>().join(", ")
+}
+
 impl LogicalPlan {
     pub fn schema(&self) -> &Arc<Schema> {
         match self {
@@ -355,6 +363,18 @@ impl LogicalPlan {
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::OrderBy { input, .. }
             | LogicalPlan::Limit { input, .. } => input.schema(),
+        }
+    }
+
+    /// The top-K shape: a `Limit` directly over an `OrderBy`, as the
+    /// sort's input, its keys and the limit.
+    fn take_ordered_parts(&self) -> Option<(&Arc<LogicalPlan>, &OrderKeys, usize)> {
+        match self {
+            LogicalPlan::Limit { input, n } => match input.as_ref() {
+                LogicalPlan::OrderBy { input, keys } => Some((input, keys, *n)),
+                _ => None,
+            },
+            _ => None,
         }
     }
 
@@ -459,18 +479,24 @@ impl LogicalPlan {
                 input.render_into(out, depth + 1);
             }
             LogicalPlan::OrderBy { input, keys } => {
-                let keys: Vec<String> = keys.iter().map(|(k, d)| format!("{k} {d:?}")).collect();
-                out.push_str(&format!("OrderBy [{}]\n", keys.join(", ")));
+                out.push_str(&format!("OrderBy [{}]\n", render_keys(keys)));
                 input.render_into(out, depth + 1);
             }
             LogicalPlan::ZipWithIndex { input, name, start, .. } => {
                 out.push_str(&format!("ZipWithIndex {name} from {start}\n"));
                 input.render_into(out, depth + 1);
             }
-            LogicalPlan::Limit { input, n } => {
-                out.push_str(&format!("Limit {n}\n"));
-                input.render_into(out, depth + 1);
-            }
+            // Limit over OrderBy executes as one top-K job, and says so.
+            LogicalPlan::Limit { input, n } => match self.take_ordered_parts() {
+                Some((input, keys, _)) => {
+                    out.push_str(&format!("TakeOrdered n={n} [{}]\n", render_keys(keys)));
+                    input.render_into(out, depth + 1);
+                }
+                None => {
+                    out.push_str(&format!("Limit {n}\n"));
+                    input.render_into(out, depth + 1);
+                }
+            },
         }
     }
 
@@ -842,10 +868,48 @@ fn compile_row_major(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Ro
             }))
         }
         LogicalPlan::Limit { input, n } => {
-            let rdd = compile_row_major(core, input)?;
-            let rows = rdd.take(*n)?;
-            Ok(Rdd::new(Arc::clone(core), Arc::new(FromPartitionsRdd::new(vec![rows]))))
+            let rows = match plan.take_ordered_parts() {
+                Some((input, keys, n)) => take_ordered(core, input, keys, n)?,
+                None => compile_row_major(core, input)?.take(*n)?,
+            };
+            Ok(rows_rdd(core, rows))
         }
+    }
+}
+
+/// A one-partition RDD over rows a LIMIT already cut on the driver.
+fn rows_rdd(core: &Arc<Core>, rows: Vec<Row>) -> Rdd<Row> {
+    Rdd::new(Arc::clone(core), Arc::new(FromPartitionsRdd::new(vec![rows])))
+}
+
+/// Top-K: the first `n` rows of `input` under `OrderBy keys`, in one job
+/// ([`Rdd::take_ordered`], Spark's `TakeOrderedAndProjectExec`). The rows
+/// and their order, ties included, are those of the full range sort
+/// followed by a cut, on the same per-path key: materialized `SortKey`s on
+/// the row-major path, normalized byte keys on the columnar one.
+fn take_ordered(
+    core: &Arc<Core>,
+    input: &Arc<LogicalPlan>,
+    keys: &OrderKeys,
+    n: usize,
+) -> Result<Vec<Row>> {
+    let spec = sort_spec(input.schema(), keys)?;
+    if core.conf.exec.row_major {
+        compile_row_major(core, input)?.take_ordered(n, move |row| {
+            spec.iter().map(|(i, d)| SortKey::new(row[*i].clone(), *d)).collect::<Vec<SortKey>>()
+        })
+    } else {
+        compile_columnar(core, input)?
+            .take_ordered(n, move |row| batch::encode_row_sort_key(row, &spec))
+    }
+}
+
+/// Runs a plan to driver rows. A root `Limit` over `OrderBy` is the top-K
+/// job itself, so its rows come back without a second job over the cut.
+pub(crate) fn collect(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Vec<Row>> {
+    match plan.take_ordered_parts() {
+        Some((input, keys, n)) => take_ordered(core, input, keys, n),
+        None => compile(core, plan)?.collect(),
     }
 }
 
@@ -1090,6 +1154,9 @@ fn segment_rows(core: &Arc<Core>, source: Rdd<Row>, seg: Arc<SegmentPlan>) -> Rd
 /// whatever is below it as a boundary, and executes the suffix as one fused
 /// pass over [`ColumnBatch`]es of `ExecConf::batch_size` rows.
 fn compile_columnar(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Row>> {
+    if let Some((input, keys, n)) = plan.take_ordered_parts() {
+        return Ok(rows_rdd(core, take_ordered(core, input, keys, n)?));
+    }
     let (ops, global_limit, node) = peel_ops(plan)?;
     let source = compile_boundary(core, node)?;
     if ops.is_empty() {
@@ -1098,10 +1165,7 @@ fn compile_columnar(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Row
     let seg = Arc::new(SegmentPlan { ops, width: node.schema().len() });
     let fused = segment_rows(core, source, seg);
     match global_limit {
-        Some(n) => {
-            let rows = fused.take(n)?;
-            Ok(Rdd::new(Arc::clone(core), Arc::new(FromPartitionsRdd::new(vec![rows]))))
-        }
+        Some(n) => Ok(rows_rdd(core, fused.take(n)?)),
         None => Ok(fused),
     }
 }

@@ -27,6 +27,8 @@ use crate::error::Result;
 use crate::executor::TaskContext;
 use crate::storage::{read_local_blocks, resolve_scheme, PathScheme};
 use crate::Data;
+use std::cmp::Ordering as CmpOrdering;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// The iterator type produced by partition computations.
@@ -283,6 +285,49 @@ impl<T: Data> Rdd<T> {
         Ok(out)
     }
 
+    /// The `n` smallest elements by `key_fn`, in ascending key order, in one
+    /// job — Spark's `takeOrdered`. Each partition keeps a bounded max-heap
+    /// on `(key, position)` and the driver merges the heaps. Ties keep
+    /// partition order, then position order: exactly the order
+    /// [`sort_by`](Self::sort_by)`(key_fn, true, _)` emits (its range
+    /// buckets concatenate map outputs in partition order and sort
+    /// stably), so the result equals that sort followed by `take(n)`.
+    pub fn take_ordered<K: Data + Ord>(
+        &self,
+        n: usize,
+        key_fn: impl Fn(&T) -> K + Send + Sync + 'static,
+    ) -> Result<Vec<T>> {
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        let parts = self.core.run_partitions(
+            &self.op,
+            Arc::new(move |iter: BoxIter<T>, _| {
+                let mut heap: BinaryHeap<Ranked<K, T>> = BinaryHeap::with_capacity(n);
+                for (pos, item) in iter.enumerate() {
+                    let key = key_fn(&item);
+                    if heap.len() < n {
+                        heap.push(Ranked { key, pos, item });
+                    } else if let Some(mut top) = heap.peek_mut() {
+                        // A later position loses a tie, so only a strictly
+                        // smaller key displaces the current worst.
+                        if key < top.key {
+                            *top = Ranked { key, pos, item };
+                        }
+                    }
+                }
+                heap.into_sorted_vec()
+            }),
+        )?;
+        // Each partition's run is sorted by (key, position); a stable sort
+        // on the key over their concatenation (in partition order) is the
+        // (key, partition, position) merge.
+        let mut all: Vec<Ranked<K, T>> = parts.into_iter().flatten().collect();
+        all.sort_by(|a, b| a.key.cmp(&b.key));
+        all.truncate(n);
+        Ok(all.into_iter().map(|r| r.item).collect())
+    }
+
     pub fn first(&self) -> Result<Option<T>> {
         Ok(self.take(1)?.into_iter().next())
     }
@@ -323,6 +368,34 @@ impl<T: Data> Rdd<T> {
             Arc::new(move |iter: BoxIter<T>, _| iter.for_each(|x| f(x))),
         )?;
         Ok(())
+    }
+}
+
+/// One [`Rdd::take_ordered`] candidate, ordered by `(key, pos)`.
+#[derive(Clone)]
+struct Ranked<K, T> {
+    key: K,
+    pos: usize,
+    item: T,
+}
+
+impl<K: Ord, T> PartialEq for Ranked<K, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == CmpOrdering::Equal
+    }
+}
+
+impl<K: Ord, T> Eq for Ranked<K, T> {}
+
+impl<K: Ord, T> PartialOrd for Ranked<K, T> {
+    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<K: Ord, T> Ord for Ranked<K, T> {
+    fn cmp(&self, other: &Self) -> CmpOrdering {
+        self.key.cmp(&other.key).then(self.pos.cmp(&other.pos))
     }
 }
 
@@ -694,6 +767,19 @@ mod tests {
         assert_eq!(rdd.take(0).unwrap(), Vec::<i32>::new());
         assert_eq!(rdd.take(2000).unwrap().len(), 1000);
         assert_eq!(rdd.first().unwrap(), Some(0));
+    }
+
+    #[test]
+    fn take_ordered_is_sort_then_take_ties_included() {
+        let sc = sc();
+        // 11 keys over 300 rows: each key ties ~27 rows across partition
+        // seams, and the payload shows the order ties come back in.
+        let rdd = sc.parallelize((0..300i64).map(|i| ((i * 37) % 11, i)).collect::<Vec<_>>(), 6);
+        let sorted = rdd.sort_by(|p| p.0, true, 4).collect().unwrap();
+        for n in [0usize, 1, 7, 40, 300, 1000] {
+            let top = rdd.take_ordered(n, |p| p.0).unwrap();
+            assert_eq!(top, sorted[..n.min(sorted.len())], "n={n}");
+        }
     }
 
     #[test]

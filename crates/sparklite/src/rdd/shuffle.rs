@@ -565,109 +565,33 @@ impl<T: Data, K: Data + Ord> Preparable for SortedRdd<T, K> {
                 .collect()
         });
 
-        // Pass 2: range-partition every element (always by ascending key).
-        // Named so lineage recovery can re-run lost map outputs.
-        let key_fn = Arc::clone(&self.key_fn);
-        let num = self.num_parts;
-        let b = Arc::clone(&bounds);
-        #[allow(clippy::type_complexity)]
-        let map_f: Arc<dyn Fn(BoxIter<T>, &TaskContext) -> Vec<Vec<T>> + Send + Sync> =
-            Arc::new(move |iter: BoxIter<T>, tc: &TaskContext| {
-                let mut blocks: Vec<Vec<T>> = (0..num).map(|_| Vec::new()).collect();
-                let mut records = 0u64;
-                for item in iter {
-                    let k = key_fn(&item);
-                    let idx = b.partition_point(|bound| *bound < k).min(num - 1);
-                    blocks[idx].push(item);
-                    records += 1;
-                }
-                note_shuffle_write(tc, records, records * std::mem::size_of::<T>() as u64);
-                blocks
-            });
-        let mut map_outputs = self.core.run_partitions(&self.parent, Arc::clone(&map_f))?;
-        let shuffle_id =
-            recover_lost_map_outputs(&self.core, &self.parent, &map_f, &mut map_outputs)?;
         if let (Some(cluster), Some(codec)) = (active_cluster(&self.core), self.codec.clone()) {
-            // Distributed range shuffle: push pass-2 blocks to executors,
-            // have each pass-3 sort task fetch its range bucket back. The
-            // fetched concatenation matches the local transpose order, and
-            // the sort is stable, so output stays byte-identical.
-            let num_maps = map_outputs.len();
-            for (map_part, blocks) in map_outputs.iter().enumerate() {
-                push_blocks(&cluster, codec.as_ref(), shuffle_id, map_part, blocks)?;
-            }
-            let repush: Repush = {
-                let core = Arc::clone(&self.core);
-                let parent = Arc::clone(&self.parent);
-                let map_f = Arc::clone(&map_f);
-                let codec = Arc::clone(&codec);
-                let cluster = Arc::clone(&cluster);
-                Arc::new(move |lost: &[usize]| {
-                    core.events.emit(Event::LineageRecovery {
-                        shuffle: shuffle_id,
-                        lost: lost.len() as u64,
-                    });
-                    let recomputed =
-                        core.run_partition_subset(&parent, Arc::clone(&map_f), lost)?;
-                    for (&map_part, blocks) in lost.iter().zip(&recomputed) {
-                        push_blocks(&cluster, codec.as_ref(), shuffle_id, map_part, blocks)?;
-                    }
-                    Ok(())
-                })
-            };
-            let remote = Arc::new(RemoteShuffle {
-                shuffle: shuffle_id,
-                num_maps,
-                codec,
-                cluster: Arc::clone(&cluster),
-                repush,
-                recovery: Mutex::new(()),
-            });
-            let key_fn = Arc::clone(&self.key_fn);
-            let ascending = self.ascending;
-            let tasks: Vec<_> = (0..num)
-                .map(|r| {
-                    let remote = Arc::clone(&remote);
-                    let key_fn = Arc::clone(&key_fn);
-                    // Naturally re-runnable: a retry just fetches again.
-                    move |_tc: &TaskContext| {
-                        let mut bucket: Vec<T> = remote.fetch_concat(r);
-                        bucket.sort_by_cached_key(|t| key_fn(t));
-                        if !ascending {
-                            bucket.reverse();
-                        }
-                        bucket
-                    }
-                })
-                .collect();
-            let mut sorted = self.core.pool.run(tasks)?;
-            if !self.ascending {
-                sorted.reverse();
-            }
-            let _ = self.sorted.set(Arc::new(sorted));
-            // The sorted output is driver-local, so `remote` dies here and
-            // its Drop releases the shuffle's blocks cluster-wide.
-            return Ok(());
+            return self.prepare_remote(&bounds, cluster, codec);
         }
-        let mut buckets: Vec<Vec<T>> = (0..num).map(|_| Vec::new()).collect();
+
+        // Pass 2: range-partition every element (always by ascending key),
+        // keeping the key that routed it for pass 3.
+        let map_f = range_map(&self.key_fn, &bounds, self.num_parts, |k, t| (k, t));
+        let mut map_outputs = self.core.run_partitions(&self.parent, Arc::clone(&map_f))?;
+        recover_lost_map_outputs(&self.core, &self.parent, &map_f, &mut map_outputs)?;
+        let mut buckets: Vec<Vec<(K, T)>> = (0..self.num_parts).map(|_| Vec::new()).collect();
         for mut out in map_outputs {
             for (r, block) in out.drain(..).enumerate() {
                 buckets[r].extend(block);
             }
         }
 
-        // Pass 3: sort each partition in parallel on the pool. Task bodies
-        // must be re-runnable (`Fn`): when the fault plan is armed (chaos or
-        // speculation can launch a second attempt of the same task) each
-        // task *clones* its bucket out of the slot; otherwise it takes it,
-        // keeping the fault-free fast path move-only.
-        let key_fn = Arc::clone(&self.key_fn);
+        // Pass 3: sort each partition in parallel on the pool, on the keys
+        // pass 2 computed. Task bodies must be re-runnable (`Fn`): when the
+        // fault plan is armed (chaos or speculation can launch a second
+        // attempt of the same task) each task *clones* its bucket out of the
+        // slot; otherwise it takes it, keeping the fault-free fast path
+        // move-only.
         let ascending = self.ascending;
         let armed = self.core.injector.armed();
         let tasks: Vec<_> = buckets
             .into_iter()
             .map(|bucket| {
-                let key_fn = Arc::clone(&key_fn);
                 let slot = Mutex::new(Some(bucket));
                 move |_tc: &TaskContext| {
                     let taken = {
@@ -683,6 +607,107 @@ impl<T: Data, K: Data + Ord> Preparable for SortedRdd<T, K> {
                         // re-run; deterministic, so fail fast.
                         super::task_bail("sort bucket already consumed by an earlier attempt")
                     };
+                    bucket.sort_by(|a, b| a.0.cmp(&b.0));
+                    let mut sorted: Vec<T> = bucket.into_iter().map(|(_, t)| t).collect();
+                    if !ascending {
+                        sorted.reverse();
+                    }
+                    sorted
+                }
+            })
+            .collect();
+        self.finish(self.core.pool.run(tasks)?);
+        Ok(())
+    }
+}
+
+/// Pass 2 of a range sort: one map task's per-range blocks, each element
+/// routed by its key and stored as `entry(key, element)`. Named so lineage
+/// recovery can re-run lost map outputs.
+#[allow(clippy::type_complexity)] // shares run_partitions' callback signature
+fn range_map<T: Data, K: Data + Ord, U: Data>(
+    key_fn: &Arc<dyn Fn(&T) -> K + Send + Sync>,
+    bounds: &Arc<Vec<K>>,
+    num: usize,
+    entry: fn(K, T) -> U,
+) -> Arc<dyn Fn(BoxIter<T>, &TaskContext) -> Vec<Vec<U>> + Send + Sync> {
+    let key_fn = Arc::clone(key_fn);
+    let bounds = Arc::clone(bounds);
+    Arc::new(move |iter: BoxIter<T>, tc: &TaskContext| {
+        let mut blocks: Vec<Vec<U>> = (0..num).map(|_| Vec::new()).collect();
+        let mut records = 0u64;
+        for item in iter {
+            let k = key_fn(&item);
+            let idx = bounds.partition_point(|bound| *bound < k).min(num - 1);
+            blocks[idx].push(entry(k, item));
+            records += 1;
+        }
+        note_shuffle_write(tc, records, records * std::mem::size_of::<T>() as u64);
+        blocks
+    })
+}
+
+impl<T: Data, K: Data + Ord> SortedRdd<T, K> {
+    /// Stores the per-range sorted partitions, highest range first for a
+    /// descending sort.
+    fn finish(&self, mut sorted: Vec<Vec<T>>) {
+        if !self.ascending {
+            sorted.reverse();
+        }
+        let _ = self.sorted.set(Arc::new(sorted));
+    }
+
+    /// Passes 2 and 3 through the distributed block service: push the
+    /// pass-2 blocks to executors, have each pass-3 sort task fetch its
+    /// range bucket back and re-key it. The fetched concatenation matches
+    /// the local transpose order, and the sort is stable, so output stays
+    /// byte-identical.
+    fn prepare_remote(
+        &self,
+        bounds: &Arc<Vec<K>>,
+        cluster: Arc<Cluster>,
+        codec: Arc<dyn CacheCodec<T>>,
+    ) -> Result<()> {
+        let num = self.num_parts;
+        let map_f = range_map(&self.key_fn, bounds, num, |_, t| t);
+        let mut map_outputs = self.core.run_partitions(&self.parent, Arc::clone(&map_f))?;
+        let shuffle_id =
+            recover_lost_map_outputs(&self.core, &self.parent, &map_f, &mut map_outputs)?;
+        let num_maps = map_outputs.len();
+        for (map_part, blocks) in map_outputs.iter().enumerate() {
+            push_blocks(&cluster, codec.as_ref(), shuffle_id, map_part, blocks)?;
+        }
+        let repush: Repush = {
+            let core = Arc::clone(&self.core);
+            let parent = Arc::clone(&self.parent);
+            let codec = Arc::clone(&codec);
+            let cluster = Arc::clone(&cluster);
+            Arc::new(move |lost: &[usize]| {
+                core.events
+                    .emit(Event::LineageRecovery { shuffle: shuffle_id, lost: lost.len() as u64 });
+                let recomputed = core.run_partition_subset(&parent, Arc::clone(&map_f), lost)?;
+                for (&map_part, blocks) in lost.iter().zip(&recomputed) {
+                    push_blocks(&cluster, codec.as_ref(), shuffle_id, map_part, blocks)?;
+                }
+                Ok(())
+            })
+        };
+        let remote = Arc::new(RemoteShuffle {
+            shuffle: shuffle_id,
+            num_maps,
+            codec,
+            cluster: Arc::clone(&cluster),
+            repush,
+            recovery: Mutex::new(()),
+        });
+        let ascending = self.ascending;
+        let tasks: Vec<_> = (0..num)
+            .map(|r| {
+                let remote = Arc::clone(&remote);
+                let key_fn = Arc::clone(&self.key_fn);
+                // Naturally re-runnable: a retry just fetches again.
+                move |_tc: &TaskContext| {
+                    let mut bucket: Vec<T> = remote.fetch_concat(r);
                     bucket.sort_by_cached_key(|t| key_fn(t));
                     if !ascending {
                         bucket.reverse();
@@ -691,12 +716,9 @@ impl<T: Data, K: Data + Ord> Preparable for SortedRdd<T, K> {
                 }
             })
             .collect();
-        let mut sorted = self.core.pool.run(tasks)?;
-        if !self.ascending {
-            // Descending global order: highest range first.
-            sorted.reverse();
-        }
-        let _ = self.sorted.set(Arc::new(sorted));
+        self.finish(self.core.pool.run(tasks)?);
+        // The sorted output is driver-local, so `remote` dies here and its
+        // Drop releases the shuffle's blocks cluster-wide.
         Ok(())
     }
 }

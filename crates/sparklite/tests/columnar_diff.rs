@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use sparklite::dataframe::{
     Agg, CmpOp, DataFrame, DataType, Expr, Field, NamedExpr, Row, RowCodec, Schema, SortDir, Value,
 };
-use sparklite::{CacheCodec, SparkliteConf, SparkliteContext};
+use sparklite::{CacheCodec, FaultPlan, SparkliteConf, SparkliteContext};
 
 /// The physical execution paths under differential test.
 #[derive(Debug, Clone, Copy)]
@@ -312,4 +312,106 @@ fn float_payloads_survive_bit_exactly() {
     };
     let baseline = run(Mode::RowMajor);
     assert_eq!(run(Mode::Vectorized), baseline, "columnar diverged");
+}
+
+/// Every path a `Limit` over an `OrderBy` runs on: the row-major and
+/// columnar compilers, the columnar one under 20% seeded chaos, and with
+/// two executor workers behind the block service.
+fn top_k_paths() -> Vec<(&'static str, SparkliteContext)> {
+    let base = || SparkliteConf::default().with_executors(3).with_optimizer(false);
+    vec![
+        ("row-major", SparkliteContext::new(base().with_row_major(true))),
+        ("columnar", SparkliteContext::new(base().with_batch_size(7))),
+        ("chaos", SparkliteContext::new(base().with_faults(FaultPlan::chaos(0x70C, 0.2)))),
+        ("workers", SparkliteContext::new(base().with_dist_threads(2))),
+    ]
+}
+
+/// Rows whose sort keys tie heavily (`k` takes 4 values, `s` 3 plus NULL)
+/// and carry NULLs, with a unique payload so any reordering of ties shows.
+fn tie_frame(ctx: &SparkliteContext, rows: i64) -> DataFrame {
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::I64),
+        Field::new("s", DataType::Str),
+        Field::new("f", DataType::F64),
+        Field::new("id", DataType::I64),
+    ]);
+    let rows: Vec<Row> = (0..rows)
+        .map(|i| {
+            let k = if i % 9 == 0 { Value::Null } else { Value::I64(i % 4) };
+            let s = if i % 5 == 0 { Value::Null } else { Value::str(format!("s{}", i % 3)) };
+            let f = if i % 7 == 0 { Value::F64(-0.0) } else { Value::F64((i % 6) as f64) };
+            vec![k, s, f, Value::I64(i)]
+        })
+        .collect();
+    DataFrame::from_rows(ctx, schema, rows, 4).unwrap()
+}
+
+/// Top-K is byte-identical to the full sort cut to `n` rows, on every path,
+/// for n ∈ {0, 1, 10, more than the rows}, both NULL placements, and keys
+/// whose ties only the input order breaks.
+#[test]
+fn top_k_equals_sort_then_take_on_every_path() {
+    let key_sets: Vec<Vec<(String, SortDir)>> = vec![
+        vec![("k".into(), SortDir::asc())],
+        vec![("k".into(), SortDir::asc().with_nulls_last(true))],
+        vec![("s".into(), SortDir::desc().with_nulls_last(false)), ("f".into(), SortDir::asc())],
+        vec![("s".into(), SortDir::desc()), ("k".into(), SortDir::desc().with_nulls_last(true))],
+    ];
+    let rows = 150i64;
+    let reference = ctx_mode(Mode::RowMajor, 1024);
+    let paths = top_k_paths();
+    for keys in &key_sets {
+        let full =
+            tie_frame(&reference, rows).order_by(keys.clone()).unwrap().collect_rows().unwrap();
+        for n in [0usize, 1, 10, rows as usize + 3] {
+            let want = RowCodec.encode(&full[..n.min(full.len())]);
+            for (path, ctx) in &paths {
+                let sorted = tie_frame(ctx, rows).order_by(keys.clone()).unwrap();
+                let limited = sorted.limit(n).collect_rows().unwrap();
+                assert_eq!(RowCodec.encode(&limited), want, "{path}: limit {n} over {keys:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn top_k_runs_as_one_job_and_explains_itself() {
+    let ctx = ctx_mode(Mode::Vectorized, 1024);
+    let sorted = tie_frame(&ctx, 40).order_by(vec![("k".into(), SortDir::asc())]).unwrap();
+    let before = ctx.metrics().jobs;
+    assert_eq!(sorted.limit(5).collect_rows().unwrap().len(), 5);
+    assert_eq!(ctx.metrics().jobs - before, 1, "top-K is one job");
+    let plan = sorted.limit(5).plan().render();
+    assert!(plan.starts_with("TakeOrdered n=5 [k SortDir"), "{plan}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random pipelines ending in an ORDER BY: the top-K `Limit` equals the
+    /// full sort cut to `n`, on both compilers.
+    #[test]
+    fn top_k_equals_sort_then_take_on_random_pipelines(
+        steps in prop::collection::vec(step_strategy(), 0..8),
+        key in 0usize..5,
+        desc in any::<bool>(),
+        nulls_last in any::<bool>(),
+        n in prop_oneof![Just(0usize), Just(1), Just(10), Just(1000)],
+    ) {
+        for mode in MODES {
+            let ctx = ctx_mode(mode, 5);
+            let d = build_on(seed_n(&ctx, 24), &steps);
+            let name = d.schema().fields()[key % d.schema().len()].name.clone();
+            let dir = if desc { SortDir::desc() } else { SortDir::asc() }.with_nulls_last(nulls_last);
+            let sorted = d.order_by(vec![(name, dir)]).unwrap();
+            let full = sorted.collect_rows().unwrap();
+            let top = sorted.limit(n).collect_rows().unwrap();
+            prop_assert_eq!(
+                RowCodec.encode(&top),
+                RowCodec.encode(&full[..n.min(full.len())]),
+                "{:?}: steps {:?}", mode, &steps
+            );
+        }
+    }
 }

@@ -33,8 +33,8 @@
 //! HDFS, `:explain CODE` documents a diagnostic code or optimizer rule,
 //! `:rules` prints the rewrite-rule registry with per-rule fire counts for
 //! this session (the optimizer's fire trace, fed by `OptimizerRuleFired`
-//! events), `:profile <query>` runs the query under `EXPLAIN ANALYZE` and
-//! prints the annotated plan (per-operator execution mode, rows, sampled
+//! events), `:profile <query>` runs the query under `EXPLAIN ANALYZE` (as
+//! the bounded take the shell runs) and prints the annotated plan (per-operator execution mode, rows, sampled
 //! time), `:metrics` prints the engine-wide scheduler counters,
 //! `:timeline` prints the per-job breakdown table (tasks, busy time,
 //! latency percentiles, skew) from the collected event timeline, `:top`
@@ -287,7 +287,8 @@ fn main() {
             if lint(query) {
                 continue;
             }
-            match rumble.analyze_profile(query) {
+            // Profile the query as the shell runs it: a bounded take.
+            match rumble.analyze_profile_take(query, MAX_PRINTED + 1) {
                 Ok(report) => print!("{report}"),
                 Err(e) => eprintln!("{e}"),
             }
