@@ -114,8 +114,8 @@ const GATES: &[(&str, &[(&str, f64)])] = &[
     ("cache", &[("deserialized", 1.0), ("serialized", 1.0)]),
     // The shipping columnar path is no slower than the row-major reference
     // on the fused chain and loses no more than 10% on any DataFrame
-    // group-by or sort row. The Fig. 11 group/sort rows spend their time in
-    // per-row UDFs both paths share, so they may tie and are not gated.
+    // group-by or sort row. The Fig. 11 group/sort rows run their UDF
+    // operators on rows in both arms, so they may tie and are not gated.
     ("columnar", &[("scan→project→filter (fused)", 1.0), ("group-by *", 1.10), ("sort *", 1.10)]),
 ];
 

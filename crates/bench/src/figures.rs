@@ -831,10 +831,9 @@ pub fn chaos_kill_executor(objects: usize, tries: usize, cmd: WorkerCmd) -> Figu
 /// **Columnar** — the physical-paths figure (no paper analogue; exercises
 /// the §4.7 DataFrame runtime): every pipeline runs A/B on the row-major
 /// reference interpreter and on the shipping default (fused columnar batch
-/// kernels, the vectorized hash group-by and normalized-key sort). The
-/// pipelines are a typed
-/// scan→project→filter chain that the columnar compiler fuses into one
-/// batch pass per partition; one typed group-by per key distribution —
+/// kernels for built-in chains, UDF operators on rows, the vectorized hash
+/// group-by). The pipelines are a typed scan→project→filter chain that the
+/// columnar compiler fuses into one batch pass per partition; one typed group-by per key distribution —
 /// ~8 rows per key, every key distinct, 16 keys, one dominant key, half
 /// the keys NULL; a multi-key sort; and the Fig. 11 group and sort
 /// queries, whose FLWOR mappings run through the DataFrame runtime. The
@@ -1099,7 +1098,9 @@ pub fn columnar(objects: usize, executors: usize, tries: usize, cmd: WorkerCmd) 
     let report = format!(
         "{}\n{notes}both paths returned byte-identical results; the fused-chain delta is what \
          vectorized batch kernels save over per-row expression walks, the high-cardinality \
-         delta what typed accumulators over encoded keys save over per-row state merges.\n",
+         delta what typed accumulators over encoded keys save over per-row state merges; the \
+         Fig. 11 rows run their UDF operators on rows in both arms, so only the GROUP BY map \
+         side differs.\n",
         render_cells(
             &format!(
                 "Columnar — physical paths, {typed_rows} typed rows / {rows_n} keyed rows / \

@@ -389,9 +389,9 @@ mod tests {
             (0..40).map(|i| format!("{{\"country\": \"c{}\", \"pop\": {}}}\n", i % 4, i)).collect();
         r.hdfs_put("/fused.json", &lines).unwrap();
         // let + where cannot take the fused-RDD shortcut (the let breaks the
-        // scan shape), so this runs through the DataFrame mapping where the
-        // columnar compiler collapses the adjacent project + filter into one
-        // batch pass — and the profile says so.
+        // scan shape), so this runs through the DataFrame mapping. Its
+        // `let` projection and `where` filter are UDFs, which run on rows,
+        // so no columnar segment fuses — and the profile says so.
         let q = "for $e in json-file(\"hdfs:///fused.json\")
                  let $c := $e.country
                  where $c eq \"c1\"
@@ -399,15 +399,30 @@ mod tests {
         let report = r.analyze_profile(q).unwrap();
         assert_eq!(report.items.len(), 10);
         assert_eq!(report.items, r.run(q).unwrap());
-        assert!(report.plan.contains("mode=dataframe (fused)"), "plan:\n{}", report.plan);
+        assert!(report.plan.contains("mode=dataframe"), "plan:\n{}", report.plan);
+        assert!(!report.plan.contains("mode=dataframe (fused)"), "plan:\n{}", report.plan);
 
-        // Row-major execution disables fusion: same query, plain mode.
+        // Row-major execution: same query, same answer, same mode.
         let row_major = Rumble::with_conf(SparkliteConf::default().with_row_major(true));
         row_major.hdfs_put("/fused.json", &lines).unwrap();
         let plain = row_major.analyze_profile(q).unwrap();
         assert_eq!(plain.items, report.items);
         assert!(plain.plan.contains("mode=dataframe"), "plan:\n{}", plain.plan);
         assert!(!plain.plan.contains("mode=dataframe (fused)"), "plan:\n{}", plain.plan);
+
+        // A typed chain of built-in operators on the same engine still
+        // fuses: a projection and a filter run as one batch pass.
+        use sparklite::dataframe::{CmpOp, DataFrame, DataType, Expr, Field, NumOp, Schema, Value};
+        let schema = Schema::new(vec![Field::new("a", DataType::I64)]);
+        let rows = (0..40).map(|i| vec![Value::I64(i)]).collect();
+        let typed = DataFrame::from_rows(r.sparklite(), schema, rows, 2)
+            .unwrap()
+            .with_column("b", Expr::num(Expr::col("a"), NumOp::Mul, Expr::col("a")), DataType::I64)
+            .unwrap()
+            .filter(Expr::cmp(Expr::col("b"), CmpOp::Gt, Expr::lit(Value::I64(100))))
+            .unwrap();
+        assert!(typed.fused_pipeline());
+        assert_eq!(typed.count().unwrap(), 29);
     }
 
     #[test]

@@ -350,9 +350,10 @@ impl ExprIterator for FlworIter {
             }
         }
         if let Ok(Some(frame)) = self.frame_for(ctx) {
-            // §4.7/§4.9: DataFrame execution is columnar; report whether the
-            // physical compiler will fuse adjacent batch operators so the
-            // observed-mode surface stays truthful.
+            // §4.7/§4.9: report whether the physical compiler will fuse
+            // adjacent built-in operators into one batch pass (the clause
+            // UDFs run on rows), so the observed-mode surface stays
+            // truthful.
             if frame.df.fused_pipeline() {
                 return Some("dataframe (fused)");
             }

@@ -314,8 +314,8 @@ pub trait ExprIterator: Send + Sync {
 
     /// A short static description of the distributed strategy [`rdd`] would
     /// use in `ctx`, for `EXPLAIN ANALYZE` — e.g. `"rdd (fused)"`,
-    /// `"dataframe"` (columnar batch execution) or `"dataframe (fused)"`
-    /// (columnar with adjacent operators collapsed into one pass). `None`
+    /// `"dataframe"` or `"dataframe (fused)"` (two or more adjacent
+    /// built-in operators collapsed into one batch pass). `None`
     /// means plain `"rdd"` (or not applicable).
     ///
     /// [`rdd`]: ExprIterator::rdd

@@ -180,13 +180,14 @@ impl Default for OptimizerConf {
 }
 
 /// Physical DataFrame execution configuration: columnar batch size and the
-/// row-major escape hatch the differential test battery compares against.
+/// row-major reference switch the differential test battery compares against.
 #[derive(Debug, Clone)]
 pub struct ExecConf {
-    /// When true, DataFrame plans compile to the legacy row-at-a-time
-    /// interpreter instead of columnar batch kernels. Kept exactly for the
-    /// row-vs-columnar differential tests and A/B benchmarks — results must
-    /// be byte-identical either way.
+    /// When true, DataFrame plans vectorize nothing: every operator runs
+    /// row-at-a-time, and GROUP BY combines per row in the shuffle instead
+    /// of in the batch kernel. Kept exactly for the row-vs-columnar
+    /// differential tests and A/B benchmarks — results must be
+    /// byte-identical either way.
     pub row_major: bool,
     /// Rows per [`ColumnBatch`](crate::dataframe::batch::ColumnBatch) in the
     /// vectorized pipeline (clamped to at least 1).
@@ -375,8 +376,8 @@ impl SparkliteConf {
         self
     }
 
-    /// Selects the legacy row-at-a-time DataFrame interpreter instead of
-    /// columnar batch execution (the differential-test escape hatch).
+    /// Vectorizes nothing: every DataFrame operator runs row-at-a-time (the
+    /// differential battery's reference path).
     pub fn with_row_major(mut self, on: bool) -> Self {
         self.exec.row_major = on;
         self

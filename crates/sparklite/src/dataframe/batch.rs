@@ -5,11 +5,12 @@
 //! with an offset array, and everything else (lists, binaries, mixed-type
 //! columns) as boxed [`Value`]s — each paired with a validity bitmap marking
 //! non-NULL slots. Kernels evaluate [`BoundExpr`]s over whole batches with
-//! typed fast paths, filter through selection vectors, and materialize the
-//! §4.7 group/sort key encodings per batch. The physical plan
-//! ([`super::plan::compile`]) converts rows to batches after every shuffle
-//! or RDD boundary and back before the next one, so [`super::RowCodec`]
-//! stays the only wire/persist format.
+//! typed fast paths, filter through selection vectors, and build the §4.7
+//! group-key encoding per batch. The physical plan
+//! ([`super::plan::compile`]) converts rows to batches at the start of every
+//! UDF-free operator chain and back at its end, so [`super::RowCodec`]
+//! stays the only wire/persist format. Operators holding an opaque UDF never
+//! see a batch: they run on rows.
 //!
 //! Every kernel replicates the row interpreter's semantics *exactly* — the
 //! shared primitives (`truth`, `eval_cmp`, `eval_num`) live in
@@ -20,7 +21,7 @@
 //! **iff** its logical value is `NULL`. `Column::get` reconstructs `NULL`
 //! from a clear bit, so typed storage never needs a NULL sentinel.
 
-use super::expr::{self, value_cmp, BoundExpr, CmpOp, KeyValue, NumOp, SortDir};
+use super::expr::{self, value_cmp, BoundExpr, CmpOp, KeyValue, NumOp};
 use super::plan::{Agg, AggState};
 use super::{Row, Value};
 use crate::rdd::util::{fx_hash, fx_hash_bytes};
@@ -465,15 +466,6 @@ impl ColumnBatch {
             columns: self.columns.iter().map(|c| Arc::new(c.gather(sel))).collect(),
         }
     }
-
-    /// The first `n` rows (the per-partition half of LIMIT).
-    pub fn head(&self, n: usize) -> ColumnBatch {
-        if n >= self.len {
-            return self.clone();
-        }
-        let sel: Vec<u32> = (0..n as u32).collect();
-        self.gather(&sel)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -650,8 +642,8 @@ fn num_kernel(a: &Column, op: NumOp, b: &Column) -> Column {
     }
 }
 
-/// Evaluates a bound expression over a whole batch, producing one column.
-/// Typed columns take vectorized fast paths; UDFs and mixed-type columns
+/// Evaluates a built-in bound expression over a whole batch, producing one
+/// column. Typed columns take vectorized fast paths; mixed-type columns
 /// fall back to per-slot evaluation with identical semantics. A bare column
 /// reference shares the input column instead of copying it.
 pub fn eval(e: &BoundExpr, batch: &ColumnBatch) -> Arc<Column> {
@@ -701,10 +693,8 @@ pub fn eval(e: &BoundExpr, batch: &ColumnBatch) -> Arc<Column> {
             }
             Arc::new(out.finish())
         }
-        // Opaque row functions force the scalar path: materialize each row.
-        BoundExpr::Udf { f, schema } => {
-            let results = (0..n).map(|i| f(schema, &batch.row(i))).collect();
-            Arc::new(Column::from_values(results))
+        BoundExpr::Udf { .. } => {
+            unreachable!("an operator holding a UDF runs on rows, never on a batch")
         }
     }
 }
@@ -724,9 +714,7 @@ pub fn selection(pred: &BoundExpr, batch: &ColumnBatch) -> Vec<u32> {
 /// once, then only already-selected slots whose truth value is a definite
 /// `TRUE` survive. `None` means "all slots selected". The order (ascending)
 /// of the selection is preserved, so consecutive filters compose into one
-/// final gather. Callers must not pass UDF predicates here with a narrowed
-/// selection — built-in operators are pure and total on every value, but a
-/// UDF may only observe rows that logically reach it.
+/// final gather.
 pub fn refine(pred: &BoundExpr, batch: &ColumnBatch, sel: Option<Vec<u32>>) -> Vec<u32> {
     let c = eval(pred, batch);
     match sel {
@@ -763,17 +751,13 @@ pub fn explode(batch: &ColumnBatch, col: usize) -> ColumnBatch {
 }
 
 // ---------------------------------------------------------------------------
-// §4.7 normalized key encodings
+// §4.7 group-key encoding
 // ---------------------------------------------------------------------------
 //
-// Two distinct byte encodings, because grouping and sorting need different
-// equivalences: the *sort* encoding is order-equivalent to `SortKey` (so
-// `I64(1)` and `F64(1.0)` encode as numeric ties, disambiguated only by a
-// type-rank byte), while the *group* encoding is equality-faithful to
-// `KeyValue` (`I64(1)`, `F64(1.0)` and `Str("1")` are three distinct keys,
-// floats identified by bit pattern). Neither materializes per-row
-// `Vec<SortKey>`/`Vec<KeyValue>` scratch values: a sort key is one flat
-// buffer per row, and group keys are built column-at-a-time.
+// The group encoding is equality-faithful to `KeyValue` (`I64(1)`,
+// `F64(1.0)` and `Str("1")` are three distinct keys, floats identified by
+// bit pattern), and group keys are built column-at-a-time without per-row
+// `Vec<KeyValue>` temporaries.
 
 /// Iterates `(dense position, batch row index)` pairs of a selection
 /// (`None` selects every row) — the driving loop shared by the
@@ -791,135 +775,6 @@ fn for_each_row(len: usize, sel: Option<&[u32]>, mut f: impl FnMut(usize, usize)
             }
         }
     }
-}
-
-// Sort-encoding alphabet. A NULL cell is a single placement byte (below or
-// above every non-null first byte in both directions); non-null cells start
-// with a type tag matching the `value_cmp` bucket order. `SORT_TAG_NULL`
-// appears only *inside* lists, where NULL elements compare like any value.
-const SORT_NULL_FIRST: u8 = 0x00;
-const SORT_NULL_LAST: u8 = 0xFF;
-const SORT_TAG_NULL: u8 = 0x01;
-const SORT_TAG_BOOL: u8 = 0x02;
-const SORT_TAG_NUM: u8 = 0x03;
-const SORT_TAG_STR: u8 = 0x04;
-const SORT_TAG_BIN: u8 = 0x05;
-const SORT_TAG_LIST: u8 = 0x06;
-/// Terminates a list body; orders below every element tag, realizing
-/// "elementwise, then by length".
-const SORT_LIST_END: u8 = 0x00;
-/// Numeric type ranks after the shared 8-byte magnitude key: an `I64` that
-/// widens to the same double as an `F64` orders first (the `value_cmp`
-/// totalization tiebreak).
-const SORT_NUM_I64: u8 = 0x00;
-const SORT_NUM_F64: u8 = 0x01;
-
-/// Maps an `f64` to a `u64` whose unsigned order equals `f64::total_cmp`:
-/// flip the sign bit of positives, complement negatives.
-fn ordered_f64(x: f64) -> u64 {
-    let b = x.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b ^ (1u64 << 63)
-    }
-}
-
-/// Maps an `i64` to a `u64` whose unsigned order equals the signed order.
-fn ordered_i64(x: i64) -> u64 {
-    (x as u64) ^ (1u64 << 63)
-}
-
-/// Appends a variable-length byte string, order-preserving and prefix-free:
-/// `0x00` escapes to `(0x00, 0xFF)`, and `(0x00, 0x00)` terminates.
-fn push_terminated(out: &mut Vec<u8>, bytes: &[u8]) {
-    for &b in bytes {
-        if b == 0x00 {
-            out.extend_from_slice(&[0x00, 0xFF]);
-        } else {
-            out.push(b);
-        }
-    }
-    out.extend_from_slice(&[0x00, 0x00]);
-}
-
-/// The ascending canonical encoding of a non-null value: memcmp order over
-/// these byte strings equals `value_cmp`, byte equality equals
-/// `value_cmp == Equal`, and every encoding is prefix-free (so cells
-/// concatenate into multi-key rows, and bytewise complement reverses the
-/// order exactly).
-fn sort_canonical(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(SORT_TAG_NULL),
-        Value::Bool(b) => {
-            out.push(SORT_TAG_BOOL);
-            out.push(*b as u8);
-        }
-        Value::I64(x) => {
-            out.push(SORT_TAG_NUM);
-            out.extend_from_slice(&ordered_f64(*x as f64).to_be_bytes());
-            out.push(SORT_NUM_I64);
-            // The widening above loses precision past 2^53; the exact
-            // payload breaks those ties so the encoding stays a total order
-            // on integers.
-            out.extend_from_slice(&ordered_i64(*x).to_be_bytes());
-        }
-        Value::F64(x) => {
-            out.push(SORT_TAG_NUM);
-            out.extend_from_slice(&ordered_f64(*x).to_be_bytes());
-            out.push(SORT_NUM_F64);
-        }
-        Value::Str(s) => {
-            out.push(SORT_TAG_STR);
-            push_terminated(out, s.as_bytes());
-        }
-        Value::Bin(_) | Value::Ext(_) => {
-            out.push(SORT_TAG_BIN);
-            push_terminated(out, &v.bin_bytes().expect("binary cell"));
-        }
-        Value::List(l) => {
-            out.push(SORT_TAG_LIST);
-            for e in l.iter() {
-                sort_canonical(out, e);
-            }
-            out.push(SORT_LIST_END);
-        }
-    }
-}
-
-fn complement(bytes: &mut [u8]) {
-    for b in bytes {
-        *b = !*b;
-    }
-}
-
-/// Appends the normalized sort encoding of one cell: bytewise comparison of
-/// the result equals [`SortKey`](expr::SortKey) comparison. NULL placement
-/// is applied before direction (a single un-complemented placement byte),
-/// descending cells complement the canonical encoding.
-pub fn encode_sort_cell(out: &mut Vec<u8>, v: &Value, dir: SortDir) {
-    if v.is_null() {
-        out.push(if dir.nulls_last { SORT_NULL_LAST } else { SORT_NULL_FIRST });
-        return;
-    }
-    let start = out.len();
-    sort_canonical(out, v);
-    if !dir.ascending {
-        complement(&mut out[start..]);
-    }
-}
-
-/// Encodes one row's sort key as a single flat byte string — the per-row
-/// key of the columnar ORDER BY.
-pub fn encode_row_sort_key(row: &[Value], spec: &[(usize, SortDir)]) -> Vec<u8> {
-    // 19 bytes covers the widest fixed-size cell (I64: tag + magnitude +
-    // rank + exact payload), so typical keys encode without a mid-key
-    // realloc; only string/binary/list cells can overflow the guess.
-    let mut out = Vec::with_capacity(spec.len() * 19);
-    for &(i, d) in spec {
-        encode_sort_cell(&mut out, &row[i], d);
-    }
-    out
 }
 
 // Group-identity alphabet: tag + exact payload, mirroring `KeyValue`'s
@@ -1622,7 +1477,6 @@ impl GroupByKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataframe::expr::SortKey;
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -1832,7 +1686,7 @@ mod tests {
         }
     }
 
-    // --- normalized-key sort encoding ---
+    // --- group identity encoding ---
 
     /// Values with nested lists (lists of lists, lists of mixed scalars) on
     /// top of [`arb_value`]'s flat shapes.
@@ -1842,55 +1696,8 @@ mod tests {
         })
     }
 
-    /// All four direction × null-placement combinations.
-    fn sort_dirs() -> [SortDir; 4] {
-        [
-            SortDir::asc(),
-            SortDir::asc().with_nulls_last(true),
-            SortDir::desc(),
-            SortDir::desc().with_nulls_last(false),
-        ]
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        // memcmp on encoded keys realizes exactly the comparator the row
-        // path uses — same order AND same ties (equal bytes iff the
-        // `SortKey`s compare Equal), under every direction/null placement.
-        #[test]
-        fn sort_encoding_matches_sort_key_order(a in arb_deep_value(), b in arb_deep_value()) {
-            for dir in sort_dirs() {
-                let (mut ka, mut kb) = (Vec::new(), Vec::new());
-                encode_sort_cell(&mut ka, &a, dir);
-                encode_sort_cell(&mut kb, &b, dir);
-                let by_bytes = ka.cmp(&kb);
-                let by_key = SortKey::new(a.clone(), dir).cmp(&SortKey::new(b.clone(), dir));
-                prop_assert_eq!(by_bytes, by_key, "dir {:?}: {:?} vs {:?}", dir, &a, &b);
-            }
-        }
-
-        // Per-cell encodings are prefix-free, so the concatenated row key
-        // compares like the lexicographic `Vec<SortKey>` comparison even
-        // when an early key of one row is a byte-prefix of the other's.
-        #[test]
-        fn multi_key_row_encoding_is_lexicographic(
-            ra in prop::collection::vec(arb_value(), 3..4),
-            rb in prop::collection::vec(arb_value(), 3..4),
-            dirs in prop::collection::vec(0usize..4, 3..4),
-        ) {
-            let spec: Vec<(usize, SortDir)> =
-                dirs.iter().enumerate().map(|(i, &d)| (i, sort_dirs()[d])).collect();
-            let keys = |row: &[Value]| -> Vec<SortKey> {
-                spec.iter().map(|&(i, d)| SortKey::new(row[i].clone(), d)).collect()
-            };
-            prop_assert_eq!(
-                encode_row_sort_key(&ra, &spec).cmp(&encode_row_sort_key(&rb, &spec)),
-                keys(&ra).cmp(&keys(&rb))
-            );
-        }
-
-        // --- group identity encoding ---
 
         // Group-key bytes are equality-faithful: equal bytes exactly when
         // the `KeyValue`s are equal (I64(1), F64(1.0), Str("1") and

@@ -224,23 +224,6 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
-    /// Whether the tree contains an opaque row function. The fused columnar
-    /// loop composes filter selections only for UDF-free predicates:
-    /// built-in operators are pure and total on every value, so evaluating
-    /// them over slots an earlier filter already dropped is harmless, while
-    /// a UDF may only observe rows that logically reach it.
-    pub fn has_udf(&self) -> bool {
-        match self {
-            BoundExpr::Col(_) | BoundExpr::Lit(_) => false,
-            BoundExpr::Cmp(a, _, b)
-            | BoundExpr::Num(a, _, b)
-            | BoundExpr::And(a, b)
-            | BoundExpr::Or(a, b) => a.has_udf() || b.has_udf(),
-            BoundExpr::Not(a) | BoundExpr::IsNull(a) => a.has_udf(),
-            BoundExpr::Udf { .. } => true,
-        }
-    }
-
     /// Evaluates against one row. NULL propagates SQL-style.
     pub fn eval(&self, row: &[Value]) -> Value {
         match self {
@@ -367,9 +350,8 @@ pub(crate) fn eval_num(a: &Value, op: NumOp, b: &Value) -> Value {
 /// and an `F64` are numerically equal after widening, the `I64` orders
 /// first. That tiebreak makes the relation a genuine total order (plain
 /// `total_cmp` after an `as f64` widening is not transitive once |i64|
-/// exceeds 2^53) and is exactly what the normalized-key byte encoding in
-/// [`batch`](super::batch) realizes: the comparison key is the triple
-/// (value as f64 under `total_cmp`, type rank I64 < F64, i64 payload).
+/// exceeds 2^53): the comparison key is the triple (value as f64 under
+/// `total_cmp`, type rank I64 < F64, i64 payload).
 pub fn value_cmp(a: &Value, b: &Value) -> Ordering {
     fn bucket(v: &Value) -> u8 {
         match v {

@@ -20,7 +20,7 @@ mod rowcodec;
 pub mod rules;
 
 pub use expr::{BoundExpr, CmpOp, Expr, KeyValue, NumOp, SortDir, SortKey};
-pub use plan::{fused_pipeline_ops, optimize, Agg, LogicalPlan, NamedExpr};
+pub use plan::{optimize, Agg, LogicalPlan, NamedExpr};
 pub use properties::{PlanProperties, Preserved};
 pub use rowcodec::RowCodec;
 pub use rules::{OptimizeTrace, Optimizer, RewriteRule};
@@ -482,16 +482,20 @@ impl DataFrame {
     /// disables) and reports every rule firing to the event bus as an
     /// [`crate::events::Event::OptimizerRuleFired`].
     pub fn to_rdd(&self) -> Result<Rdd<Row>> {
-        plan::compile(&self.core, &self.optimized())
+        plan::compile(&self.core, &self.optimize(true))
     }
 
-    /// The plan [`to_rdd`](Self::to_rdd) compiles, with its rule firings
-    /// reported to the event bus.
-    fn optimized(&self) -> Arc<LogicalPlan> {
+    /// The plan [`to_rdd`](Self::to_rdd) compiles: the context's optimizer
+    /// run over this frame's plan. `report` sends each rule firing to the
+    /// event bus and each rejected rewrite to stderr.
+    fn optimize(&self, report: bool) -> Arc<LogicalPlan> {
         let opt_conf = &self.core.conf.optimizer;
-        if opt_conf.enabled {
-            let engine = Optimizer::standard().without_rules(&opt_conf.disabled_rules);
-            let (optimized, trace) = engine.run(Arc::clone(&self.plan));
+        if !opt_conf.enabled {
+            return Arc::clone(&self.plan);
+        }
+        let engine = Optimizer::standard().without_rules(&opt_conf.disabled_rules);
+        let (optimized, trace) = engine.run(Arc::clone(&self.plan));
+        if report {
             for fire in &trace.fires {
                 self.core.events.emit(crate::events::Event::OptimizerRuleFired {
                     rule: fire.rule,
@@ -504,41 +508,24 @@ impl DataFrame {
                     v.rule, v.pass, v.detail
                 );
             }
-            optimized
-        } else {
-            Arc::clone(&self.plan)
         }
+        optimized
     }
 
-    /// Whether compiling this frame (under the context's optimizer and
-    /// execution configuration) produces at least one fused multi-operator
-    /// columnar pipeline segment. Always `false` under
-    /// [`crate::conf::ExecConf::row_major`]. This is the signal behind
-    /// EXPLAIN ANALYZE's `dataframe (fused)` mode hint, so it mirrors
-    /// [`to_rdd`] exactly — including running the optimizer (silently — no
-    /// rule-fire events are emitted for this read-only preview).
-    ///
-    /// [`to_rdd`]: DataFrame::to_rdd
+    /// Whether [`to_rdd`](Self::to_rdd) compiles this frame to at least one
+    /// fused multi-operator columnar segment — the signal behind EXPLAIN
+    /// ANALYZE's `dataframe (fused)` mode. It optimizes the plan without
+    /// reporting (a read-only preview) and asks the compiler's own
+    /// segment peeling (`plan::fused_pipeline_ops`), so a chain of UDF
+    /// operators, which runs on rows, never reports fused.
     pub fn fused_pipeline(&self) -> bool {
-        if self.core.conf.exec.row_major {
-            return false;
-        }
-        let opt_conf = &self.core.conf.optimizer;
-        let plan = if opt_conf.enabled {
-            Optimizer::standard()
-                .without_rules(&opt_conf.disabled_rules)
-                .run(Arc::clone(&self.plan))
-                .0
-        } else {
-            Arc::clone(&self.plan)
-        };
-        fused_pipeline_ops(&plan) >= 2
+        plan::fused_pipeline_ops(&self.core.conf.exec, &self.optimize(false)) >= 2
     }
 
     /// Runs the frame to driver rows. A `limit` directly over an
     /// `order_by` runs as one top-K job.
     pub fn collect_rows(&self) -> Result<Vec<Row>> {
-        plan::collect(&self.core, &self.optimized())
+        plan::collect(&self.core, &self.optimize(true))
     }
 
     pub fn count(&self) -> Result<u64> {
@@ -799,7 +786,7 @@ mod tests {
 
     #[test]
     fn ext_cells_encode_to_the_bytes_of_their_bin() {
-        use super::batch::{encode_group_value, encode_row_sort_key};
+        use super::batch::encode_group_value;
         use super::plan::{AggState, GroupPairCodec};
         use crate::CacheCodec;
 
@@ -824,12 +811,26 @@ mod tests {
             encode_group_value(&mut b, &bin);
             assert_eq!(a, b);
 
-            for dir in [SortDir::asc(), SortDir::desc()] {
-                let spec = [(1, dir), (2, dir)];
-                assert_eq!(
-                    encode_row_sort_key(&row(&ext), &spec),
-                    encode_row_sort_key(&row(&bin), &spec)
-                );
+            // One sort key: the cell and its `Bin` tie, and every
+            // neighbour orders against both alike, in every direction.
+            let neighbours = [
+                Value::Null,
+                Value::I64(1),
+                Value::str("zzz"),
+                Value::Bin(Arc::from(&b""[..])),
+                Value::Bin(Arc::from(&b"\x00"[..])),
+                Value::Bin(Arc::from(&b"\x00\xFFaa"[..])),
+                Value::Bin(Arc::from(&b"zz"[..])),
+                twins(b"zzzz").0,
+                Value::list(vec![bin.clone()]),
+            ];
+            for dir in [SortDir::asc(), SortDir::desc(), SortDir::desc().with_nulls_last(false)] {
+                let key = |v: &Value| SortKey::new(v.clone(), dir);
+                assert_eq!(key(&ext).cmp(&key(&bin)), std::cmp::Ordering::Equal);
+                for n in &neighbours {
+                    assert_eq!(key(&ext).cmp(&key(n)), key(&bin).cmp(&key(n)), "{n:?} {dir:?}");
+                    assert_eq!(key(n).cmp(&key(&ext)), key(n).cmp(&key(&bin)), "{n:?} {dir:?}");
+                }
             }
         }
     }

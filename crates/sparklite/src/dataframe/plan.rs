@@ -4,6 +4,7 @@
 use super::batch::{self, ColumnBatch};
 use super::expr::{BoundExpr, Expr, KeyValue, SortDir, SortKey};
 use super::{DataType, Field, Row, RowCodec, Schema, Value};
+use crate::conf::ExecConf;
 use crate::context::Core;
 use crate::error::{Result, SparkliteError};
 use crate::events::Event;
@@ -774,43 +775,39 @@ pub fn optimize(plan: Arc<LogicalPlan>) -> Arc<LogicalPlan> {
 // Physical compilation
 // ---------------------------------------------------------------------------
 
-/// Compiles a (normally optimized) plan to an RDD of rows.
+/// Compiles a (normally optimized) plan to an RDD of rows, in one walk with
+/// one arm per plan node.
 ///
-/// The default physical layer is columnar: pipeline segments of
-/// Project/Filter/Explode/Limit execute as vectorized kernels over
-/// [`ColumnBatch`]es, fused into a single pass per segment, with rows
-/// materialized only at shuffle and RDD boundaries ([`RowCodec`] stays the
-/// only wire/persist format). [`crate::conf::ExecConf::row_major`] selects
-/// the historical row-at-a-time interpreter instead — kept as the reference
-/// implementation the columnar differential test battery compares against.
+/// Built-in operators run on batches: the maximal UDF-free
+/// Project/Filter/Explode chain at the top of a plan ([`peel`]) executes as
+/// one fused pass over [`ColumnBatch`]es of `ExecConf::batch_size` rows,
+/// and GROUP BY aggregates batches ([`batch::GroupByKernel`]). A Project or
+/// Filter holding an opaque UDF runs row-at-a-time: a UDF reads a whole
+/// row, so a batch would only be transposed back into rows per call
+/// (Spark runs such operators on rows too, behind `ColumnarToRow`). Rows
+/// cross every shuffle and RDD boundary, so [`RowCodec`] stays the only
+/// wire/persist format, and every ORDER BY sorts on `Vec<SortKey>`.
+/// [`crate::conf::ExecConf::row_major`] vectorizes nothing — the reference
+/// the columnar differential battery compares against.
 pub fn compile(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Row>> {
-    if core.conf.exec.row_major {
-        compile_row_major(core, plan)
-    } else {
-        compile_columnar(core, plan)
+    if let Some((seg, boundary)) = peel(&core.conf.exec, plan)? {
+        return Ok(segment_rows(core, compile(core, boundary)?, seg));
     }
-}
-
-/// Row-at-a-time reference compiler (`ExecConf::row_major`).
-fn compile_row_major(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Row>> {
     let num_parts = core.conf.default_parallelism;
     match plan.as_ref() {
         LogicalPlan::FromRdd { rows, .. } => Ok(rows.clone()),
         LogicalPlan::Project { input, exprs, .. } => {
-            let rdd = compile_row_major(core, input)?;
-            let bound: Vec<BoundExpr> =
-                exprs.iter().map(|e| e.expr.bind(input.schema())).collect::<Result<_>>()?;
-            Ok(rdd.map(move |row| bound.iter().map(|b| b.eval(&row)).collect::<Row>()))
+            let bound = bind_exprs(exprs, input.schema())?;
+            Ok(compile(core, input)?
+                .map(move |row| bound.iter().map(|b| b.eval(&row)).collect::<Row>()))
         }
         LogicalPlan::Filter { input, predicate } => {
-            let rdd = compile_row_major(core, input)?;
             let bound = predicate.bind(input.schema())?;
-            Ok(rdd.filter(move |row| bound.eval_predicate(row)))
+            Ok(compile(core, input)?.filter(move |row| bound.eval_predicate(row)))
         }
         LogicalPlan::Explode { input, col, .. } => {
-            let rdd = compile_row_major(core, input)?;
             let idx = input.schema().resolve(col)?;
-            Ok(rdd.flat_map(move |row| {
+            Ok(compile(core, input)?.flat_map(move |row| {
                 let items: Vec<Row> = match &row[idx] {
                     Value::List(l) => l
                         .iter()
@@ -826,55 +823,51 @@ fn compile_row_major(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Ro
             }))
         }
         LogicalPlan::GroupBy { input, keys, aggs, .. } => {
-            let rdd = compile_row_major(core, input)?;
             let schema = input.schema();
             let key_idx: Vec<usize> =
                 keys.iter().map(|k| schema.resolve(k)).collect::<Result<_>>()?;
             let specs = agg_specs(schema, aggs)?;
-            let paired = rdd.map(move |row| {
-                let key: Vec<KeyValue> =
-                    key_idx.iter().map(|&i| KeyValue(row[i].clone())).collect();
-                let states: Vec<AggState> = specs
-                    .iter()
-                    .map(|(a, idx)| AggState::create(a, idx.map(|i| &row[i])))
-                    .collect();
-                (key, states)
-            });
-            Ok(finish_group_by(paired, keys.len(), num_parts, false))
+            let vectorized = !core.conf.exec.row_major;
+            let paired = if vectorized {
+                group_by_kernel(core, input, key_idx, specs)?
+            } else {
+                compile(core, input)?.map(move |row| {
+                    let key: Vec<KeyValue> =
+                        key_idx.iter().map(|&i| KeyValue(row[i].clone())).collect();
+                    let states: Vec<AggState> = specs
+                        .iter()
+                        .map(|(a, idx)| AggState::create(a, idx.map(|i| &row[i])))
+                        .collect();
+                    (key, states)
+                })
+            };
+            Ok(finish_group_by(paired, keys.len(), num_parts, vectorized))
         }
         LogicalPlan::OrderBy { input, keys } => {
-            let rdd = compile_row_major(core, input)?;
-            // The row-major reference path sorts on materialized
-            // `SortKey`s — the baseline the normalized-key encoding's
-            // differential battery compares against.
-            let spec = sort_spec(input.schema(), keys)?;
-            Ok(rdd.sort_by_with_codec(
-                move |row| {
-                    spec.iter()
-                        .map(|(i, d)| SortKey::new(row[*i].clone(), *d))
-                        .collect::<Vec<SortKey>>()
-                },
-                true,
-                num_parts,
-                Arc::new(RowCodec),
-            ))
+            let key = sort_key(sort_spec(input.schema(), keys)?);
+            Ok(compile(core, input)?.sort_by_with_codec(key, true, num_parts, Arc::new(RowCodec)))
         }
         LogicalPlan::ZipWithIndex { input, start, .. } => {
-            let rdd = compile_row_major(core, input)?;
             let start = *start;
-            Ok(rdd.zip_with_index().map(move |(mut row, i)| {
+            Ok(compile(core, input)?.zip_with_index().map(move |(mut row, i)| {
                 row.push(Value::I64(start + i as i64));
                 row
             }))
         }
+        // A limit over a lazily fused segment stops pulling the partition
+        // once `n` rows have left it, so the cut needs no batch operator.
         LogicalPlan::Limit { input, n } => {
             let rows = match plan.take_ordered_parts() {
                 Some((input, keys, n)) => take_ordered(core, input, keys, n)?,
-                None => compile_row_major(core, input)?.take(*n)?,
+                None => compile(core, input)?.take(*n)?,
             };
             Ok(rows_rdd(core, rows))
         }
     }
+}
+
+fn bind_exprs(exprs: &[NamedExpr], schema: &Arc<Schema>) -> Result<Vec<BoundExpr>> {
+    exprs.iter().map(|e| e.expr.bind(schema)).collect()
 }
 
 /// A one-partition RDD over rows a LIMIT already cut on the driver.
@@ -885,23 +878,15 @@ fn rows_rdd(core: &Arc<Core>, rows: Vec<Row>) -> Rdd<Row> {
 /// Top-K: the first `n` rows of `input` under `OrderBy keys`, in one job
 /// ([`Rdd::take_ordered`], Spark's `TakeOrderedAndProjectExec`). The rows
 /// and their order, ties included, are those of the full range sort
-/// followed by a cut, on the same per-path key: materialized `SortKey`s on
-/// the row-major path, normalized byte keys on the columnar one.
+/// followed by a cut, on the same `Vec<SortKey>`.
 fn take_ordered(
     core: &Arc<Core>,
     input: &Arc<LogicalPlan>,
     keys: &OrderKeys,
     n: usize,
 ) -> Result<Vec<Row>> {
-    let spec = sort_spec(input.schema(), keys)?;
-    if core.conf.exec.row_major {
-        compile_row_major(core, input)?.take_ordered(n, move |row| {
-            spec.iter().map(|(i, d)| SortKey::new(row[*i].clone(), *d)).collect::<Vec<SortKey>>()
-        })
-    } else {
-        compile_columnar(core, input)?
-            .take_ordered(n, move |row| batch::encode_row_sort_key(row, &spec))
-    }
+    let key = sort_key(sort_spec(input.schema(), keys)?);
+    compile(core, input)?.take_ordered(n, key)
 }
 
 /// Runs a plan to driver rows. A root `Limit` over `OrderBy` is the top-K
@@ -925,8 +910,14 @@ fn sort_spec(schema: &Arc<Schema>, keys: &[(String, SortDir)]) -> Result<Vec<(us
     keys.iter().map(|(k, d)| Ok((schema.resolve(k)?, *d))).collect()
 }
 
-/// The shuffle + finish half of GROUP BY, shared by all physical paths
-/// (the map sides differ; the wire format and merge logic must not).
+/// A row's sort key under `spec`: one [`SortKey`] per ORDER BY key, so a
+/// plain ascending sort of the keys realizes the requested order.
+fn sort_key(spec: Vec<(usize, SortDir)>) -> impl Fn(&Row) -> Vec<SortKey> + Send + Sync {
+    move |row| spec.iter().map(|&(i, d)| SortKey::new(row[i].clone(), d)).collect()
+}
+
+/// The shuffle + finish half of GROUP BY, shared by both map sides (the
+/// wire format and merge logic must not differ).
 ///
 /// `map_side_combined` declares the map side already aggregated per
 /// partition (the vectorized kernel). The shuffle then skips both of its
@@ -965,283 +956,24 @@ fn finish_group_by(
     })
 }
 
-/// One operator of a fused columnar pipeline segment.
-enum FusedOp {
-    Project(Vec<BoundExpr>),
-    Filter(BoundExpr),
-    Explode {
-        idx: usize,
-    },
-    /// The per-partition half of LIMIT: stop producing (and stop *pulling
-    /// input*) once `n` rows have left this partition. The global cut
-    /// happens after the segment via `take`.
-    LocalLimit(usize),
-}
-
-/// Collapses a pending selection vector into the batch (one gather), for
-/// operators that need positionally dense columns.
-fn materialize(batch: &mut ColumnBatch, sel: &mut Option<Vec<u32>>) {
-    if let Some(s) = sel.take() {
-        *batch = batch.gather(&s);
-    }
-}
-
-/// Peels the maximal fusable suffix of a plan: the operator chain (returned
-/// in execution order), the global LIMIT cut if one heads the segment, and
-/// the boundary node left below the chain. Pure analysis — the boundary is
-/// *not* compiled here, so each caller compiles it exactly once, in
-/// whatever shape (row source or kernel feed) it needs.
-fn peel_ops(plan: &Arc<LogicalPlan>) -> Result<(Vec<FusedOp>, Option<usize>, &Arc<LogicalPlan>)> {
-    let mut ops_rev: Vec<FusedOp> = Vec::new();
-    let mut global_limit: Option<usize> = None;
-    let mut node = plan;
-    loop {
-        match node.as_ref() {
-            LogicalPlan::Project { input, exprs, .. } => {
-                let bound: Vec<BoundExpr> =
-                    exprs.iter().map(|e| e.expr.bind(input.schema())).collect::<Result<_>>()?;
-                ops_rev.push(FusedOp::Project(bound));
-                node = input;
-            }
-            LogicalPlan::Filter { input, predicate } => {
-                ops_rev.push(FusedOp::Filter(predicate.bind(input.schema())?));
-                node = input;
-            }
-            LogicalPlan::Explode { input, col, .. } => {
-                ops_rev.push(FusedOp::Explode { idx: input.schema().resolve(col)? });
-                node = input;
-            }
-            // A limit fuses only at the head of a segment: below other
-            // fused ops its global cut would have to materialize anyway, so
-            // it becomes a boundary instead (handled in compile_boundary).
-            LogicalPlan::Limit { input, n } if ops_rev.is_empty() => {
-                global_limit = Some(*n);
-                ops_rev.push(FusedOp::LocalLimit(*n));
-                node = input;
-            }
-            _ => break,
-        }
-    }
-    ops_rev.reverse();
-    Ok((ops_rev, global_limit, node))
-}
-
-/// A compiled fused pipeline segment: the operator chain plus the width of
-/// the rows entering it. Shared between [`segment_rows`] (row-out
-/// execution) and the vectorized GROUP BY map side, which keeps the
-/// segment's output columnar and feeds it — selection vector and all —
-/// straight into the aggregation kernel.
-struct SegmentPlan {
-    ops: Vec<FusedOp>,
-    width: usize,
-}
-
-impl SegmentPlan {
-    fn local_limit(&self) -> Option<usize> {
-        self.ops.iter().find_map(|op| match op {
-            FusedOp::LocalLimit(n) => Some(*n),
-            _ => None,
-        })
-    }
-
-    /// Runs every operator over one batch, returning the surviving batch
-    /// and, if the trailing operators left one pending, a selection vector.
-    ///
-    /// Filters narrow a lazy selection vector instead of gathering
-    /// (copying) every column per filter; the batch materializes only when
-    /// a downstream operator needs positional storage, and the final
-    /// emission reads straight through the selection.
-    fn apply(
-        &self,
-        mut batch: ColumnBatch,
-        remaining: &mut Option<usize>,
-    ) -> (ColumnBatch, Option<Vec<u32>>) {
-        let mut sel: Option<Vec<u32>> = None;
-        for op in &self.ops {
-            match op {
-                FusedOp::Project(exprs) => {
-                    materialize(&mut batch, &mut sel);
-                    batch = batch::project(exprs, &batch);
-                }
-                FusedOp::Filter(p) => {
-                    if p.has_udf() {
-                        materialize(&mut batch, &mut sel);
-                    }
-                    sel = Some(batch::refine(p, &batch, sel.take()));
-                }
-                FusedOp::Explode { idx } => {
-                    materialize(&mut batch, &mut sel);
-                    batch = batch::explode(&batch, *idx);
-                }
-                FusedOp::LocalLimit(_) => {
-                    materialize(&mut batch, &mut sel);
-                    if let Some(rem) = remaining.as_mut() {
-                        batch = batch.head(*rem);
-                        *rem -= batch.len();
-                    }
-                }
-            }
-            if sel.as_ref().map(|s| s.len()).unwrap_or(batch.len()) == 0 {
-                break;
-            }
-        }
-        (batch, sel)
-    }
-}
-
-/// Executes a fused segment over a row source, emitting rows: batches of
-/// `ExecConf::batch_size` rows stream lazily through
-/// [`SegmentPlan::apply`], and each partition reports its batch work once
-/// when exhausted.
-fn segment_rows(core: &Arc<Core>, source: Rdd<Row>, seg: Arc<SegmentPlan>) -> Rdd<Row> {
-    let batch_size = core.conf.exec.batch_size;
-    let events = Arc::clone(&core.events);
-    source.map_partitions(move |_part, mut input: BoxIter<Row>| {
-        let seg = Arc::clone(&seg);
-        let events = Arc::clone(&events);
-        // Per-call state (fresh on retries): the pending output rows of the
-        // last batch, the remaining local-limit budget, and the counters
-        // reported once per partition when the input is exhausted.
-        let mut out: std::vec::IntoIter<Row> = Vec::new().into_iter();
-        let mut remaining = seg.local_limit();
-        let mut batches: u64 = 0;
-        let mut rows_out: u64 = 0;
-        let mut done = false;
-        let iter = std::iter::from_fn(move || loop {
-            if let Some(row) = out.next() {
-                return Some(row);
-            }
-            if done {
-                return None;
-            }
-            let mut buf: Vec<Row> = Vec::with_capacity(batch_size);
-            if remaining != Some(0) {
-                while buf.len() < batch_size {
-                    match input.next() {
-                        Some(r) => buf.push(r),
-                        None => break,
-                    }
-                }
-            }
-            if buf.is_empty() {
-                // Input exhausted (or limit satisfied): report the
-                // partition's batch work exactly once.
-                done = true;
-                if batches > 0 {
-                    events.emit(Event::ColumnarBatch {
-                        fused_ops: seg.ops.len() as u64,
-                        batches,
-                        rows: rows_out,
-                    });
-                }
-                return None;
-            }
-            let (batch, sel) = seg.apply(ColumnBatch::from_rows(seg.width, buf), &mut remaining);
-            batches += 1;
-            let out_rows = match sel {
-                Some(s) => batch.to_rows_sel(&s),
-                None => batch.to_rows(),
-            };
-            rows_out += out_rows.len() as u64;
-            out = out_rows.into_iter();
-        });
-        Box::new(iter) as BoxIter<Row>
-    })
-}
-
-/// Columnar compiler: peels the maximal fusable suffix of the plan
-/// (Project/Filter/Explode chains, plus a segment-leading Limit), compiles
-/// whatever is below it as a boundary, and executes the suffix as one fused
-/// pass over [`ColumnBatch`]es of `ExecConf::batch_size` rows.
-fn compile_columnar(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Row>> {
-    if let Some((input, keys, n)) = plan.take_ordered_parts() {
-        return Ok(rows_rdd(core, take_ordered(core, input, keys, n)?));
-    }
-    let (ops, global_limit, node) = peel_ops(plan)?;
-    let source = compile_boundary(core, node)?;
-    if ops.is_empty() {
-        return Ok(source);
-    }
-    let seg = Arc::new(SegmentPlan { ops, width: node.schema().len() });
-    let fused = segment_rows(core, source, seg);
-    match global_limit {
-        Some(n) => Ok(rows_rdd(core, fused.take(n)?)),
-        None => Ok(fused),
-    }
-}
-
-/// Compiles a node that terminates a fused segment: sources, shuffles, and
-/// operators whose row machinery is inherently row-ordered. Inputs recurse
-/// through [`compile_columnar`], so every pipeline segment of the plan
-/// fuses independently.
-fn compile_boundary(core: &Arc<Core>, plan: &Arc<LogicalPlan>) -> Result<Rdd<Row>> {
-    let num_parts = core.conf.default_parallelism;
-    match plan.as_ref() {
-        LogicalPlan::FromRdd { rows, .. } => Ok(rows.clone()),
-        LogicalPlan::GroupBy { input, keys, aggs, .. } => {
-            let paired = compile_group_by_vectorized(core, input, keys, aggs)?;
-            Ok(finish_group_by(paired, keys.len(), num_parts, true))
-        }
-        LogicalPlan::OrderBy { input, keys } => {
-            let rdd = compile_columnar(core, input)?;
-            // §4.7 normalized byte keys: one flat memcmp-comparable buffer
-            // per row, descending via complement. The encoding is proven
-            // order- and tie-equivalent to the row-major path's
-            // `Vec<SortKey>`, so range-partition sampling, cut selection,
-            // and the stable local sort behave identically on both paths.
-            let spec = sort_spec(input.schema(), keys)?;
-            Ok(rdd.sort_by_with_codec(
-                move |row| batch::encode_row_sort_key(row, &spec),
-                true,
-                num_parts,
-                Arc::new(RowCodec),
-            ))
-        }
-        LogicalPlan::ZipWithIndex { input, start, .. } => {
-            let rdd = compile_columnar(core, input)?;
-            let start = *start;
-            Ok(rdd.zip_with_index().map(move |(mut row, i)| {
-                row.push(Value::I64(start + i as i64));
-                row
-            }))
-        }
-        // A limit below other fused ops: re-enter the columnar compiler,
-        // which peels it as the head of its own (fresh) segment.
-        LogicalPlan::Limit { .. } => compile_columnar(core, plan),
-        LogicalPlan::Project { .. } | LogicalPlan::Filter { .. } | LogicalPlan::Explode { .. } => {
-            unreachable!("fusable operators are peeled before compile_boundary")
-        }
-    }
-}
-
-/// The vectorized GROUP BY map side: the fused segment below the
-/// aggregation (if any) stays columnar — its output batch plus selection
-/// vector feeds [`batch::GroupByKernel`] directly, one transposition
-/// instead of two — and the kernel pre-aggregates the whole partition, so
-/// one pair per **distinct group** reaches the shuffle, in first-occurrence
-/// order (exactly what the row path's insertion-ordered map-side combine
-/// emits, keeping all physical paths byte-identical).
-fn compile_group_by_vectorized(
+/// The vectorized GROUP BY map side: a fused segment below the aggregation
+/// (if any) stays columnar — its output batch plus selection vector feeds
+/// [`batch::GroupByKernel`] directly, one transposition instead of two —
+/// and the kernel pre-aggregates the whole partition, so one pair per
+/// **distinct group** reaches the shuffle, in first-occurrence order
+/// (exactly what the row path's insertion-ordered map-side combine emits,
+/// keeping both map sides byte-identical).
+fn group_by_kernel(
     core: &Arc<Core>,
     input: &Arc<LogicalPlan>,
-    keys: &[String],
-    aggs: &[(Agg, String)],
+    key_idx: Vec<usize>,
+    specs: Vec<(Agg, Option<usize>)>,
 ) -> Result<Rdd<(Vec<KeyValue>, Vec<AggState>)>> {
-    let schema = input.schema();
-    let key_idx: Vec<usize> = keys.iter().map(|k| schema.resolve(k)).collect::<Result<_>>()?;
-    let specs = Arc::new(agg_specs(schema, aggs)?);
-    let (ops, global_limit, node) = peel_ops(input)?;
-    // A global LIMIT below the aggregation cannot be absorbed into the
-    // kernel pass (its cut is cross-partition), so that segment compiles as
-    // its own pipeline; otherwise the peeled segment is handed to the
-    // kernel loop uncompiled and its output never becomes rows.
-    let (rdd, seg) = if ops.is_empty() || global_limit.is_some() {
-        (compile_columnar(core, input)?, None)
-    } else {
-        let width = node.schema().len();
-        (compile_boundary(core, node)?, Some(Arc::new(SegmentPlan { ops, width })))
+    let (rdd, seg) = match peel(&core.conf.exec, input)? {
+        Some((seg, boundary)) => (compile(core, boundary)?, Some(Arc::new(seg))),
+        None => (compile(core, input)?, None),
     };
-    let width = seg.as_ref().map(|s| s.width).unwrap_or(schema.len());
+    let width = seg.as_ref().map_or(input.schema().len(), |s| s.width);
     let batch_size = core.conf.exec.batch_size;
     let events = Arc::clone(&core.events);
     Ok(rdd.map_partitions(move |_part, mut input: BoxIter<Row>| {
@@ -1251,13 +983,7 @@ fn compile_group_by_vectorized(
         let mut kernel = batch::GroupByKernel::new(key_idx.clone(), &specs);
         let mut batches: u64 = 0;
         loop {
-            let mut buf: Vec<Row> = Vec::with_capacity(batch_size);
-            while buf.len() < batch_size {
-                match input.next() {
-                    Some(r) => buf.push(r),
-                    None => break,
-                }
-            }
+            let buf = next_batch(&mut input, batch_size);
             if buf.is_empty() {
                 break;
             }
@@ -1265,10 +991,7 @@ fn compile_group_by_vectorized(
             let batch = ColumnBatch::from_rows(width, buf);
             match &seg {
                 Some(seg) => {
-                    // LocalLimit never appears in a handed-off segment (it
-                    // is only peeled together with a global limit, routed
-                    // above), so there is no limit budget to thread.
-                    let (batch, sel) = seg.apply(batch, &mut None);
+                    let (batch, sel) = seg.apply(batch);
                     kernel.push_batch(&batch, sel.as_deref());
                 }
                 None => kernel.push_batch(&batch, None),
@@ -1290,35 +1013,170 @@ fn compile_group_by_vectorized(
     }))
 }
 
-/// The length of the longest fused pipeline segment compilation would
-/// produce for this plan: Project/Filter/Explode chains count one op each,
-/// and a Limit always heads a fresh segment. `>= 2` means at least one
-/// genuinely fused (multi-operator single-pass) segment exists — the signal
-/// behind EXPLAIN ANALYZE's `dataframe (fused)` mode hint.
-pub fn fused_pipeline_ops(plan: &Arc<LogicalPlan>) -> usize {
-    fn walk(node: &Arc<LogicalPlan>, run: usize, best: &mut usize) {
-        match node.as_ref() {
-            LogicalPlan::Project { input, .. }
-            | LogicalPlan::Filter { input, .. }
-            | LogicalPlan::Explode { input, .. } => {
-                *best = (*best).max(run + 1);
-                walk(input, run + 1, best);
-            }
-            LogicalPlan::Limit { input, .. } => {
-                // Mid-chain limits become boundaries and restart the
-                // segment at themselves (see compile_columnar).
-                *best = (*best).max(1);
-                walk(input, 1, best);
-            }
-            LogicalPlan::FromRdd { .. } => {}
-            LogicalPlan::GroupBy { input, .. }
-            | LogicalPlan::OrderBy { input, .. }
-            | LogicalPlan::ZipWithIndex { input, .. } => walk(input, 0, best),
+/// Up to `batch_size` rows off the front of a partition.
+fn next_batch(input: &mut BoxIter<Row>, batch_size: usize) -> Vec<Row> {
+    let mut buf = Vec::with_capacity(batch_size);
+    buf.extend(input.by_ref().take(batch_size));
+    buf
+}
+
+/// One operator of a fused columnar pipeline segment.
+enum FusedOp {
+    Project(Vec<BoundExpr>),
+    Filter(BoundExpr),
+    Explode { idx: usize },
+}
+
+/// The one fusability rule: a Project or Filter free of opaque UDFs, or an
+/// Explode, fuses into a columnar segment — returned bound against its
+/// input, with that input. Every other node is a segment boundary.
+fn fused_op(node: &LogicalPlan) -> Result<Option<(FusedOp, &Arc<LogicalPlan>)>> {
+    Ok(match node {
+        LogicalPlan::Project { input, exprs, .. } if !exprs.iter().any(|e| e.expr.has_udf()) => {
+            Some((FusedOp::Project(bind_exprs(exprs, input.schema())?), input))
+        }
+        LogicalPlan::Filter { input, predicate } if !predicate.has_udf() => {
+            Some((FusedOp::Filter(predicate.bind(input.schema())?), input))
+        }
+        LogicalPlan::Explode { input, col, .. } => {
+            Some((FusedOp::Explode { idx: input.schema().resolve(col)? }, input))
+        }
+        _ => None,
+    })
+}
+
+/// Peels the maximal fused segment off the top of `plan`: its operators in
+/// execution order, and the boundary node left below them. `None` when the
+/// top node does not fuse, and always under `ExecConf::row_major`. Pure
+/// analysis — the boundary is *not* compiled here, so each caller compiles
+/// it exactly once, as a row source or as a kernel feed.
+fn peel<'a>(
+    exec: &ExecConf,
+    plan: &'a Arc<LogicalPlan>,
+) -> Result<Option<(SegmentPlan, &'a Arc<LogicalPlan>)>> {
+    let mut ops = Vec::new();
+    let mut node = plan;
+    if !exec.row_major {
+        while let Some((op, input)) = fused_op(node)? {
+            ops.push(op);
+            node = input;
         }
     }
-    let mut best = 0;
-    walk(plan, 0, &mut best);
-    best
+    if ops.is_empty() {
+        return Ok(None);
+    }
+    ops.reverse();
+    Ok(Some((SegmentPlan { ops, width: node.schema().len() }, node)))
+}
+
+/// The operator count of the longest fused segment [`compile`] builds for
+/// this plan under `exec` (0 under `row_major`). `>= 2` means at least one
+/// multi-operator single-pass segment runs: the signal behind EXPLAIN
+/// ANALYZE's `dataframe (fused)` mode. It walks the plan with the
+/// compiler's own [`peel`], so the two cannot disagree.
+pub(crate) fn fused_pipeline_ops(exec: &ExecConf, plan: &Arc<LogicalPlan>) -> usize {
+    let (run, boundary) = match peel(exec, plan) {
+        Ok(Some((seg, boundary))) => (seg.ops.len(), boundary),
+        // A plan that does not bind fails to compile: it fuses nothing.
+        Ok(None) | Err(_) => (0, plan),
+    };
+    run.max(boundary.input().map_or(0, |input| fused_pipeline_ops(exec, input)))
+}
+
+/// A compiled fused pipeline segment: the operator chain plus the width of
+/// the rows entering it. Shared between [`segment_rows`] (row-out
+/// execution) and the vectorized GROUP BY map side, which keeps the
+/// segment's output columnar and feeds it — selection vector and all —
+/// straight into the aggregation kernel.
+struct SegmentPlan {
+    ops: Vec<FusedOp>,
+    width: usize,
+}
+
+impl SegmentPlan {
+    /// Runs every operator over one batch, returning the surviving batch
+    /// and, if the trailing operators left one pending, a selection vector.
+    ///
+    /// Filters narrow a lazy selection vector instead of gathering
+    /// (copying) every column per filter; the batch materializes only when
+    /// a downstream operator needs positional storage, and the final
+    /// emission reads straight through the selection. Evaluating a
+    /// built-in expression over slots an earlier filter dropped is
+    /// harmless: built-in operators are pure and total on every value.
+    fn apply(&self, mut batch: ColumnBatch) -> (ColumnBatch, Option<Vec<u32>>) {
+        let mut sel: Option<Vec<u32>> = None;
+        for op in &self.ops {
+            match op {
+                FusedOp::Project(exprs) => {
+                    if let Some(s) = sel.take() {
+                        batch = batch.gather(&s);
+                    }
+                    batch = batch::project(exprs, &batch);
+                }
+                FusedOp::Filter(p) => sel = Some(batch::refine(p, &batch, sel.take())),
+                FusedOp::Explode { idx } => {
+                    if let Some(s) = sel.take() {
+                        batch = batch.gather(&s);
+                    }
+                    batch = batch::explode(&batch, *idx);
+                }
+            }
+            if sel.as_ref().map_or(batch.len(), |s| s.len()) == 0 {
+                break;
+            }
+        }
+        (batch, sel)
+    }
+}
+
+/// Executes a fused segment over a row source, emitting rows: batches of
+/// `ExecConf::batch_size` rows stream lazily through
+/// [`SegmentPlan::apply`], and each partition reports its batch work once
+/// when exhausted.
+fn segment_rows(core: &Arc<Core>, source: Rdd<Row>, seg: SegmentPlan) -> Rdd<Row> {
+    let seg = Arc::new(seg);
+    let batch_size = core.conf.exec.batch_size;
+    let events = Arc::clone(&core.events);
+    source.map_partitions(move |_part, mut input: BoxIter<Row>| {
+        let seg = Arc::clone(&seg);
+        let events = Arc::clone(&events);
+        // Per-call state (fresh on retries): the pending output rows of the
+        // last batch, and the counters reported once per partition when
+        // the input is exhausted.
+        let mut out: std::vec::IntoIter<Row> = Vec::new().into_iter();
+        let mut batches: u64 = 0;
+        let mut rows_out: u64 = 0;
+        let mut done = false;
+        let iter = std::iter::from_fn(move || loop {
+            if let Some(row) = out.next() {
+                return Some(row);
+            }
+            if done {
+                return None;
+            }
+            let buf = next_batch(&mut input, batch_size);
+            if buf.is_empty() {
+                done = true;
+                if batches > 0 {
+                    events.emit(Event::ColumnarBatch {
+                        fused_ops: seg.ops.len() as u64,
+                        batches,
+                        rows: rows_out,
+                    });
+                }
+                return None;
+            }
+            let (batch, sel) = seg.apply(ColumnBatch::from_rows(seg.width, buf));
+            batches += 1;
+            let out_rows = match sel {
+                Some(s) => batch.to_rows_sel(&s),
+                None => batch.to_rows(),
+            };
+            rows_out += out_rows.len() as u64;
+            out = out_rows.into_iter();
+        });
+        Box::new(iter) as BoxIter<Row>
+    })
 }
 
 #[cfg(test)]

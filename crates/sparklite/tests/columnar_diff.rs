@@ -2,7 +2,7 @@
 //! generator can produce must collect to byte-identical rows (under
 //! [`RowCodec`]) on both physical paths — the row-at-a-time reference
 //! operators (`ExecConf::row_major`) and the shipping columnar default, with
-//! vectorized hash aggregation and normalized-key sort. Batch sizes are
+//! fused built-in chains and vectorized hash aggregation. Batch sizes are
 //! fuzzed too, so batch seams land inside, on, and around partition
 //! boundaries; dedicated cases pin the
 //! empty / one-row / N−1 / N / N+1 input sizes, null-heavy mixed-type
@@ -14,7 +14,8 @@ mod common;
 use common::{build_on, seed_n, step_strategy, Step};
 use proptest::prelude::*;
 use sparklite::dataframe::{
-    Agg, CmpOp, DataFrame, DataType, Expr, Field, NamedExpr, Row, RowCodec, Schema, SortDir, Value,
+    Agg, CmpOp, DataFrame, DataType, Expr, Field, NamedExpr, NumOp, Row, RowCodec, Schema, SortDir,
+    Value,
 };
 use sparklite::{CacheCodec, FaultPlan, SparkliteConf, SparkliteContext};
 
@@ -23,8 +24,8 @@ use sparklite::{CacheCodec, FaultPlan, SparkliteConf, SparkliteContext};
 enum Mode {
     /// Row-at-a-time reference operators.
     RowMajor,
-    /// The shipping default: columnar kernels with vectorized hash
-    /// aggregation and normalized-key sort.
+    /// The shipping default: built-in chains on columnar kernels, UDF
+    /// operators on rows, and vectorized hash aggregation.
     Vectorized,
 }
 
@@ -58,7 +59,7 @@ fn assert_all_agree(results: &[(Mode, Vec<u8>)], what: &str) {
 
 /// [`step_strategy`] re-weighted toward shuffle boundaries: three in four
 /// steps are a GROUP BY or an ORDER BY, so pipelines hammer the hash
-/// aggregation kernel and the normalized-key sort (often stacked).
+/// aggregation kernel and the range sort (often stacked).
 fn group_sort_heavy_step() -> impl Strategy<Value = Step> {
     prop_oneof![
         step_strategy(),
@@ -98,7 +99,7 @@ proptest! {
 
     /// Group/sort-heavy pipelines: stacked aggregations and orderings over
     /// the messy seed, where the hash kernel's group identity and the
-    /// memcmp sort keys must reproduce the row comparators exactly.
+    /// sort must reproduce the row comparators exactly.
     #[test]
     fn group_and_sort_heavy_pipelines_agree(
         steps in prop::collection::vec(group_sort_heavy_step(), 1..10),
@@ -140,8 +141,7 @@ fn size_edges_agree_at_batch_boundaries() {
 /// whose values compare numerically equal (`I64(1)` vs `F64(1.0)` vs
 /// `Str("1")` vs `Bool(true)` must stay distinct groups). Every aggregate
 /// kind runs over payloads with NULLs, i64 extremes (SUM overflow), NaN and
-/// negative zero; the result is then sorted through the normalized-key
-/// encoder on a float column.
+/// negative zero; the result is then sorted on a float column.
 #[test]
 fn grouping_stress_shapes_agree_on_all_paths() {
     let frame = |ctx: &SparkliteContext, shape: &str| {
@@ -414,4 +414,171 @@ proptest! {
             );
         }
     }
+}
+
+/// One operator of a mixed chain: built-in operators, which run on batches,
+/// interleaved with opaque UDF operators, which run on rows.
+#[derive(Debug, Clone)]
+enum MixedOp {
+    /// Built-in filter `v > t`.
+    Filter(i64),
+    /// Built-in projection adding `v * m`.
+    Project(i64),
+    /// UDF projection adding `v + 1`; fails its task on `v == bad`.
+    UdfProject { bad: i64 },
+    /// UDF filter keeping the rows whose `v` is not a multiple of `m`.
+    UdfFilter(i64),
+}
+
+fn mixed_op() -> impl Strategy<Value = MixedOp> {
+    prop_oneof![
+        (-12i64..40).prop_map(MixedOp::Filter),
+        (1i64..5).prop_map(MixedOp::Project),
+        prop_oneof![Just(-999i64), Just(6), Just(30), Just(44)]
+            .prop_map(|bad| MixedOp::UdfProject { bad }),
+        (3i64..7).prop_map(MixedOp::UdfFilter),
+    ]
+}
+
+/// The task failure a UDF raises when it sees a row that an earlier
+/// built-in filter dropped. It must never surface on any path.
+const SAW_DROPPED_ROW: &str = "UDF saw a row a built-in filter dropped";
+
+/// Builds `ops` over the messy seed. Every UDF carries the thresholds of
+/// the built-in filters below it and fails its task if a row violates one:
+/// a UDF may only observe the rows that logically reach it.
+fn build_mixed(ctx: &SparkliteContext, rows: i64, ops: &[MixedOp]) -> DataFrame {
+    let mut d = seed_n(ctx, rows);
+    let mut floors: Vec<i64> = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        let guard = {
+            let floors = floors.clone();
+            move |schema: &Schema, row: &[Value]| -> Option<i64> {
+                let v = row[schema.index_of("v").expect("v passes through")].as_i64();
+                if floors.iter().any(|&t| v.is_none_or(|v| v <= t)) {
+                    sparklite::rdd::task_bail(SAW_DROPPED_ROW);
+                }
+                v
+            }
+        };
+        let v_gt = |t: i64| Expr::cmp(Expr::col("v"), CmpOp::Gt, Expr::lit(Value::I64(t)));
+        d = match *op {
+            MixedOp::Filter(t) => {
+                floors.push(t);
+                d.filter(v_gt(t)).unwrap()
+            }
+            MixedOp::Project(m) => d
+                .with_column(
+                    format!("p{i}"),
+                    Expr::num(Expr::col("v"), NumOp::Mul, Expr::lit(Value::I64(m))),
+                    DataType::I64,
+                )
+                .unwrap(),
+            MixedOp::UdfProject { bad } => {
+                let udf =
+                    Expr::udf("plus_one", Some(vec!["v".into()]), move |s, r| match guard(s, r) {
+                        Some(v) if v == bad => sparklite::rdd::task_bail("UDF rejected its input"),
+                        Some(v) => Value::I64(v + 1),
+                        None => Value::Null,
+                    });
+                d.with_column(format!("u{i}"), udf, DataType::I64).unwrap()
+            }
+            MixedOp::UdfFilter(m) => d
+                .filter(Expr::udf("not_multiple", Some(vec!["v".into()]), move |s, r| {
+                    Value::Bool(guard(s, r).is_some_and(|v| v % m != 0))
+                }))
+                .unwrap(),
+        };
+    }
+    d
+}
+
+/// A mixed chain's result on one path: its rows under [`RowCodec`], or
+/// the failing task's message.
+fn run_mixed(mode: Mode, batch: usize, rows: i64, ops: &[MixedOp]) -> Result<Vec<u8>, String> {
+    match build_mixed(&ctx_mode(mode, batch), rows, ops).collect_rows() {
+        Ok(out) => Ok(RowCodec.encode(&out)),
+        Err(sparklite::SparkliteError::TaskFailed(cause)) => Err(cause.message),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random interleavings of built-in and UDF filters and projections
+    /// return the same rows, or fail with the same UDF error, on both
+    /// paths, and no UDF ever sees a row a built-in filter dropped.
+    #[test]
+    fn mixed_udf_and_builtin_chains_agree(
+        ops in prop::collection::vec(mixed_op(), 1..10),
+        rows in prop_oneof![Just(0i64), Just(1), Just(24), Just(61)],
+        batch in prop_oneof![Just(1usize), Just(3), Just(8), Just(1024)],
+    ) {
+        let reference = run_mixed(Mode::RowMajor, batch, rows, &ops);
+        let columnar = run_mixed(Mode::Vectorized, batch, rows, &ops);
+        for out in [&reference, &columnar] {
+            prop_assert!(out.as_ref().err().is_none_or(|m| !m.contains(SAW_DROPPED_ROW)));
+        }
+        prop_assert_eq!(columnar, reference, "ops {:?}, rows {}, batch {}", &ops, rows, batch);
+    }
+}
+
+/// Whether a UDF ever runs inside a batch shows in the event log: a chain
+/// of UDF operators emits no `ColumnarBatch` event, a built-in chain still
+/// fuses, and in a mixed chain only the built-in operators count as fused,
+/// over exactly the rows that reach the UDF above them.
+#[test]
+fn udf_operators_run_on_rows_and_builtin_chains_fuse() {
+    let ctx = || {
+        SparkliteContext::new(
+            SparkliteConf::default()
+                .with_executors(3)
+                .with_optimizer(false)
+                .with_batch_size(8)
+                .with_event_collection(true),
+        )
+    };
+    let batches = |ctx: &SparkliteContext| -> Vec<(u64, u64)> {
+        let timeline = ctx.timeline().expect("event collection is on");
+        timeline
+            .events()
+            .iter()
+            .filter_map(|(_, e)| match e {
+                sparklite::Event::ColumnarBatch { fused_ops, rows, .. } => {
+                    Some((*fused_ops, *rows))
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    let udf = [MixedOp::UdfProject { bad: -999 }, MixedOp::UdfFilter(4)];
+    let builtin = [MixedOp::Filter(-4), MixedOp::Project(3)];
+    let mixed = [MixedOp::Filter(-4), MixedOp::Project(3), MixedOp::UdfProject { bad: -999 }];
+
+    let c = ctx();
+    let d = build_mixed(&c, 61, &udf);
+    assert!(!d.fused_pipeline());
+    assert!(!d.collect_rows().unwrap().is_empty());
+    assert_eq!(batches(&c), vec![], "a UDF operator ran on a batch");
+
+    let c = ctx();
+    let d = build_mixed(&c, 61, &builtin);
+    assert!(d.fused_pipeline());
+    let survivors = d.collect_rows().unwrap().len() as u64;
+    let events = batches(&c);
+    assert!(!events.is_empty() && events.iter().all(|&(ops, _)| ops == 2), "{events:?}");
+    assert_eq!(events.iter().map(|&(_, r)| r).sum::<u64>(), survivors);
+
+    let c = ctx();
+    let d = build_mixed(&c, 61, &mixed);
+    assert!(d.fused_pipeline());
+    assert_eq!(d.collect_rows().unwrap().len() as u64, survivors);
+    let events = batches(&c);
+    assert!(!events.is_empty() && events.iter().all(|&(ops, _)| ops == 2), "{events:?}");
+    assert_eq!(events.iter().map(|&(_, r)| r).sum::<u64>(), survivors);
+
+    // Row-major vectorizes nothing.
+    let row_major = SparkliteContext::new(SparkliteConf::default().with_row_major(true));
+    assert!(!build_mixed(&row_major, 61, &builtin).fused_pipeline());
 }
