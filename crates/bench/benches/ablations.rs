@@ -9,11 +9,14 @@
 //! * filter placement — a `where` the optimizer can push below the sort vs
 //!   a count-gated one it cannot;
 //! * top-K — `take(10)` over an `order by` as one bounded-heap job vs the
-//!   full range sort followed by the take.
+//!   full range sort followed by the take;
+//! * the full sort over an auto-persisted source vs one that is not: the
+//!   range sort's sampling and routing passes each run the pipeline below
+//!   the sort, so without the source cache each parses the JSON again.
 //!
 //! Arms that compute the same answer are checked to agree (as sorted
-//! serialized items, or in order for the top-K pair) once before timing,
-//! so no arm times a wrong answer.
+//! serialized items, or in order for the top-K and full-sort pairs) once
+//! before timing, so no arm times a wrong answer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rumble_core::Rumble;
@@ -26,7 +29,7 @@ fn bench(c: &mut Criterion) {
     let sc = SparkliteContext::new(SparkliteConf::default().with_executors(4));
     put_dataset(&sc, "hdfs:///confusion.json", &confusion::generate(OBJECTS, DEFAULT_SEED))
         .expect("dataset fits");
-    let rumble = Rumble::new(sc);
+    let rumble = Rumble::new(sc.clone());
 
     let run = |q: &str| {
         let prepared = rumble.compile(q).expect("query compiles");
@@ -158,6 +161,22 @@ fn bench(c: &mut Criterion) {
         let f = take(sort_then_take);
         move |b| b.iter(&f)
     });
+    g.finish();
+
+    // --- the full sort with and without the source cache ---------------------
+    // The Fig. 11 sort query collected in full: a range sort, not top-K.
+    let uncached = Rumble::new(sc);
+    uncached.set_auto_persist(None);
+    let collected = |r: &Rumble| -> Vec<String> {
+        r.run(top_k).expect("query runs").iter().map(|i| i.serialize()).collect()
+    };
+    assert_eq!(collected(&rumble), collected(&uncached), "full sort disagrees without the cache");
+    let mut g = c.benchmark_group("ablation/full-sort");
+    g.sample_size(10);
+    for (name, r) in [("auto-persist", &rumble), ("no-auto-persist", &uncached)] {
+        let prepared = r.compile(top_k).expect("query compiles");
+        g.bench_function(name, move |b| b.iter(|| prepared.collect().expect("query runs").len()));
+    }
     g.finish();
 }
 

@@ -231,8 +231,8 @@ impl PreparedQuery {
     /// Runs and keeps at most `n` items.
     pub fn take(&self, n: usize) -> Result<Vec<Item>> {
         let ctx = self.root_ctx()?;
-        // Top-K goes first: `is_rdd` builds the full-sort frame of an
-        // `order by`, which runs its key pass into a cache.
+        // Top-K goes first: the RDD of an `order by` FLWOR is the full
+        // range sort, several jobs where the top-K takes one.
         if let Some(items) = self.program.body.take_ordered(&ctx, n)? {
             return Ok(items);
         }

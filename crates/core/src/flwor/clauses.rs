@@ -872,34 +872,24 @@ fn check_classes(mask: u8) -> Result<()> {
     Ok(())
 }
 
-/// The §4.8 type discovery of one ORDER BY evaluation: one slot per key,
-/// into which that key's UDF ORs the [`order_class`] of every cell it
-/// computes. A slot is loaded before it is written, so tasks stop writing
-/// (and contending for the cache line) once a class has been seen; a
-/// retried or speculative task only ORs bits again. `Relaxed` suffices:
-/// the slots publish no other data, and the driver reads them only after
-/// the job's results came back from every task, which orders the tasks'
-/// writes before the read.
-struct KeyClasses(Arc<[AtomicU8]>);
-
-impl KeyClasses {
-    fn new(keys: usize) -> KeyClasses {
-        KeyClasses((0..keys).map(|_| AtomicU8::new(0)).collect())
+/// The §4.8 type discovery, run by the key UDF itself: ORs `cell`'s
+/// [`order_class`] into `slot`, the OR of every class its key has taken
+/// in this evaluation, and applies [`check_classes`] to the result — the
+/// rule the local path applies tuple by tuple. So the task that computes
+/// a key conflicting with one seen before (in any task) raises
+/// `INCOMPATIBLE_SORT_KEYS`, and so does every later one, retries
+/// included. A slot is loaded before it is written, so tasks stop writing
+/// (and contending for the cache line) once a class has been seen.
+/// `Relaxed` suffices: `fetch_or`s on one slot are totally ordered, so of
+/// two conflicting classes the later write sees the earlier one, and the
+/// slot publishes no other data.
+fn note_class(slot: &AtomicU8, cell: &Value) -> Result<()> {
+    let class = order_class(cell);
+    let mut mask = slot.load(Ordering::Relaxed);
+    if mask & class != class {
+        mask = slot.fetch_or(class, Ordering::Relaxed) | class;
     }
-
-    fn note(slots: &[AtomicU8], key: usize, cell: &Value) {
-        let class = order_class(cell);
-        let slot = &slots[key];
-        if slot.load(Ordering::Relaxed) & class != class {
-            slot.fetch_or(class, Ordering::Relaxed);
-        }
-    }
-
-    /// Raises `INCOMPATIBLE_SORT_KEYS` if a key took incompatible classes;
-    /// call once the key pass's job has finished.
-    fn check(&self) -> Result<()> {
-        self.0.iter().try_for_each(|slot| check_classes(slot.load(Ordering::Relaxed)))
-    }
+    check_classes(mask)
 }
 
 /// `order by expr [descending] [empty greatest], …` (§4.8).
@@ -908,34 +898,31 @@ pub struct OrderByClauseIter {
     pub specs: Vec<OrderSpecIter>,
 }
 
-/// A tuple frame with one sort-key column per `order by` key.
-struct KeyedFrame {
-    df: DataFrame,
-    /// The key columns with their directions, in key order.
-    keys: Vec<(String, SortDir)>,
-    /// Filled by the job that runs the key columns' UDFs.
-    classes: KeyClasses,
-}
-
 impl OrderByClauseIter {
     /// Adds one sort-key column (`__o{i}`, the key's [`order_cell`]) per
-    /// key to `df`, each UDF noting its cells' classes in the frame's
-    /// [`KeyClasses`].
-    fn keyed(&self, mut df: DataFrame, ctx: &DynamicContext) -> Result<KeyedFrame> {
-        let classes = KeyClasses::new(self.specs.len());
+    /// key to `df`, each UDF running the type discovery ([`note_class`])
+    /// over a slot of its own; returns the frame and its sort keys.
+    fn keyed(
+        &self,
+        mut df: DataFrame,
+        ctx: &DynamicContext,
+    ) -> Result<(DataFrame, Vec<(String, SortDir)>)> {
         let mut keys = Vec::with_capacity(self.specs.len());
         for (i, spec) in self.specs.iter().enumerate() {
             let col = format!("__o{i}");
-            let slots = Arc::clone(&classes.0);
+            let slot = Arc::new(AtomicU8::new(0));
             let udf = row_udf(&col, Arc::clone(&spec.expr), spec.uses.clone(), ctx, move |items| {
                 let cell = order_cell(&items).unwrap_or_else(|e| task_bail(e));
-                KeyClasses::note(&slots, i, &cell);
+                note_class(&slot, &cell).unwrap_or_else(|e| task_bail(e));
                 cell
-            });
+            })
+            // The type discovery must see every row, so a `where` after
+            // the `order by` stays above the sort.
+            .nondeterministic();
             df = df.with_column(&col, udf, DataType::Any)?;
             keys.push((col, order_dir(spec)));
         }
-        Ok(KeyedFrame { df, keys, classes })
+        Ok((df, keys))
     }
 }
 
@@ -972,13 +959,10 @@ impl ClauseIterator for OrderByClauseIter {
 
     fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
         let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
-        let KeyedFrame { df, keys, classes } = self.keyed(f.df, ctx)?;
-        // Materialize once: the sort's sampling and partitioning passes
-        // would otherwise each recompute the whole upstream pipeline (Spark
-        // serves these from shuffle files). The key pass that fills the
-        // cache also runs the §4.8 type discovery.
-        let df = df.cache()?;
-        classes.check()?;
+        // A plan, not a job: the range sort's sampling and routing passes
+        // each run the key pass (and so the type discovery) over the
+        // parent pipeline, as Spark's RangePartitioner re-runs its input.
+        let (df, keys) = self.keyed(f.df, ctx)?;
         let cols: Vec<String> = keys.iter().map(|(c, _)| c.clone()).collect();
         let col_refs: Vec<&str> = cols.iter().map(|c| c.as_str()).collect();
         let df = df.order_by(keys)?.drop_columns(&col_refs)?;
@@ -991,11 +975,10 @@ impl ClauseIterator for OrderByClauseIter {
         n: usize,
     ) -> Result<Option<(Arc<Schema>, Vec<Row>)>> {
         let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
-        let KeyedFrame { df, keys, classes } = self.keyed(f.df, ctx)?;
-        // One top-K job: no cache, no range sort, and every row's key still
-        // computed, so type discovery sees the rows outside the top `n`.
+        let (df, keys) = self.keyed(f.df, ctx)?;
+        // One top-K job: no range sort, and every row's key still computed,
+        // so type discovery sees the rows outside the top `n`.
         let rows = df.order_by(keys)?.limit(n).collect_rows()?;
-        classes.check()?;
         Ok(Some((Arc::clone(df.schema()), rows)))
     }
 }

@@ -17,9 +17,9 @@
 //! instead, so rows that pass between operators of one process never
 //! encode or decode their items. The cell turns into the item-codec `Bin`
 //! bytes only where sparklite needs bytes — a shuffle block sent to an
-//! executor worker, either DataFrame cache level — and `bind_cell` is the
-//! one place that reads a cell back: an `Arc` clone for a native cell, a
-//! decode for a `Bin` that crossed one of those boundaries.
+//! executor worker — and `bind_cell` is the one place that reads a cell
+//! back: an `Arc` clone for a native cell, a decode for a `Bin` that
+//! crossed that boundary.
 //!
 //! The `return` clause lives in [`FlworIter`], which is an ordinary
 //! expression iterator: in DataFrame mode it maps the frame back to an
@@ -90,7 +90,8 @@ pub trait ClauseIterator: Send + Sync {
     fn tuples(&self, ctx: &DynamicContext) -> Result<TupleCursor>;
 
     /// DataFrame evaluation (§4.4–§4.9); `None` if this pipeline cannot be
-    /// distributed.
+    /// distributed. Builds a plan and launches no job, so probing it (as
+    /// `is_rdd` does) is free.
     fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>>;
 
     /// Whether `var` is statically known to be bound to exactly one item in
@@ -155,8 +156,8 @@ pub(crate) fn cell_of(items: Vec<Item>) -> Value {
 }
 
 /// The sequence a cell of `var`'s column binds: an `Arc` clone of a native
-/// cell, or the decode of the `Bin` a cache or a shuffle block sent to an
-/// executor worker turned one into. Any other value is a task error.
+/// cell, or the decode of the `Bin` a shuffle block sent to an executor
+/// worker turned one into. Any other value is a task error.
 pub(crate) fn bind_cell(var: &str, cell: &Value) -> Sequence {
     if let Value::Ext(c) = cell {
         if let Some(items) = c.as_any().downcast_ref::<ItemsCell>() {
@@ -201,32 +202,11 @@ pub struct FlworIter {
     pub return_expr: ExprRef,
     /// Free FLWOR variables of the return expression.
     pub return_uses: Vec<Arc<str>>,
-    /// Memo of the last `frame()` probe, keyed by context identity.
-    /// `is_rdd` and `rdd` are both asked per evaluation; without the memo an
-    /// order-by frame would run its cache-filling key pass twice.
-    frame_memo: parking_lot::Mutex<Option<(usize, Option<TupleFrame>)>>,
 }
 
 impl FlworIter {
     pub fn new(last: ClauseRef, return_expr: ExprRef, return_uses: Vec<Arc<str>>) -> FlworIter {
-        FlworIter { last, return_expr, return_uses, frame_memo: parking_lot::Mutex::new(None) }
-    }
-
-    fn frame_for(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
-        let mut memo = self.frame_memo.lock();
-        if let Some((id, cached)) = memo.as_ref() {
-            if *id == ctx.id() {
-                return Ok(cached
-                    .as_ref()
-                    .map(|f| TupleFrame { df: f.df.clone(), vars: f.vars.clone() }));
-            }
-        }
-        let frame = self.last.frame(ctx)?;
-        *memo = Some((
-            ctx.id(),
-            frame.as_ref().map(|f| TupleFrame { df: f.df.clone(), vars: f.vars.clone() }),
-        ));
-        Ok(frame)
+        FlworIter { last, return_expr, return_uses }
     }
 
     /// Builds the fused (DataFrame-free) RDD for scan-shaped pipelines:
@@ -294,7 +274,12 @@ impl ExprIterator for FlworIter {
         if let Some(scan) = self.last.fused_scan() {
             return scan.source.is_rdd(ctx);
         }
-        matches!(self.frame_for(ctx), Ok(Some(_)))
+        // Building a frame launches no job. A frame that fails to build
+        // still counts as distributed, so `rdd` reports its error instead
+        // of the query silently re-running locally. The probe is cheap only
+        // while frames stay plans: `rdd` builds this frame again, so a
+        // FLWOR nested as a `for` source d levels deep is built 2^d times.
+        !matches!(self.last.frame(ctx), Ok(None))
     }
 
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
@@ -303,7 +288,7 @@ impl ExprIterator for FlworIter {
                 return self.fused_rdd(scan, ctx);
             }
         }
-        let frame = self.frame_for(ctx)?.ok_or_else(|| {
+        let frame = self.last.frame(ctx)?.ok_or_else(|| {
             crate::error::RumbleError::dynamic(
                 crate::error::codes::CLUSTER,
                 "FLWOR tuple stream has no DataFrame form",
@@ -349,7 +334,7 @@ impl ExprIterator for FlworIter {
                 return Some("rdd (fused)");
             }
         }
-        if let Ok(Some(frame)) = self.frame_for(ctx) {
+        if let Ok(Some(frame)) = self.last.frame(ctx) {
             // §4.7/§4.9: report whether the physical compiler will fuse
             // adjacent built-in operators into one batch pass (the clause
             // UDFs run on rows), so the observed-mode surface stays

@@ -81,11 +81,6 @@ impl StaticCard {
     pub fn is_statically_many(&self) -> bool {
         self.lo >= 2
     }
-
-    /// The sequence provably has at least one item.
-    pub fn is_statically_nonempty(&self) -> bool {
-        self.lo >= 1
-    }
 }
 
 /// The builtin functions this engine implements, with their arity ranges.

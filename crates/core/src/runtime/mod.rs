@@ -42,11 +42,6 @@ pub fn cursor_empty() -> ItemCursor {
     Box::new(std::iter::empty())
 }
 
-/// A cursor that yields a single error.
-pub fn cursor_err(e: RumbleError) -> ItemCursor {
-    Box::new(std::iter::once(Err(e)))
-}
-
 /// Where a named collection (the `collection()` function) gets its data.
 #[derive(Clone)]
 pub enum CollectionSource {
@@ -103,13 +98,6 @@ struct CtxInner {
     context_item: Option<(Item, i64)>,
     in_executor: bool,
     engine: Arc<EngineCtx>,
-    /// Process-unique id (memoization key; never reused, unlike pointers).
-    uid: usize,
-}
-
-fn next_ctx_uid() -> usize {
-    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(1);
-    NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
 /// The dynamic context: chained variable bindings plus the context item —
@@ -129,7 +117,6 @@ impl DynamicContext {
                 context_item: None,
                 in_executor: false,
                 engine,
-                uid: next_ctx_uid(),
             }),
         }
     }
@@ -151,7 +138,6 @@ impl DynamicContext {
                 context_item: self.inner.context_item.clone(),
                 in_executor: self.inner.in_executor,
                 engine: Arc::clone(&self.inner.engine),
-                uid: next_ctx_uid(),
             }),
         }
     }
@@ -169,7 +155,6 @@ impl DynamicContext {
                 context_item: Some((item, position)),
                 in_executor: self.inner.in_executor,
                 engine: Arc::clone(&self.inner.engine),
-                uid: next_ctx_uid(),
             }),
         }
     }
@@ -187,7 +172,6 @@ impl DynamicContext {
                 context_item: self.inner.context_item.clone(),
                 in_executor: true,
                 engine: Arc::clone(&self.inner.engine),
-                uid: next_ctx_uid(),
             }),
         }
     }
@@ -206,12 +190,6 @@ impl DynamicContext {
 
     pub fn context_item(&self) -> Option<(Item, i64)> {
         self.inner.context_item.clone()
-    }
-
-    /// A stable, never-reused identity for this exact context instance
-    /// (used to memoize per-evaluation state like FLWOR frames).
-    pub fn id(&self) -> usize {
-        self.inner.uid
     }
 }
 

@@ -289,16 +289,6 @@ impl ExprIterator for ProfiledIter {
         out
     }
 
-    fn materialize(&self, ctx: &DynamicContext) -> Result<Vec<Item>> {
-        // The default implementation routes through our own `rdd`/`open`,
-        // which is exactly what we want — counting happens there.
-        if self.is_rdd(ctx) {
-            crate::runtime::collect_rdd_capped(self.rdd(ctx)?, ctx)
-        } else {
-            self.open(ctx)?.collect()
-        }
-    }
-
     fn key_path(&self, var: &str) -> Option<Vec<Arc<str>>> {
         self.inner.key_path(var)
     }

@@ -180,13 +180,16 @@ pub const CODE_DOCS: &[(&str, &str)] = &[
         "Optimizer changed your plan because a filter can run before the projection above it: \
          the projected expressions are substituted into the predicate so it binds against the \
          projection's input. Only fires when substitution is sound — predicates with opaque \
-         UDFs stay put unless every column the UDF reads passes through unchanged.",
+         UDFs stay put unless every column the UDF reads passes through unchanged, and no \
+         filter moves below a projection computing an order-by key (its type check must see \
+         every tuple).",
     ),
     (
         "RBLO0003",
         "Optimizer changed your plan because filtering before a sort shrinks the sort's \
          shuffle: Filter over OrderBy becomes OrderBy over Filter. A filter keeps relative \
-         order, so the sorted output is identical.",
+         order, so the sorted output is identical. Not when the sort's input computes an \
+         order-by key: every key, and any type error it raises, comes before the `where`.",
     ),
     (
         "RBLO0004",

@@ -198,6 +198,14 @@ const CASES: &[Case] = &[
 /// Queries every path must fail with the same error code.
 const ERRORS: &[(&str, &str)] = &[
     ("mixed-type order key", r#"for $r in SRC order by $r.id return $r.id"#),
+    (
+        "mixed-type order key, then a where dropping the offenders",
+        r#"for $r in SRC order by $r.id where $r.id instance of integer return $r.id"#,
+    ),
+    (
+        "mixed-type order key, then a where that raises",
+        r#"for $r in SRC order by $r.id where error() return $r.id"#,
+    ),
     ("non-atomic group key", r#"for $r in SRC group by $t := $r.tags return $t"#),
     (
         "boolean and number order key",
@@ -241,13 +249,28 @@ fn outcome(r: &Rumble, q: &str, sorted: bool) -> Result<Vec<String>, &'static st
     Ok(items)
 }
 
+/// Jobs one action launches.
+fn jobs_in(r: &Rumble, action: impl FnOnce()) -> u64 {
+    let before = r.sparklite().metrics().jobs;
+    action();
+    r.sparklite().metrics().jobs - before
+}
+
+/// Asserts that `q` answers `is_distributed()` with `true` and launches no
+/// job to find out: building a FLWOR's frame only plans.
+fn assert_distributed_for_free(r: &Rumble, q: &str, name: &str) {
+    let prepared = r.compile(q).unwrap();
+    let jobs = jobs_in(r, || assert!(prepared.is_distributed().unwrap(), "{name}"));
+    assert_eq!(jobs, 0, "{name}: is_distributed() launched jobs");
+}
+
 #[test]
 fn every_cell_carrying_clause_agrees_on_every_path() {
     let paths = paths(0xCE11);
     let threads = &paths[0].1;
     for case in CASES {
         let dq = distributed(case.query);
-        assert!(threads.compile(&dq).unwrap().is_distributed().unwrap(), "{}", case.name);
+        assert_distributed_for_free(threads, &dq, case.name);
         let lq = local(case.query);
         assert!(!threads.compile(&lq).unwrap().is_distributed().unwrap(), "{}", case.name);
         let expected = outcome(threads, &lq, case.sorted)
@@ -273,8 +296,32 @@ fn every_path_raises_the_same_error_code() {
         let expected = outcome(&paths[0].1, &local(q), false).expect_err(name);
         assert_eq!(expected, "XPTY0004", "{name}");
         for (path, r) in &paths {
+            assert_distributed_for_free(r, &distributed(q), &format!("{name} on {path}"));
             assert_eq!(outcome(r, &distributed(q), false), Err(expected), "{name} on {path}");
         }
+    }
+}
+
+/// A mixed-type order key past the materialization cap: the distributed
+/// sort computes every row's key, so `count()` and `run()` raise the type
+/// error instead of sorting the first `cap` items locally.
+#[test]
+fn a_mixed_order_key_past_the_materialization_cap_raises() {
+    let mut text = String::new();
+    for i in 0..2000 {
+        if i == 1500 {
+            text.push_str(&format!("{{\"id\": \"{i}\"}}\n"));
+        } else {
+            text.push_str(&format!("{{\"id\": {i}}}\n"));
+        }
+    }
+    let q = r#"for $r in json-file("hdfs:///capped.json") order by $r.id return $r.id"#;
+    for (path, r) in paths(0xCA9) {
+        r.hdfs_put("/capped.json", &text).unwrap();
+        r.set_materialization_cap(1000);
+        let prepared = r.compile(q).unwrap();
+        assert_eq!(prepared.count().map_err(|e| e.code), Err("XPTY0004"), "count() on {path}");
+        assert_eq!(r.run(q).map_err(|e| e.code), Err("XPTY0004"), "run() on {path}");
     }
 }
 
@@ -347,17 +394,16 @@ fn top_k_take_raises_errors_from_rows_outside_the_top() {
     }
 }
 
-/// Jobs of a full ORDER BY `collect()`: the cache-filling key pass (which
-/// also discovers the key types, with no job of its own), the range
-/// sort's sampling, map and sort passes, and the collect.
-const FULL_SORT_JOBS: u64 = 5;
+/// Jobs of a full ORDER BY `collect()`: the range sort's sampling, map
+/// and sort passes, and the collect. The sampling and map passes each run
+/// the key pass, which also discovers the key types, with no job of its
+/// own.
+const FULL_SORT_JOBS: u64 = 4;
 
 /// Jobs one action launches on a warm engine (the source already cached).
 fn jobs_of(r: &Rumble, action: impl Fn(&Rumble)) -> u64 {
     action(r);
-    let before = r.sparklite().metrics().jobs;
-    action(r);
-    r.sparklite().metrics().jobs - before
+    jobs_in(r, || action(r))
 }
 
 #[test]
@@ -365,8 +411,8 @@ fn order_by_job_counts() {
     let r = engine(|c| c);
     let q =
         distributed(r#"for $r in SRC where $r.v instance of integer order by $r.v return $r.id"#);
-    // Top-K: one job, where the full sort would fill a cache, sample, map,
-    // sort and take.
+    // Top-K: one job, where the full sort would sample, map, sort and
+    // take.
     assert_eq!(jobs_of(&r, |r| drop(r.run_take(&q, 10).unwrap())), 1);
     assert_eq!(jobs_of(&r, |r| drop(r.run(&q).unwrap())), FULL_SORT_JOBS);
 }

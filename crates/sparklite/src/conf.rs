@@ -228,21 +228,11 @@ pub struct DistConf {
     pub heartbeat_ms: u64,
     /// A worker whose last heartbeat is older than this is declared lost.
     pub heartbeat_timeout_ms: u64,
-    /// Capacity of each worker's bounded event forward buffer (events, not
-    /// bytes); handed to workers in `RegisterAck`. Overflow is counted and
-    /// reported, never silent.
-    pub event_capacity: usize,
 }
 
 impl Default for DistConf {
     fn default() -> Self {
-        DistConf {
-            mode: DistMode::Off,
-            workers: 2,
-            heartbeat_ms: 100,
-            heartbeat_timeout_ms: 3000,
-            event_capacity: 1 << 16,
-        }
+        DistConf { mode: DistMode::Off, workers: 2, heartbeat_ms: 100, heartbeat_timeout_ms: 3000 }
     }
 }
 
@@ -396,14 +386,6 @@ impl SparkliteConf {
     pub fn with_dist_heartbeat(mut self, heartbeat_ms: u64, timeout_ms: u64) -> Self {
         self.dist.heartbeat_ms = heartbeat_ms.max(1);
         self.dist.heartbeat_timeout_ms = timeout_ms.max(1);
-        self
-    }
-
-    /// Caps each executor worker's bounded event forward buffer (clamped to
-    /// at least 1 event). Tiny capacities force drops, which the driver
-    /// reports as lost events — useful to exercise loss accounting.
-    pub fn with_dist_event_capacity(mut self, events: usize) -> Self {
-        self.dist.event_capacity = events.max(1);
         self
     }
 }

@@ -214,12 +214,6 @@ impl SparkliteContext {
         Rdd::new(Arc::clone(&self.core), Arc::new(op))
     }
 
-    /// `parallelize` with the configured default parallelism.
-    pub fn parallelize_default<T: Data>(&self, data: Vec<T>) -> Rdd<T> {
-        let parts = self.core.conf.default_parallelism;
-        self.parallelize(data, parts)
-    }
-
     /// Opens a text file as an RDD of lines, one partition per storage
     /// block. Paths with `hdfs://`/`s3://` schemes resolve against the
     /// simulated HDFS; everything else reads the local filesystem.

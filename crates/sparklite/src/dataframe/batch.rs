@@ -420,12 +420,6 @@ impl ColumnBatch {
         ColumnBatch { len, columns }
     }
 
-    pub fn from_columns(columns: Vec<Column>) -> ColumnBatch {
-        let len = columns.first().map(|c| c.len()).unwrap_or(0);
-        debug_assert!(columns.iter().all(|c| c.len() == len), "ragged batch");
-        ColumnBatch { len, columns: columns.into_iter().map(Arc::new).collect() }
-    }
-
     pub fn len(&self) -> usize {
         self.len
     }

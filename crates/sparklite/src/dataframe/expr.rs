@@ -47,10 +47,13 @@ pub enum Expr {
     IsNull(Box<Expr>),
     /// An opaque row function. `uses` lists the columns it reads; `None`
     /// means "unknown — assume all", which blocks pushdown/pruning past it.
+    /// `deterministic` is false for a function whose value or error
+    /// depends on the other rows it has seen (see [`Expr::nondeterministic`]).
     Udf {
         name: String,
         f: Arc<UdfFn>,
         uses: Option<Vec<String>>,
+        deterministic: bool,
     },
 }
 
@@ -110,7 +113,31 @@ impl Expr {
         uses: Option<Vec<String>>,
         f: impl Fn(&Schema, &[Value]) -> Value + Send + Sync + 'static,
     ) -> Expr {
-        Expr::Udf { name: name.into(), f: Arc::new(f), uses }
+        Expr::Udf { name: name.into(), f: Arc::new(f), uses, deterministic: true }
+    }
+
+    /// Marks a UDF as depending on the other rows it evaluates, as a sort
+    /// key's type discovery does: it must see every row its input holds,
+    /// so no filter is pushed below a projection computing it, nor below a
+    /// sort reading one (Spark keeps filters above nondeterministic
+    /// projections alike). Other expressions are returned unchanged.
+    pub fn nondeterministic(self) -> Expr {
+        match self {
+            Expr::Udf { name, f, uses, .. } => Expr::Udf { name, f, uses, deterministic: false },
+            e => e,
+        }
+    }
+
+    /// Whether the tree holds no [`Expr::nondeterministic`] UDF.
+    pub fn is_deterministic(&self) -> bool {
+        match self {
+            Expr::Col(_) | Expr::Lit(_) => true,
+            Expr::Cmp(a, _, b) | Expr::Num(a, _, b) | Expr::And(a, b) | Expr::Or(a, b) => {
+                a.is_deterministic() && b.is_deterministic()
+            }
+            Expr::Not(a) | Expr::IsNull(a) => a.is_deterministic(),
+            Expr::Udf { deterministic, .. } => *deterministic,
+        }
     }
 
     /// The set of columns this expression reads; `None` if it contains a

@@ -25,7 +25,6 @@ pub use properties::{PlanProperties, Preserved};
 pub use rowcodec::RowCodec;
 pub use rules::{OptimizeTrace, Optimizer, RewriteRule};
 
-use crate::cache::StorageLevel;
 use crate::context::Core;
 use crate::error::{Result, SparkliteError};
 use crate::rdd::Rdd;
@@ -118,18 +117,6 @@ impl Value {
         }
     }
 
-    /// This value with every [`Value::Ext`] cell, nested ones included,
-    /// replaced by the `Bin` it stands for — what a byte boundary stores.
-    pub fn lowered(self) -> Value {
-        match self {
-            Value::Ext(c) => Value::Bin(Arc::from(c.encode())),
-            Value::List(l) => {
-                Value::List(Arc::new(l.iter().cloned().map(Value::lowered).collect()))
-            }
-            v => v,
-        }
-    }
-
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
@@ -162,13 +149,6 @@ impl Value {
     pub fn as_list(&self) -> Option<&Arc<Vec<Value>>> {
         match self {
             Value::List(l) => Some(l),
-            _ => None,
-        }
-    }
-
-    pub fn as_bin(&self) -> Option<&Arc<[u8]>> {
-        match self {
-            Value::Bin(b) => Some(b),
             _ => None,
         }
     }
@@ -428,51 +408,6 @@ impl DataFrame {
     /// Keeps at most the first `n` rows.
     pub fn limit(&self, n: usize) -> DataFrame {
         self.derive(LogicalPlan::Limit { input: Arc::clone(&self.plan), n })
-    }
-
-    /// Persists the frame at [`StorageLevel::MemoryDeserialized`] so that
-    /// several downstream passes (e.g. a sort's sampling and partitioning
-    /// passes) do not recompute the pipeline — the role Spark's `.cache()`
-    /// plays. Unlike the historical driver-funnel implementation, rows stay
-    /// on the executors: partitions land in the [`CacheManager`] where the
-    /// task that first computes them runs.
-    ///
-    /// [`CacheManager`]: crate::cache::CacheManager
-    pub fn cache(&self) -> Result<DataFrame> {
-        self.persist(StorageLevel::MemoryDeserialized)
-    }
-
-    /// Persists the frame at an explicit storage level and eagerly
-    /// populates the cache (one task per partition; no rows reach the
-    /// driver). `MemorySerialized` stores partitions as compact
-    /// [`RowCodec`] bytes, trading decode CPU on re-read for a smaller
-    /// footprint under the cache byte budget. Both levels store bytes for
-    /// [`Value::Ext`] cells: the cache holds their `Bin`, never the engine's
-    /// in-memory form.
-    pub fn persist(&self, level: StorageLevel) -> Result<DataFrame> {
-        let rdd = self.to_rdd()?.map(|mut row: Row| {
-            for v in &mut row {
-                *v = std::mem::replace(v, Value::Null).lowered();
-            }
-            row
-        });
-        let persisted = match level {
-            StorageLevel::MemoryDeserialized => rdd.persist(level),
-            StorageLevel::MemorySerialized => rdd.persist_with_codec(level, Arc::new(RowCodec)),
-        };
-        persisted.foreach(|_| {})?;
-        Ok(DataFrame::from_rdd(Arc::clone(self.schema()), &persisted))
-    }
-
-    /// Drops this frame's cached partitions (a no-op unless the frame came
-    /// from [`cache`]/[`persist`]).
-    ///
-    /// [`cache`]: DataFrame::cache
-    /// [`persist`]: DataFrame::persist
-    pub fn unpersist(&self) {
-        if let LogicalPlan::FromRdd { rows, .. } = self.plan.as_ref() {
-            rows.unpersist();
-        }
     }
 
     // ---- actions ----
@@ -883,27 +818,6 @@ mod tests {
                     "{op:?} {other:?}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn persist_stores_ext_cells_as_bytes_at_both_levels() {
-        let ctx = sc();
-        let schema =
-            Schema::new(vec![Field::new("k", DataType::I64), Field::new("v", DataType::List)]);
-        let rows: Vec<Row> = (0..20u8)
-            .map(|i| vec![Value::I64(i as i64), Value::list(vec![twins(&[i, 0xFF]).0])])
-            .collect();
-        let df = DataFrame::from_rows(&ctx, schema, rows.clone(), 3).unwrap();
-        for level in [StorageLevel::MemoryDeserialized, StorageLevel::MemorySerialized] {
-            let cached = df.persist(level).unwrap();
-            let out = cached.collect_rows().unwrap();
-            assert_eq!(out, rows, "{level:?} changed the values");
-            for row in &out {
-                let Value::List(l) = &row[1] else { panic!("a list") };
-                assert!(matches!(l[0], Value::Bin(_)), "{level:?} kept a native cell");
-            }
-            cached.unpersist();
         }
     }
 

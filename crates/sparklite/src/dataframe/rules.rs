@@ -108,6 +108,8 @@ impl RewriteRule for MergeFilters {
 /// projected expressions into the predicate — only when that substitution
 /// is sound: UDFs inside the predicate read columns by name at runtime, so
 /// every column they touch must pass through the projection unchanged.
+/// Never below a projection computing a nondeterministic UDF, which must
+/// see every row (a sort key's type discovery raises on any of them).
 pub struct PushFilterThroughProject;
 
 impl RewriteRule for PushFilterThroughProject {
@@ -125,7 +127,7 @@ impl RewriteRule for PushFilterThroughProject {
         let LogicalPlan::Project { input: proj_in, exprs, schema } = input.as_ref() else {
             return None;
         };
-        if !expr_fusable(predicate, exprs) {
+        if !expr_fusable(predicate, exprs) || computes_nondeterministic(input) {
             return None;
         }
         let substituted = predicate
@@ -143,7 +145,9 @@ impl RewriteRule for PushFilterThroughProject {
 
 /// RBLO0003: `Filter ∘ OrderBy → OrderBy ∘ Filter` — filtering before the
 /// sort shrinks the shuffle. A filter keeps relative order, so the sorted
-/// output is unchanged.
+/// output is unchanged. Not when the sort reads a projection computing a
+/// nondeterministic UDF: every row's key (and any error it raises) comes
+/// before the predicate's, as in a JSONiq `order by` followed by `where`.
 pub struct PushFilterBelowSort;
 
 impl RewriteRule for PushFilterBelowSort {
@@ -159,6 +163,9 @@ impl RewriteRule for PushFilterBelowSort {
     fn apply(&self, plan: &Arc<LogicalPlan>) -> Option<Arc<LogicalPlan>> {
         let LogicalPlan::Filter { input, predicate } = plan.as_ref() else { return None };
         let LogicalPlan::OrderBy { input: sort_in, keys } = input.as_ref() else { return None };
+        if computes_nondeterministic(sort_in) {
+            return None;
+        }
         Some(Arc::new(LogicalPlan::OrderBy {
             input: Arc::new(LogicalPlan::Filter {
                 input: Arc::clone(sort_in),
@@ -320,6 +327,12 @@ impl RewriteRule for PruneColumns {
             Some(pruned)
         }
     }
+}
+
+/// Whether `plan` is a projection computing an [`Expr::nondeterministic`]
+/// UDF, which must see every row of its input.
+fn computes_nondeterministic(plan: &LogicalPlan) -> bool {
+    matches!(plan, LogicalPlan::Project { exprs, .. } if !exprs.iter().all(|e| e.expr.is_deterministic()))
 }
 
 /// A UDF can only fuse across a projection if every column it reads passes

@@ -36,6 +36,10 @@ use std::time::{Duration, Instant};
 
 /// How long the driver waits for all workers to register at startup.
 const REGISTER_DEADLINE: Duration = Duration::from_secs(10);
+/// Capacity of each worker's bounded event forward buffer (events, not
+/// bytes); handed to workers in `RegisterAck`. Overflow is counted and
+/// reported, never silent.
+const WORKER_EVENT_CAPACITY: u64 = 1 << 16;
 /// How long a task dispatch waits for `TaskDone`/`TaskFailed`.
 const DISPATCH_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -152,8 +156,6 @@ pub struct Cluster {
     epoch: Instant,
     heartbeat_ms: u64,
     heartbeat_timeout_ms: u64,
-    /// Capacity handed to each worker's bounded event forward buffer.
-    event_capacity: u64,
     next_task: AtomicU64,
     workers: Vec<Arc<WorkerState>>,
     /// Which worker holds each map output: `(shuffle, map_part) → worker`.
@@ -182,7 +184,6 @@ impl Cluster {
             epoch,
             heartbeat_ms: dist.heartbeat_ms.max(1),
             heartbeat_timeout_ms: dist.heartbeat_timeout_ms.max(1),
-            event_capacity: dist.event_capacity.max(1) as u64,
             next_task: AtomicU64::new(0),
             workers: (0..n).map(|i| Arc::new(WorkerState::new(i))).collect(),
             locations: Mutex::new(HashMap::new()),
@@ -306,7 +307,7 @@ impl Cluster {
                     &mut stream,
                     &Msg::RegisterAck {
                         heartbeat_ms: self.heartbeat_ms,
-                        event_capacity: self.event_capacity,
+                        event_capacity: WORKER_EVENT_CAPACITY,
                     },
                 )
                 .is_err()
@@ -835,7 +836,6 @@ mod tests {
             epoch: Instant::now(),
             heartbeat_ms: 50,
             heartbeat_timeout_ms: 3000,
-            event_capacity: 1 << 16,
             next_task: AtomicU64::new(0),
             workers: (0..n).map(|i| Arc::new(WorkerState::new(i))).collect(),
             locations: Mutex::new(HashMap::new()),

@@ -141,10 +141,6 @@ impl<T: Data> Rdd<T> {
         Rdd::new(Arc::clone(&self.core), Arc::new(op))
     }
 
-    pub fn key_by<K: Data>(&self, f: impl Fn(&T) -> K + Send + Sync + 'static) -> Rdd<(K, T)> {
-        self.map(move |t| (f(&t), t))
-    }
-
     /// Persists this RDD's partitions in the context's byte-budgeted cache
     /// (Spark's `.persist(StorageLevel)`), returning a handle that serves
     /// repeated reads from memory.

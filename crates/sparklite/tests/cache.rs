@@ -152,45 +152,6 @@ fn cache_faults_fall_back_to_recomputation() {
 }
 
 #[test]
-fn dataframe_cache_populates_the_executor_side_cache() {
-    use sparklite::dataframe::{DataFrame, DataType, Field, Row, Schema, Value};
-
-    let sc = ctx_with_budget(1 << 20);
-    let schema = Schema::new(vec![Field::new("x", DataType::I64)]);
-    let rows: Vec<Row> = (0..400).map(|i| vec![Value::I64(i)]).collect();
-    let df = DataFrame::from_rows(&sc, schema, rows.clone(), 4).unwrap();
-    let cached = df.cache().unwrap();
-    let m = sc.metrics();
-    assert_eq!(m.cache_misses, 4, "cache() eagerly populated one slot per partition");
-    assert!(m.cached_bytes > 0, "rows live in the partition cache, not on the driver");
-
-    assert_eq!(cached.collect_rows().unwrap(), rows);
-    assert!(sc.metrics().cache_hits >= 4, "downstream passes hit the cache");
-    cached.unpersist();
-    assert_eq!(sc.metrics().cached_bytes, 0);
-}
-
-#[test]
-fn dataframe_serialized_persist_roundtrips_rows() {
-    use sparklite::dataframe::{DataFrame, DataType, Field, Row, Schema, Value};
-
-    let sc = ctx_with_budget(1 << 20);
-    let schema = Schema::new(vec![Field::new("s", DataType::Str), Field::new("v", DataType::List)]);
-    let rows: Vec<Row> = (0..100)
-        .map(|i| {
-            vec![
-                Value::str(format!("row-{i}")),
-                Value::list(vec![Value::I64(i), Value::Null, Value::Bool(i % 2 == 0)]),
-            ]
-        })
-        .collect();
-    let df = DataFrame::from_rows(&sc, schema, rows.clone(), 3).unwrap();
-    let cached = df.persist(StorageLevel::MemorySerialized).unwrap();
-    assert_eq!(cached.collect_rows().unwrap(), rows, "RowCodec roundtrips every value kind");
-    assert!(sc.metrics().cache_hits >= 3);
-}
-
-#[test]
 fn persist_does_not_change_shuffle_traffic() {
     // The satellite perf fix: persisting must not inflate shuffle byte
     // accounting, and the merge-path key-clone reduction must not change

@@ -235,3 +235,23 @@ fn golden_rblo0008_prune_columns() {
         \x20   FromRdd [a: I64, b: I64, xs: List]\n",
     );
 }
+
+/// A filter stays above a projection computing a nondeterministic UDF,
+/// and above a sort reading one, so the UDF sees every row; the same plans
+/// with a deterministic UDF do get rewritten.
+#[test]
+fn filters_stay_above_a_nondeterministic_projection_and_its_sort() {
+    let c = ctx();
+    for deterministic in [true, false] {
+        let udf = Expr::udf("k", Some(vec!["b".into()]), |_, row: &[Value]| row[1].clone());
+        let udf = if deterministic { udf } else { udf.nondeterministic() };
+        let keyed = base(&c).with_column("k", udf, DataType::I64).unwrap();
+        let filtered = keyed.filter(a_gt(0)).unwrap();
+        let sorted =
+            keyed.order_by(vec![("k".into(), SortDir::asc())]).unwrap().filter(a_gt(0)).unwrap();
+        for (rule_id, d) in [("RBLO0002", &filtered), ("RBLO0003", &sorted)] {
+            let fired = rule_by_id(rule_id).unwrap().apply(d.plan()).is_some();
+            assert_eq!(fired, deterministic, "{rule_id}, deterministic = {deterministic}");
+        }
+    }
+}
