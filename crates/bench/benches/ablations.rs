@@ -12,7 +12,10 @@
 //!   full range sort followed by the take;
 //! * the full sort over an auto-persisted source vs one that is not: the
 //!   range sort's sampling and routing passes each run the pipeline below
-//!   the sort, so without the source cache each parses the JSON again.
+//!   the sort, so without the source cache each parses the JSON again;
+//! * `let` vs inline — the messy cleaning expressions bound by `let`
+//!   clauses (each a DataFrame column of variable cells) vs written inline
+//!   in the `return` of a fused scan.
 //!
 //! Arms that compute the same answer are checked to agree (as sorted
 //! serialized items, or in order for the top-K and full-sort pairs) once
@@ -20,7 +23,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rumble_core::Rumble;
-use rumble_datagen::{confusion, put_dataset, DEFAULT_SEED};
+use rumble_datagen::{confusion, heterogeneous, put_dataset, DEFAULT_SEED};
 use sparklite::{SparkliteConf, SparkliteContext};
 
 const OBJECTS: usize = 20_000;
@@ -28,6 +31,8 @@ const OBJECTS: usize = 20_000;
 fn bench(c: &mut Criterion) {
     let sc = SparkliteContext::new(SparkliteConf::default().with_executors(4));
     put_dataset(&sc, "hdfs:///confusion.json", &confusion::generate(OBJECTS, DEFAULT_SEED))
+        .expect("dataset fits");
+    put_dataset(&sc, "hdfs:///messy.json", &heterogeneous::generate(OBJECTS, DEFAULT_SEED))
         .expect("dataset fits");
     let rumble = Rumble::new(sc.clone());
 
@@ -177,6 +182,49 @@ fn bench(c: &mut Criterion) {
         let prepared = r.compile(top_k).expect("query compiles");
         g.bench_function(name, move |b| b.iter(|| prepared.collect().expect("query runs").len()));
     }
+    g.finish();
+
+    // --- `let` clauses vs inline expressions ----------------------------------
+    // The three cleaning expressions of the messy benchmark's scan. Bound by
+    // `let`, each is a UDF column of variable cells on the DataFrame path;
+    // inline, the whole FLWOR is a fused scan with one compiled return.
+    let let_form = r#"for $r in json-file("hdfs:///messy.json")
+                      let $id := if ($r.id instance of integer) then $r.id
+                                 else if ($r.id instance of string) then ($r.id cast as integer)
+                                 else ()
+                      let $value := if ($r.value instance of string)
+                                    then ($r.value cast as decimal)
+                                    else if ($r.value instance of null) then ()
+                                    else $r.value
+                      let $tags := if ($r.tags instance of array) then $r.tags[] else $r.tags
+                      return { "id": $id, "value": $value, "tags": [ distinct-values($tags) ] }"#;
+    let inline_form = r#"for $r in json-file("hdfs:///messy.json")
+                         return {
+                           "id": if ($r.id instance of integer) then $r.id
+                                 else if ($r.id instance of string) then ($r.id cast as integer)
+                                 else (),
+                           "value": if ($r.value instance of string)
+                                    then ($r.value cast as decimal)
+                                    else if ($r.value instance of null) then ()
+                                    else $r.value,
+                           "tags": [ distinct-values(if ($r.tags instance of array)
+                                                     then $r.tags[] else $r.tags) ]
+                         }"#;
+    same_answer(let_form, inline_form);
+    let count = |q: &str| {
+        let prepared = rumble.compile(q).expect("query compiles");
+        move || prepared.count().expect("query runs")
+    };
+    let mut g = c.benchmark_group("ablation/let-vs-inline");
+    g.sample_size(10);
+    g.bench_function("let", {
+        let f = count(let_form);
+        move |b| b.iter(&f)
+    });
+    g.bench_function("inline", {
+        let f = count(inline_form);
+        move |b| b.iter(&f)
+    });
     g.finish();
 }
 

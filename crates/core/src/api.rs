@@ -359,8 +359,9 @@ mod tests {
         assert!(report.plan.contains("FunctionCall(json-file#1)"), "plan:\n{}", report.plan);
         assert!(report.plan.contains("rows=60"), "plan:\n{}", report.plan);
         assert!(report.plan.contains("time="), "plan:\n{}", report.plan);
-        // The comparison operands are compiled away into the fused item
-        // predicate — their subtrees never open and the plan says so.
+        // The comparison runs compiled inside the fused filter; its literal
+        // operand is folded into the closure, never runs, and the plan says
+        // so.
         assert!(report.plan.contains("[not executed]"), "plan:\n{}", report.plan);
         assert!(report.to_string().starts_with("EXPLAIN ANALYZE"), "{report}");
 
@@ -467,8 +468,8 @@ mod tests {
     #[test]
     fn explain_analyze_counts_dataframe_predicate_and_key_evaluations() {
         // One row per evaluation for the nodes DataFrame UDFs run per row:
-        // a `where` compiled to an item predicate, a `where` evaluated
-        // through a bound context, and a group key compiled to a path.
+        // a compiled `where`, a `where` evaluated through a bound context
+        // (`string-length` has no compiled form), and a compiled group key.
         let r = Rumble::default_local();
         let n = 2_000;
         let lines: String = (0..n)
@@ -506,6 +507,40 @@ mod tests {
             .map(|g| g.as_object().unwrap().get("n").unwrap().as_i64().unwrap())
             .sum();
         assert_eq!(counted as u64, long);
+    }
+
+    #[test]
+    fn explain_analyze_counts_compiled_row_expression_evaluations() {
+        // A cleaning `let`, a `where` and a constructor `return`, compiled
+        // to closures: profiling wraps each compiled node, so the result is
+        // the unprofiled one and each node counts one row per evaluation.
+        let r = Rumble::default_local();
+        let n = 1_000;
+        let lines: String = (0..n)
+            .map(|i| match i % 4 {
+                0 => format!("{{\"id\": {i}}}\n"),
+                1 => format!("{{\"id\": \"{i}\"}}\n"),
+                2 => "{\"id\": null}\n".to_string(),
+                _ => format!("{{\"id\": {i}, \"tags\": [\"a\", \"b\"]}}\n"),
+            })
+            .collect();
+        r.hdfs_put("/messy-prof.json", &lines).unwrap();
+        let q = "for $r in json-file(\"hdfs:///messy-prof.json\")
+                 let $id := if ($r.id instance of integer) then $r.id
+                            else if ($r.id instance of string) then ($r.id cast as integer)
+                            else ()
+                 where exists($id)
+                 return {\"id\": $id, \"tags\": count($r.tags[])}";
+        let report = r.analyze_profile(q).unwrap();
+        assert_eq!(report.items, r.run(q).unwrap());
+        assert!(report.plan.contains("mode=dataframe"), "plan:\n{}", report.plan);
+        let plan = &report.plan;
+        // The null ids drop out at the `where`.
+        let kept = (0..n).filter(|i| i % 4 != 2).count() as u64;
+        assert_eq!(report.items.len() as u64, kept);
+        assert_eq!(rows_of(plan, "If"), n as u64, "plan:\n{plan}");
+        assert_eq!(rows_of(plan, "FunctionCall(exists#1)"), n as u64, "plan:\n{plan}");
+        assert_eq!(rows_of(plan, "ObjectConstructor(2)"), kept, "plan:\n{plan}");
     }
 
     #[test]

@@ -397,7 +397,11 @@ impl Compiler {
 
         let last = chain.expect("parser guarantees at least one clause");
         let return_uses = Self::flwor_uses(&ret, Some(&last));
-        Ok(Arc::new(FlworIter::new(last, self.expr(&ret)?, return_uses)))
+        let return_var = match &ret.kind {
+            ast::ExprKind::VarRef(v) => Some(Arc::from(v.as_str())),
+            _ => None,
+        };
+        Ok(Arc::new(FlworIter::new(last, self.expr(&ret)?, return_uses, return_var)))
     }
 }
 

@@ -6,26 +6,29 @@
 //! variable wraps its sequence in a cell, and each UDF reads the cells of
 //! the columns its expression actually uses — its declared `uses`
 //! footprint, which also feeds the optimizer's pruning (§4.7's "does not
-//! create the column at all"). A key, predicate or return path that is a
-//! static navigation path on one variable reads that variable's items
-//! straight from its cell (`RowExpr`); every other expression binds the
-//! used cells into a dynamic context.
+//! create the column at all"). Each per-row expression — a `let`, a
+//! `where`, a non-initial `for`, a key, the `return` — is a `RowExpr`:
+//! compiled to a closure that borrows the used cells as its row variables
+//! (see [`crate::runtime::row`]), or, when some node has no compiled form,
+//! evaluated against a dynamic context bound from those cells.
 
 use super::{
-    bind_cell, cell_of, ctx_from_row, row_var, ClauseIterator, ClauseRef, FusedScan, Tuple,
-    TupleCursor, TupleFrame,
+    bind_cell, cell_items, cell_of, ctx_from_row, row_var, ClauseIterator, ClauseRef, FusedScan,
+    Tuple, TupleCursor, TupleFrame,
 };
 use crate::error::{codes, Result, RumbleError};
-use crate::item::{effective_boolean_value, group_key, seq, GroupKey, Item};
-use crate::runtime::{eval_ebv, DynamicContext, ExprRef, ItemPath};
+use crate::item::{group_key, seq, GroupKey, Item, Sequence};
+use crate::runtime::row::{Raises, RowProgram, Seq};
+use crate::runtime::{eval_ebv, DynamicContext, ExprRef};
 use sparklite::dataframe::{Agg, NamedExpr};
 use sparklite::dataframe::{
     DataFrame, DataType, Expr as DfExpr, Field, Row, Schema, SortDir, SortKey, Value,
 };
 use sparklite::rdd::task_bail;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Computes the post-clause variable list: parent variables (minus a
 /// redeclared one) plus the new variable.
@@ -93,45 +96,112 @@ impl Iterator for TupleFlatMap {
     }
 }
 
-/// One expression evaluated per row of a tuple frame. When it is a static
-/// navigation path on the only variable it uses, it is compiled to an
-/// [`ItemPath`] that reads that variable's cell directly; otherwise it runs
-/// against a context bound from the row's `uses` cells.
+/// One expression evaluated per row of a tuple frame: compiled over the
+/// cells of the variables it uses (its `uses`, in order, are the program's
+/// row variables), or, if it does not compile, run against a context
+/// bound from those cells.
 pub(crate) struct RowExpr {
     expr: ExprRef,
     uses: Vec<Arc<str>>,
-    path: Option<(Arc<str>, ItemPath)>,
+    program: Option<RowProgram>,
+    /// The column of each `uses` variable, resolved on the first row.
+    cols: OnceLock<Box<[usize]>>,
     base: DynamicContext,
 }
 
+/// Row variables a row binds without allocating: up to this many borrowed
+/// cells live on the stack.
+const INLINE_VARS: usize = 8;
+
 impl RowExpr {
     pub(crate) fn new(expr: &ExprRef, uses: &[Arc<str>], ctx: &DynamicContext) -> RowExpr {
-        let path = match uses {
-            [var] => expr.item_path(var).map(|p| (Arc::clone(var), p)),
-            _ => None,
-        };
-        RowExpr { expr: Arc::clone(expr), uses: uses.to_vec(), path, base: ctx.enter_executor() }
-    }
-
-    /// The compiled path's result, if this expression has one and the
-    /// frame carries its variable.
-    fn compiled(&self, schema: &Schema, row: &[Value]) -> Option<Vec<Item>> {
-        let (var, path) = self.path.as_ref()?;
-        Some(path(&row_var(schema, row, var)?))
-    }
-
-    pub(crate) fn eval(&self, schema: &Schema, row: &[Value]) -> Result<Vec<Item>> {
-        match self.compiled(schema, row) {
-            Some(items) => Ok(items),
-            None => self.expr.materialize(&ctx_from_row(&self.base, schema, row, &self.uses)),
+        let base = ctx.enter_executor();
+        RowExpr {
+            expr: Arc::clone(expr),
+            uses: uses.to_vec(),
+            program: RowProgram::compile(expr, uses, &base),
+            cols: OnceLock::new(),
+            base,
         }
     }
 
-    /// The effective boolean value of [`eval`](Self::eval)'s result.
+    /// The columns of the `uses` variables in `schema`: the cached ones
+    /// while the schema still has them there, else resolved afresh. `None`
+    /// if the frame lacks one (a variable bound outside the FLWOR).
+    fn columns(&self, schema: &Schema) -> Option<Cow<'_, [usize]>> {
+        let resolve = || self.uses.iter().map(|u| schema.index_of(u)).collect::<Option<Box<_>>>();
+        let cached = self.cols.get_or_init(|| resolve().unwrap_or_default());
+        let fields = schema.fields();
+        let fits = cached.len() == self.uses.len()
+            && cached
+                .iter()
+                .zip(&self.uses)
+                .all(|(&c, u)| fields.get(c).is_some_and(|f| f.name == **u));
+        if fits {
+            Some(Cow::Borrowed(cached))
+        } else {
+            resolve().map(|cols| Cow::Owned(cols.into_vec()))
+        }
+    }
+
+    /// The compiled program and the columns it reads, if this expression
+    /// compiled and the frame carries every variable it uses.
+    fn compiled(&self, schema: &Schema) -> Option<(&RowProgram, Cow<'_, [usize]>)> {
+        Some((self.program.as_ref()?, self.columns(schema)?))
+    }
+
+    /// Calls `f` with the items of the `uses` variables in `row`: native
+    /// cells borrowed in place, on the stack; a `Bin` (a cell that crossed
+    /// a process boundary) decoded.
+    fn with_vars<R>(&self, cols: &[usize], row: &[Value], f: impl FnOnce(&[&[Item]]) -> R) -> R {
+        if cols.len() <= INLINE_VARS {
+            let mut vars: [&[Item]; INLINE_VARS] = [&[]; INLINE_VARS];
+            let native = cols.iter().zip(&mut vars).all(|(&c, var)| match cell_items(&row[c]) {
+                Some(items) => {
+                    *var = items;
+                    true
+                }
+                None => false,
+            });
+            if native {
+                return f(&vars[..cols.len()]);
+            }
+        }
+        let bound: Vec<Sequence> =
+            cols.iter().zip(&self.uses).map(|(&c, var)| bind_cell(var, &row[c])).collect();
+        let vars: Vec<&[Item]> = bound.iter().map(|items| items.as_slice()).collect();
+        f(&vars)
+    }
+
+    /// The context the interpreted path binds for `row`.
+    fn bound(&self, schema: &Schema, row: &[Value]) -> DynamicContext {
+        ctx_from_row(&self.base, schema, row, &self.uses)
+    }
+
+    /// Hands the result sequence of `row` to `k`.
+    pub(crate) fn eval_with<R>(
+        &self,
+        schema: &Schema,
+        row: &[Value],
+        k: impl FnOnce(Seq<'_>) -> R,
+    ) -> Result<R> {
+        match self.compiled(schema) {
+            Some((program, cols)) => self.with_vars(&cols, row, |vars| program.run(vars, k)),
+            None => Ok(k(Seq::Owned(self.expr.materialize(&self.bound(schema, row))?))),
+        }
+    }
+
+    pub(crate) fn eval(&self, schema: &Schema, row: &[Value]) -> Result<Vec<Item>> {
+        self.eval_with(schema, row, |items| items.into_vec())
+    }
+
+    /// The effective boolean value of [`eval`](Self::eval)'s result. It
+    /// reads at most two items, so a program that can raise after its
+    /// first item leaves it to the iterator tree.
     fn ebv(&self, schema: &Schema, row: &[Value]) -> Result<bool> {
-        match self.compiled(schema, row) {
-            Some(items) => effective_boolean_value(&items),
-            None => eval_ebv(&self.expr, &ctx_from_row(&self.base, schema, row, &self.uses)),
+        match self.compiled(schema).filter(|(p, _)| p.raises() <= Raises::Early) {
+            Some((program, cols)) => self.with_vars(&cols, row, |vars| program.ebv(vars)),
+            None => eval_ebv(&self.expr, &self.bound(schema, row)),
         }
     }
 }
@@ -143,13 +213,13 @@ fn row_udf(
     expr: ExprRef,
     uses: Vec<Arc<str>>,
     ctx: &DynamicContext,
-    finish: impl Fn(Vec<Item>) -> Value + Send + Sync + 'static,
+    finish: impl Fn(Seq<'_>) -> Value + Send + Sync + 'static,
 ) -> DfExpr {
     let uses_strings: Vec<String> = uses.iter().map(|u| u.to_string()).collect();
     let row_expr = RowExpr::new(&expr, &uses, ctx);
     DfExpr::udf(name, Some(uses_strings), move |schema: &Schema, row: &[Value]| {
-        match row_expr.eval(schema, row) {
-            Ok(items) => finish(items),
+        match row_expr.eval_with(schema, row, &finish) {
+            Ok(value) => value,
             Err(e) => task_bail(e),
         }
     })
@@ -305,7 +375,7 @@ impl ClauseIterator for ForClauseIter {
                     Arc::clone(&self.expr),
                     self.uses.clone(),
                     ctx,
-                    |items| Value::list(items.into_iter().map(|i| cell_of(vec![i])).collect()),
+                    |items| Value::list(items.iter().map(|i| cell_of(vec![i.clone()])).collect()),
                 );
                 let tmp = format!("__rumble_for_{}", self.var);
                 let df = df.with_column(&tmp, items_udf, DataType::List)?.explode(
@@ -382,7 +452,7 @@ impl ClauseIterator for LetClauseIter {
             Arc::clone(&self.expr),
             self.uses.clone(),
             ctx,
-            cell_of,
+            |items| cell_of(items.into_vec()),
         );
         let df = f.df.with_column(self.var.as_ref(), udf, DataType::Bin)?;
         Ok(Some(TupleFrame { df, vars: self.out.clone() }))
@@ -438,20 +508,10 @@ impl ClauseIterator for WhereClauseIter {
     fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
         let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
         let pred = RowExpr::new(&self.predicate, &self.uses, ctx);
-        // A predicate over one variable's paths compiles to an item
-        // predicate, which holds for a variable bound to exactly one item.
-        let compiled = match self.uses.as_slice() {
-            [var] => self.predicate.item_predicate(var).map(|p| (Arc::clone(var), p)),
-            _ => None,
-        };
         let uses_strings: Vec<String> = self.uses.iter().map(|u| u.to_string()).collect();
         let udf =
             DfExpr::udf("where", Some(uses_strings), move |schema: &Schema, row: &[Value]| {
-                let one = compiled.as_ref().and_then(|(var, p)| {
-                    let items = row_var(schema, row, var)?;
-                    (items.len() == 1).then(|| p(&items[0]))
-                });
-                match one.unwrap_or_else(|| pred.ebv(schema, row)) {
+                match pred.ebv(schema, row) {
                     Ok(b) => Value::Bool(b),
                     Err(e) => task_bail(e),
                 }
@@ -673,9 +733,9 @@ impl ClauseIterator for GroupByClauseIter {
         for (spec, col) in self.keys.iter().zip(&key_cols) {
             let name = format!("group key ${}", spec.var);
             let udf = match &spec.expr {
-                Some(e) => row_udf(&name, Arc::clone(e), spec.uses.clone(), ctx, |items| {
-                    group_key_cell(&items)
-                }),
+                Some(e) => {
+                    row_udf(&name, Arc::clone(e), spec.uses.clone(), ctx, |k| group_key_cell(&k))
+                }
                 None => {
                     let var = Arc::clone(&spec.var);
                     DfExpr::udf(
@@ -911,8 +971,8 @@ impl OrderByClauseIter {
         for (i, spec) in self.specs.iter().enumerate() {
             let col = format!("__o{i}");
             let slot = Arc::new(AtomicU8::new(0));
-            let udf = row_udf(&col, Arc::clone(&spec.expr), spec.uses.clone(), ctx, move |items| {
-                let cell = order_cell(&items).unwrap_or_else(|e| task_bail(e));
+            let udf = row_udf(&col, Arc::clone(&spec.expr), spec.uses.clone(), ctx, move |key| {
+                let cell = order_cell(&key).unwrap_or_else(|e| task_bail(e));
                 note_class(&slot, &cell).unwrap_or_else(|e| task_bail(e));
                 cell
             })

@@ -24,11 +24,19 @@
 //! The `return` clause lives in [`FlworIter`], which is an ordinary
 //! expression iterator: in DataFrame mode it maps the frame back to an
 //! `Rdd<Item>` with a flatMap (§4.10).
+//!
+//! Every per-row expression of the DataFrame form — a clause's UDF, the
+//! `return` — runs compiled where it can ([`crate::runtime::row`]): the
+//! UDF borrows the cells of the variables it uses as its row variables,
+//! with no dynamic context. So does a *fused scan*, an initial `for` over a
+//! distributed source followed only by `where` clauses, which skips the
+//! tuple frame and filters and maps the source's items directly.
 
 pub mod clauses;
 
 use crate::error::Result;
 use crate::item::{decode_items, encode_items, Item, Sequence};
+use crate::runtime::row::{Raises, RowProgram};
 use crate::runtime::{cursor_of, DynamicContext, ExprIterator, ExprRef, ItemCursor};
 use sparklite::dataframe::{DataFrame, ExtCell, Row, Schema, Value};
 use sparklite::rdd::{task_bail, Rdd};
@@ -173,6 +181,14 @@ pub(crate) fn bind_cell(var: &str, cell: &Value) -> Sequence {
     }
 }
 
+/// The items of a native cell, borrowed; `None` for any other value.
+pub(crate) fn cell_items(cell: &Value) -> Option<&[Item]> {
+    match cell {
+        Value::Ext(c) => c.as_any().downcast_ref::<ItemsCell>().map(|items| items.0.as_slice()),
+        _ => None,
+    }
+}
+
 /// The sequence `row` binds to `var`; `None` if the frame has no column
 /// for it (a variable bound outside the FLWOR).
 pub(crate) fn row_var(schema: &Schema, row: &[Value], var: &str) -> Option<Sequence> {
@@ -202,24 +218,35 @@ pub struct FlworIter {
     pub return_expr: ExprRef,
     /// Free FLWOR variables of the return expression.
     pub return_uses: Vec<Arc<str>>,
+    /// The variable the return expression is, when it is a bare reference
+    /// (`return $v`): a fused scan then returns its items as they are.
+    pub return_var: Option<Arc<str>>,
 }
 
 impl FlworIter {
-    pub fn new(last: ClauseRef, return_expr: ExprRef, return_uses: Vec<Arc<str>>) -> FlworIter {
-        FlworIter { last, return_expr, return_uses }
+    pub fn new(
+        last: ClauseRef,
+        return_expr: ExprRef,
+        return_uses: Vec<Arc<str>>,
+        return_var: Option<Arc<str>>,
+    ) -> FlworIter {
+        FlworIter { last, return_expr, return_uses, return_var }
     }
 
     /// Builds the fused (DataFrame-free) RDD for scan-shaped pipelines:
     /// each `where` becomes a filter and the return expression a flatMap,
-    /// all directly over items.
+    /// all directly over items, compiled with the scan variable as the one
+    /// row variable.
     fn fused_rdd(&self, scan: FusedScan, ctx: &DynamicContext) -> Result<Rdd<Item>> {
         let mut rdd = scan.source.rdd(ctx)?;
         let base = ctx.enter_executor();
+        let var = std::slice::from_ref(&scan.var);
         for pred in scan.predicates {
-            // Comparisons over navigation paths on the scan variable compile
-            // to a direct item predicate: no per-item context bind at all.
-            if let Some(p) = pred.item_predicate(&scan.var) {
-                rdd = rdd.filter(move |item| match p(item) {
+            // The effective boolean value reads at most two items: a
+            // program that may raise after its first item stays interpreted.
+            let compiled = RowProgram::compile(&pred, var, &base);
+            if let Some(p) = compiled.filter(|p| p.raises() <= Raises::Early) {
+                rdd = rdd.filter(move |item| match p.ebv(&[std::slice::from_ref(item)]) {
                     Ok(b) => b,
                     Err(e) => task_bail(e),
                 });
@@ -235,14 +262,16 @@ impl FlworIter {
                 }
             });
         }
-        if let Some(keys) = self.return_expr.key_path(&scan.var) {
-            // `return $v` (or a static path on it) needs no context either.
-            if keys.is_empty() {
-                return Ok(rdd);
-            }
-            return Ok(
-                rdd.flat_map(move |item| crate::runtime::follow_key_path(&item, &keys).cloned())
-            );
+        if self.return_var.as_ref() == Some(&scan.var) {
+            return Ok(rdd);
+        }
+        if let Some(p) = RowProgram::compile(&self.return_expr, var, &base) {
+            return Ok(rdd.flat_map(move |item| {
+                match p.run(&[std::slice::from_ref(&item)], |items| items.into_vec()) {
+                    Ok(items) => items,
+                    Err(e) => task_bail(e),
+                }
+            }));
         }
         let var = scan.var;
         let ret = Arc::clone(&self.return_expr);

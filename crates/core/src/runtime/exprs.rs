@@ -2,10 +2,14 @@
 //! offering the local pull API and — for the per-item expressions of §4.1.2
 //! and the input functions of §5.7 — the RDD API.
 
+use super::row::{
+    array_member, filter_seq, flat_map_seq, member, one_item, opt_item, unbound_context_item, Env,
+    Operand, Raises, RowFn, RowScope, Seq,
+};
 use super::types::{cast_item, seq_matches, type_to_string};
 use super::{
-    cursor_empty, cursor_of, cursor_one, eval_ebv, eval_one, eval_opt, follow_key_path,
-    CollectionSource, DynamicContext, ExprIterator, ExprRef, ItemCursor, ItemPredicate,
+    cursor_empty, cursor_of, cursor_one, eval_ebv, eval_one, eval_opt, CollectionSource,
+    DynamicContext, ExprIterator, ExprRef, ItemCursor,
 };
 use crate::error::{codes, Result, RumbleError};
 use crate::item::{
@@ -96,6 +100,11 @@ impl ExprIterator for LiteralIter {
     fn const_item(&self) -> Option<Item> {
         Some(self.0.clone())
     }
+
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        // A constant slot: every row borrows the one item.
+        Some(RowFn::slot(scope.constant(vec![self.0.clone()])))
+    }
 }
 
 /// `()`
@@ -104,6 +113,10 @@ pub struct EmptySeqIter;
 impl ExprIterator for EmptySeqIter {
     fn open(&self, _ctx: &DynamicContext) -> Result<ItemCursor> {
         Ok(cursor_empty())
+    }
+
+    fn compile_row(&self, _scope: &mut RowScope) -> Option<RowFn> {
+        Some(RowFn::new(Raises::Never, |_| Ok(Seq::EMPTY)))
     }
 }
 
@@ -119,8 +132,8 @@ impl ExprIterator for VarRefIter {
         Ok(self.resolve(ctx)?.to_vec())
     }
 
-    fn key_path(&self, var: &str) -> Option<Vec<Arc<str>>> {
-        (self.0.as_ref() == var).then(Vec::new)
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        Some(RowFn::slot(scope.var(&self.0)?))
     }
 }
 
@@ -161,11 +174,12 @@ impl ExprIterator for ContextItemIter {
     fn open(&self, ctx: &DynamicContext) -> Result<ItemCursor> {
         match ctx.context_item() {
             Some((item, _)) => Ok(cursor_one(item)),
-            None => Err(RumbleError::dynamic(
-                codes::UNDEFINED_VARIABLE,
-                "context item ($$) is not bound here",
-            )),
+            None => Err(unbound_context_item()),
         }
+    }
+
+    fn compile_row(&self, _scope: &mut RowScope) -> Option<RowFn> {
+        Some(RowFn::context_item())
     }
 }
 
@@ -191,6 +205,28 @@ impl ExprIterator for CommaIter {
         let first = it.next().expect("checked non-empty").rdd(ctx)?;
         it.try_fold(first, |acc, c| Ok(acc.union(&c.rdd(ctx)?)))
     }
+
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        // `open` opens every member before the first yields: a member
+        // before the last is read lazily relative to a later member's
+        // `open`, so it must not raise after its first item.
+        let (last, init) = self.0.split_last()?;
+        let mut members: Vec<RowFn> =
+            init.iter().map(|m| m.compile_row(scope)?.lazy()).collect::<Option<_>>()?;
+        members.push(last.compile_row(scope)?);
+        let raises = if members[1..].iter().all(|m| m.raises() == Raises::Never) {
+            members[0].raises()
+        } else {
+            Raises::Late
+        };
+        Some(RowFn::new(raises, move |env| {
+            let mut out = Seq::EMPTY;
+            for m in &members {
+                out.append(m.eval(env)?);
+            }
+            Ok(out)
+        }))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -208,9 +244,9 @@ impl ExprIterator for AndIter {
         Ok(cursor_one(Item::Boolean(self.ebv(ctx)?)))
     }
 
-    fn item_predicate(&self, var: &str) -> Option<ItemPredicate> {
-        let (a, b) = (self.0.item_predicate(var)?, self.1.item_predicate(var)?);
-        Some(Arc::new(move |item| Ok(a(item)? && b(item)?)))
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        let (a, b) = (self.0.compile_row(scope)?.lazy()?, self.1.compile_row(scope)?.lazy()?);
+        Some(RowFn::test(Raises::Early, move |env| Ok(Some(a.ebv(env)? && b.ebv(env)?))))
     }
 }
 
@@ -225,9 +261,9 @@ impl ExprIterator for OrIter {
         Ok(cursor_one(Item::Boolean(self.ebv(ctx)?)))
     }
 
-    fn item_predicate(&self, var: &str) -> Option<ItemPredicate> {
-        let (a, b) = (self.0.item_predicate(var)?, self.1.item_predicate(var)?);
-        Some(Arc::new(move |item| Ok(a(item)? || b(item)?)))
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        let (a, b) = (self.0.compile_row(scope)?.lazy()?, self.1.compile_row(scope)?.lazy()?);
+        Some(RowFn::test(Raises::Early, move |env| Ok(Some(a.ebv(env)? || b.ebv(env)?))))
     }
 }
 
@@ -242,9 +278,9 @@ impl ExprIterator for NotIter {
         Ok(cursor_one(Item::Boolean(self.ebv(ctx)?)))
     }
 
-    fn item_predicate(&self, var: &str) -> Option<ItemPredicate> {
-        let inner = self.0.item_predicate(var)?;
-        Some(Arc::new(move |item| Ok(!inner(item)?)))
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        let inner = self.0.compile_row(scope)?.lazy()?;
+        Some(RowFn::test(Raises::Early, move |env| Ok(Some(!inner.ebv(env)?))))
     }
 }
 
@@ -261,6 +297,22 @@ impl ExprIterator for IfIter {
         } else {
             self.els.open(ctx)
         }
+    }
+
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        let cond = self.cond.compile_row(scope)?.lazy()?;
+        let (then, els) = (self.then.compile_row(scope)?, self.els.compile_row(scope)?);
+        let raises = Raises::Early.max(then.raises()).max(els.raises());
+        Some(RowFn::new(
+            raises,
+            move |env| {
+                if cond.ebv(env)? {
+                    then.eval(env)
+                } else {
+                    els.eval(env)
+                }
+            },
+        ))
     }
 }
 
@@ -353,67 +405,46 @@ fn apply_value_op(a: &Item, op: CompOp, b: &Item) -> Result<bool> {
     }
 }
 
+/// The comparison of two whole operands: `None` when a value comparison
+/// has an empty side (its result is the empty sequence). General
+/// comparisons are existential over the pairs, in order; value
+/// comparisons take one atomic item a side.
+pub(crate) fn compare_items(left: &[Item], op: CompOp, right: &[Item]) -> Result<Option<bool>> {
+    if op.is_general() {
+        for a in left {
+            for b in right {
+                if apply_value_op(a, op, b)? {
+                    return Ok(Some(true));
+                }
+            }
+        }
+        return Ok(Some(false));
+    }
+    if left.len() > 1 || right.len() > 1 {
+        return Err(RumbleError::dynamic(
+            codes::SEQUENCE_TOO_LONG,
+            "comparison: more than one item",
+        ));
+    }
+    let (Some(a), Some(b)) = (left.first(), right.first()) else {
+        return Ok(None);
+    };
+    if !a.is_atomic() || !b.is_atomic() {
+        return Err(RumbleError::type_err(format!(
+            "value comparisons need atomics, got {} and {}",
+            a.type_name(),
+            b.type_name()
+        )));
+    }
+    Ok(Some(apply_value_op(a, op, b)?))
+}
+
 impl CompareIter {
     /// `None` means the (value-)comparison result is the empty sequence.
     fn compute(&self, ctx: &DynamicContext) -> Result<Option<bool>> {
-        if self.op.is_general() {
-            let left = self.left.materialize(ctx)?;
-            let right = self.right.materialize(ctx)?;
-            for a in &left {
-                for b in &right {
-                    if apply_value_op(a, self.op, b)? {
-                        return Ok(Some(true));
-                    }
-                }
-            }
-            Ok(Some(false))
-        } else {
-            // materialize() has allocation-free fast paths on the common
-            // navigation iterators, unlike cursor-based eval_opt.
-            let left = self.left.materialize(ctx)?;
-            let right = self.right.materialize(ctx)?;
-            if left.len() > 1 || right.len() > 1 {
-                return Err(RumbleError::dynamic(
-                    codes::SEQUENCE_TOO_LONG,
-                    "comparison: more than one item",
-                ));
-            }
-            let (Some(a), Some(b)) = (left.first(), right.first()) else {
-                return Ok(None);
-            };
-            let (a, b) = (a.clone(), b.clone());
-            if !a.is_atomic() || !b.is_atomic() {
-                return Err(RumbleError::type_err(format!(
-                    "value comparisons need atomics, got {} and {}",
-                    a.type_name(),
-                    b.type_name()
-                )));
-            }
-            Ok(Some(apply_value_op(&a, self.op, &b)?))
-        }
-    }
-}
-
-/// One side of a fused comparison: a navigation path on the scan variable
-/// or a constant.
-enum CompSide {
-    Path(Vec<Arc<str>>),
-    Const(Item),
-}
-
-impl CompSide {
-    fn of(expr: &ExprRef, var: &str) -> Option<CompSide> {
-        if let Some(path) = expr.key_path(var) {
-            return Some(CompSide::Path(path));
-        }
-        expr.const_item().map(CompSide::Const)
-    }
-
-    fn get<'a>(&'a self, item: &'a Item) -> Option<&'a Item> {
-        match self {
-            CompSide::Path(keys) => follow_key_path(item, keys),
-            CompSide::Const(c) => Some(c),
-        }
+        // materialize() has allocation-free fast paths on the common
+        // navigation iterators, unlike cursor-based eval_opt.
+        compare_items(&self.left.materialize(ctx)?, self.op, &self.right.materialize(ctx)?)
     }
 }
 
@@ -422,24 +453,12 @@ impl ExprIterator for CompareIter {
         Ok(self.compute(ctx)?.unwrap_or(false))
     }
 
-    fn item_predicate(&self, var: &str) -> Option<ItemPredicate> {
-        let left = CompSide::of(&self.left, var)?;
-        let right = CompSide::of(&self.right, var)?;
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        let left = Operand::compile(&self.left, scope)?;
+        let right = Operand::compile(&self.right, scope)?;
         let op = self.op;
-        Some(Arc::new(move |item| {
-            // Paths yield at most one item, so an absent side makes the
-            // comparison false under both value and general semantics.
-            let (Some(a), Some(b)) = (left.get(item), right.get(item)) else {
-                return Ok(false);
-            };
-            if !op.is_general() && (!a.is_atomic() || !b.is_atomic()) {
-                return Err(RumbleError::type_err(format!(
-                    "value comparisons need atomics, got {} and {}",
-                    a.type_name(),
-                    b.type_name()
-                )));
-            }
-            apply_value_op(a, op, b)
+        Some(RowFn::test(Raises::Early, move |env| {
+            left.with(env, |l| right.with(env, |r| compare_items(l, op, r)))
         }))
     }
 
@@ -457,6 +476,17 @@ pub struct ArithIter {
     pub right: ExprRef,
 }
 
+fn arith(a: &Item, op: ArithOp, b: &Item) -> Result<Item> {
+    match op {
+        ArithOp::Add => item_add(a, b),
+        ArithOp::Sub => item_sub(a, b),
+        ArithOp::Mul => item_mul(a, b),
+        ArithOp::Div => item_div(a, b),
+        ArithOp::IDiv => item_idiv(a, b),
+        ArithOp::Mod => item_mod(a, b),
+    }
+}
+
 impl ExprIterator for ArithIter {
     fn open(&self, ctx: &DynamicContext) -> Result<ItemCursor> {
         let (Some(a), Some(b)) =
@@ -464,15 +494,22 @@ impl ExprIterator for ArithIter {
         else {
             return Ok(cursor_empty());
         };
-        let r = match self.op {
-            ArithOp::Add => item_add(&a, &b)?,
-            ArithOp::Sub => item_sub(&a, &b)?,
-            ArithOp::Mul => item_mul(&a, &b)?,
-            ArithOp::Div => item_div(&a, &b)?,
-            ArithOp::IDiv => item_idiv(&a, &b)?,
-            ArithOp::Mod => item_mod(&a, &b)?,
-        };
-        Ok(cursor_one(r))
+        Ok(cursor_one(arith(&a, self.op, &b)?))
+    }
+
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        let left = Operand::compile_lazy(&self.left, scope)?;
+        let right = Operand::compile_lazy(&self.right, scope)?;
+        let op = self.op;
+        Some(RowFn::new(Raises::Early, move |env| {
+            left.with(env, |l| {
+                let a = opt_item(l, "arithmetic")?;
+                right.with(env, |r| match (a, opt_item(r, "arithmetic")?) {
+                    (Some(a), Some(b)) => Ok(Seq::One(arith(a, op, b)?)),
+                    _ => Ok(Seq::EMPTY),
+                })
+            })
+        }))
     }
 }
 
@@ -579,20 +616,40 @@ impl ExprIterator for ObjectConstructorIter {
                     Arc::from(item.string_value()?.as_str())
                 }
             };
-            let vs = value.materialize(ctx)?;
-            let v = match vs.len() {
-                // JSONiq: a pair whose value is the empty sequence gets null.
-                0 => Item::Null,
-                1 => vs.into_iter().next().expect("len checked"),
-                n => {
-                    return Err(RumbleError::type_err(format!(
-                        "value of field \"{k}\" is a sequence of {n} items; wrap it in an array"
-                    )))
-                }
-            };
+            let v = field_value(&k, Seq::Owned(value.materialize(ctx)?))?;
             members.push((k, v));
         }
         Ok(cursor_one(Item::object(members)))
+    }
+
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        let pairs: Vec<(Arc<str>, RowFn)> = self
+            .pairs
+            .iter()
+            .map(|(key, value)| match key {
+                KeySpec::Static(k) => Some((Arc::clone(k), value.compile_row(scope)?)),
+                KeySpec::Computed(_) => None,
+            })
+            .collect::<Option<_>>()?;
+        Some(RowFn::new(Raises::Early, move |env| {
+            let mut members = Vec::with_capacity(pairs.len());
+            for (k, value) in &pairs {
+                members.push((Arc::clone(k), field_value(k, value.eval(env)?)?));
+            }
+            Ok(Seq::One(Item::object(members)))
+        }))
+    }
+}
+
+/// The value of an object field: JSONiq gives a pair whose value is the
+/// empty sequence `null`, and rejects one of several items.
+fn field_value(key: &str, items: Seq) -> Result<Item> {
+    match items.len() {
+        0 => Ok(Item::Null),
+        1 => Ok(items.into_one().expect("len checked")),
+        n => Err(RumbleError::type_err(format!(
+            "value of field \"{key}\" is a sequence of {n} items; wrap it in an array"
+        ))),
     }
 }
 
@@ -605,6 +662,16 @@ impl ExprIterator for ArrayConstructorIter {
             Some(e) => e.materialize(ctx)?,
         };
         Ok(cursor_one(Item::array(items)))
+    }
+
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        let Some(e) = &self.0 else {
+            return Some(RowFn::new(Raises::Never, |_| Ok(Seq::One(Item::array(Vec::new())))));
+        };
+        let members = e.compile_row(scope)?;
+        Some(RowFn::new(members.raises().min(Raises::Early), move |env| {
+            Ok(Seq::One(Item::array(members.eval(env)?.into_vec())))
+        }))
     }
 }
 
@@ -620,7 +687,7 @@ pub struct ObjectLookupIter {
 }
 
 fn lookup_in(item: &Item, key: &str) -> Option<Item> {
-    item.as_object().and_then(|o| o.get(key).cloned())
+    member(item, key).first().cloned()
 }
 
 impl ObjectLookupIter {
@@ -667,11 +734,9 @@ impl ExprIterator for ObjectLookupIter {
         Ok(self.target.rdd(ctx)?.flat_map(move |item| lookup_in(&item, &key)))
     }
 
-    fn key_path(&self, var: &str) -> Option<Vec<Arc<str>>> {
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
         let KeySpec::Static(key) = &self.key else { return None };
-        let mut path = self.target.key_path(var)?;
-        path.push(Arc::clone(key));
-        Some(path)
+        Some(RowFn::key(self.target.compile_row(scope)?, Arc::clone(key)))
     }
 }
 
@@ -705,6 +770,10 @@ impl ExprIterator for ArrayUnboxIter {
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
         Ok(self.0.rdd(ctx)?.flat_map(unbox))
     }
+
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        Some(RowFn::unbox(self.0.compile_row(scope)?))
+    }
 }
 
 /// `expr[[i]]` — array member lookup (1-based).
@@ -713,18 +782,17 @@ pub struct ArrayLookupIter {
     pub index: ExprRef,
 }
 
+/// The 1-based index of an array lookup.
+fn lookup_index(index: &Item) -> Result<i64> {
+    index.as_i64().ok_or_else(|| RumbleError::type_err("array lookup index must be an integer"))
+}
+
 impl ExprIterator for ArrayLookupIter {
     fn open(&self, ctx: &DynamicContext) -> Result<ItemCursor> {
-        let idx = eval_one(&self.index, ctx, "array lookup")?;
-        let Some(idx) = idx.as_i64() else {
-            return Err(RumbleError::type_err("array lookup index must be an integer"));
-        };
+        let idx = lookup_index(&eval_one(&self.index, ctx, "array lookup")?)?;
         let outer = self.target.open(ctx)?;
         Ok(FlatMapCursor::new(outer, move |item, _| {
-            Ok(match item.as_array().and_then(|a| a.get((idx - 1).max(0) as usize)) {
-                Some(v) if idx >= 1 => cursor_one(v.clone()),
-                _ => cursor_empty(),
-            })
+            Ok(cursor_of(array_member(&item, idx).to_vec()))
         }))
     }
 
@@ -733,15 +801,21 @@ impl ExprIterator for ArrayLookupIter {
     }
 
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
-        let idx = eval_one(&self.index, ctx, "array lookup")?;
-        let Some(idx) = idx.as_i64() else {
-            return Err(RumbleError::type_err("array lookup index must be an integer"));
-        };
-        Ok(self.target.rdd(ctx)?.flat_map(move |item| {
-            match item.as_array().and_then(|a| a.get((idx - 1).max(0) as usize)) {
-                Some(v) if idx >= 1 => vec![v.clone()],
-                _ => vec![],
+        let idx = lookup_index(&eval_one(&self.index, ctx, "array lookup")?)?;
+        Ok(self.target.rdd(ctx)?.flat_map(move |item| array_member(&item, idx).to_vec()))
+    }
+
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        let index = Operand::compile_lazy(&self.index, scope)?;
+        let target = self.target.compile_row(scope)?;
+        if let Operand::Const(i) = &index {
+            if let Some(idx) = i.as_i64() {
+                return Some(RowFn::member(target, idx));
             }
+        }
+        Some(RowFn::new(Raises::Early.max(target.raises()), move |env| {
+            let idx = index.with(env, |i| lookup_index(one_item(i, "array lookup")?))?;
+            Ok(flat_map_seq(target.eval(env)?, |item| array_member(item, idx)))
         }))
     }
 }
@@ -763,8 +837,12 @@ fn predicate_keeps(
     allow_positional: bool,
 ) -> Result<bool> {
     let child = ctx.with_context_item(item.clone(), pos);
-    let values = predicate.materialize(&child)?;
-    if let [one] = values.as_slice() {
+    keeps(&predicate.materialize(&child)?, pos, allow_positional)
+}
+
+/// Whether a predicate whose value is `values` keeps the item at `pos`.
+fn keeps(values: &[Item], pos: i64, allow_positional: bool) -> Result<bool> {
+    if let [one] = values {
         if one.is_numeric() {
             if !allow_positional {
                 return Err(RumbleError::dynamic(
@@ -776,7 +854,7 @@ fn predicate_keeps(
             return Ok(one.as_f64() == Some(pos as f64));
         }
     }
-    effective_boolean_value(&values)
+    effective_boolean_value(values)
 }
 
 impl ExprIterator for PredicateIter {
@@ -807,6 +885,25 @@ impl ExprIterator for PredicateIter {
                 Ok(keep) => keep,
                 Err(e) => task_bail(e),
             }
+        }))
+    }
+
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        // The predicate runs per item as the target streams: one that can
+        // raise (anything but a constant, whose value is one atomic) must
+        // not interleave with a target that raises mid-stream.
+        let predicate = Operand::compile(&self.predicate, scope)?;
+        let target = self.target.compile_row(scope)?;
+        let raises = match predicate {
+            Operand::Const(_) => target.raises(),
+            Operand::Code(_) if target.raises() == Raises::Late => return None,
+            Operand::Code(_) => Raises::Late,
+        };
+        Some(RowFn::new(raises, move |env| {
+            filter_seq(target.eval(env)?, |item, pos| {
+                let env = Env { row: env.row, consts: env.consts, dot: Some((item, pos)) };
+                predicate.with(&env, |values| keeps(values, pos, true))
+            })
         }))
     }
 }
@@ -857,6 +954,13 @@ impl ExprIterator for InstanceOfIter {
         let items = self.0.materialize(ctx)?;
         Ok(cursor_one(Item::Boolean(seq_matches(&items, &self.1))))
     }
+
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        let (child, st) = (self.0.compile_row(scope)?, self.1.clone());
+        Some(RowFn::test(child.raises().min(Raises::Early), move |env| {
+            child.with(env, |items| Ok(Some(seq_matches(items, &st))))
+        }))
+    }
 }
 
 pub struct TreatAsIter(pub ExprRef, pub SequenceType);
@@ -881,22 +985,37 @@ pub struct CastAsIter {
     pub optional: bool,
 }
 
+/// `cast as` of at most one item; `None` is the empty sequence.
+fn cast_opt(item: Option<&Item>, target: AtomicType, optional: bool) -> Result<Option<Item>> {
+    match item {
+        None if optional => Ok(None),
+        None => Err(RumbleError::type_err(format!(
+            "cannot cast the empty sequence to {} (did you mean {}?)",
+            target.name(),
+            format_args!("{}?", target.name())
+        ))),
+        Some(item) => cast_item(item, target).map(Some),
+    }
+}
+
 impl ExprIterator for CastAsIter {
     fn open(&self, ctx: &DynamicContext) -> Result<ItemCursor> {
-        match eval_opt(&self.child, ctx, "cast")? {
-            None => {
-                if self.optional {
-                    Ok(cursor_empty())
-                } else {
-                    Err(RumbleError::type_err(format!(
-                        "cannot cast the empty sequence to {} (did you mean {}?)",
-                        self.target.name(),
-                        format_args!("{}?", self.target.name())
-                    )))
-                }
-            }
-            Some(item) => Ok(cursor_one(cast_item(&item, self.target)?)),
-        }
+        let item = eval_opt(&self.child, ctx, "cast")?;
+        Ok(match cast_opt(item.as_ref(), self.target, self.optional)? {
+            Some(cast) => cursor_one(cast),
+            None => cursor_empty(),
+        })
+    }
+
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        let child = Operand::compile_lazy(&self.child, scope)?;
+        let (target, optional) = (self.target, self.optional);
+        Some(RowFn::new(Raises::Early, move |env| {
+            child.with(env, |items| match cast_opt(opt_item(items, "cast")?, target, optional)? {
+                Some(cast) => Ok(Seq::One(cast)),
+                None => Ok(Seq::EMPTY),
+            })
+        }))
     }
 }
 

@@ -6,6 +6,7 @@
 //! else evaluates through the local API.
 
 use super::exprs::materialize_one;
+use super::row::{filter_seq, Raises, RowFn, RowScope, Seq};
 use super::{
     cursor_empty, cursor_of, cursor_one, eval_opt, DynamicContext, ExprIterator, ExprRef,
     ItemCursor,
@@ -330,7 +331,46 @@ fn min_max(items: Vec<Item>, want_min: bool) -> Result<Option<Item>> {
     Ok(best)
 }
 
+/// `distinct-values`: the first item of each group-key class, in order. A
+/// borrowed sequence with no duplicate comes back as it went in.
+fn distinct_values(items: Seq<'_>) -> Result<Seq<'_>> {
+    if items.iter().any(|i| !i.is_atomic()) {
+        return Err(RumbleError::type_err("distinct-values operates on atomics"));
+    }
+    if items.len() < 2 {
+        return Ok(items);
+    }
+    let mut seen: HashSet<GroupKey> = HashSet::with_capacity(items.len());
+    filter_seq(items, |i, _| Ok(seen.insert(group_key(std::slice::from_ref(i))?)))
+}
+
 impl ExprIterator for BuiltinCallIter {
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        use Builtin::*;
+        let [arg] = self.args.as_slice() else { return None };
+        match self.builtin {
+            // `open` reads one item of the argument.
+            Exists | Empty => {
+                let arg = arg.compile_row(scope)?.lazy()?;
+                let exists = self.builtin == Exists;
+                Some(RowFn::test(arg.raises().min(Raises::Early), move |env| {
+                    arg.with(env, |items| Ok(Some(items.is_empty() != exists)))
+                }))
+            }
+            Count => {
+                let arg = arg.compile_row(scope)?;
+                Some(RowFn::new(arg.raises().min(Raises::Early), move |env| {
+                    arg.with(env, |items| Ok(Seq::One(Item::Integer(items.len() as i64))))
+                }))
+            }
+            DistinctValues => {
+                let arg = arg.compile_row(scope)?;
+                Some(RowFn::new(Raises::Early, move |env| distinct_values(arg.eval(env)?)))
+            }
+            _ => None,
+        }
+    }
+
     fn open(&self, ctx: &DynamicContext) -> Result<ItemCursor> {
         use Builtin::*;
         let args = &self.args;
@@ -508,19 +548,8 @@ impl ExprIterator for BuiltinCallIter {
                         .values();
                     return Ok(cursor_of(distinct.collect()?));
                 }
-                let items = args[0].materialize(ctx)?;
-                let mut seen: HashSet<GroupKey> = HashSet::new();
-                let mut out = Vec::new();
-                for i in items {
-                    if !i.is_atomic() {
-                        return Err(RumbleError::type_err("distinct-values operates on atomics"));
-                    }
-                    let k = group_key(std::slice::from_ref(&i))?;
-                    if seen.insert(k) {
-                        out.push(i);
-                    }
-                }
-                Ok(cursor_of(out))
+                let items = Seq::Owned(args[0].materialize(ctx)?);
+                Ok(cursor_of(distinct_values(items)?.into_vec()))
             }
             IndexOf => {
                 let needle = materialize_one(&args[1], ctx, "index-of needle")?;

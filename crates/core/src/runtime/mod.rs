@@ -10,15 +10,24 @@
 //! Inside executor closures the RDD API is unavailable (Spark jobs do not
 //! nest); the [`DynamicContext`] carries an `in_executor` flag that turns
 //! `is_rdd` off everywhere below.
+//!
+//! An expression evaluated once per row of a FLWOR — a `let`, a `where`, a
+//! key, the `return` — has a third form: [`ExprIterator::compile_row`]
+//! compiles it to closures over slot-resolved variables ([`row`]), so a
+//! row reads its variables from borrowed cells instead of binding a
+//! dynamic context and opening a cursor per node. Nodes without a compiled
+//! form keep that per-row path.
 
 pub mod exprs;
 pub mod functions;
 pub mod profile;
+pub mod row;
 pub mod types;
 
 use crate::error::{codes, Result, RumbleError};
 use crate::item::{Item, Sequence};
 use parking_lot::RwLock;
+use row::{RowFn, RowScope};
 use sparklite::rdd::Rdd;
 use sparklite::SparkliteContext;
 use std::collections::HashMap;
@@ -238,44 +247,18 @@ pub trait ExprIterator: Send + Sync {
         }
     }
 
-    /// If this expression is a pure navigation path rooted at `$var` —
-    /// `$var`, `$var.a`, `$var.a.b` — the static key chain (empty for the
-    /// bare variable). Fused scans use this to evaluate navigation directly
-    /// on each item, with no per-item context binding.
-    fn key_path(&self, _var: &str) -> Option<Vec<Arc<str>>> {
-        None
-    }
-
-    /// [`key_path`] compiled to a closure over the items bound to `var`:
-    /// what this expression yields when `var` is the only FLWOR variable
-    /// it reads. Over a multi-item sequence each item contributes the
-    /// member at the end of the path, if it has one — exactly what the
-    /// lookup iterators materialize. DataFrame UDFs use it to read a key
-    /// or a return path straight from a variable cell, with no per-row
-    /// context bind.
-    ///
-    /// [`key_path`]: ExprIterator::key_path
-    fn item_path(&self, var: &str) -> Option<ItemPath> {
-        let keys = self.key_path(var)?;
-        Some(Arc::new(move |items: &[Item]| {
-            items.iter().filter_map(|item| follow_key_path(item, &keys).cloned()).collect()
-        }))
-    }
-
     /// The constant item this expression always yields, if any.
     fn const_item(&self) -> Option<Item> {
         None
     }
 
-    /// A driver-free predicate equivalent to [`ebv`] when the only FLWOR
-    /// variable in scope is `var`, bound to exactly the item passed in.
-    /// Comparisons over [`key_path`]-shaped operands and their boolean
-    /// combinations compile to one; everything else falls back to the
-    /// context-binding path.
+    /// This expression compiled for per-row evaluation (see [`row`]): a
+    /// closure over the variables of `scope` that yields what
+    /// [`materialize`] yields, error code for error code. `None` when some
+    /// node has no compiled form; the caller then binds a context per row.
     ///
-    /// [`ebv`]: ExprIterator::ebv
-    /// [`key_path`]: ExprIterator::key_path
-    fn item_predicate(&self, _var: &str) -> Option<ItemPredicate> {
+    /// [`materialize`]: ExprIterator::materialize
+    fn compile_row(&self, _scope: &mut RowScope) -> Option<RowFn> {
         None
     }
 
@@ -300,22 +283,6 @@ pub trait ExprIterator: Send + Sync {
     fn mode_hint(&self, _ctx: &DynamicContext) -> Option<&'static str> {
         None
     }
-}
-
-/// A compiled single-item predicate, for fused scans and `where` UDFs.
-pub type ItemPredicate = Arc<dyn Fn(&Item) -> Result<bool> + Send + Sync>;
-
-/// A compiled navigation path over one variable's items (see
-/// [`ExprIterator::item_path`]).
-pub type ItemPath = Arc<dyn Fn(&[Item]) -> Vec<Item> + Send + Sync>;
-
-/// Follows a static key chain on one item; `None` is the empty sequence.
-pub fn follow_key_path<'a>(item: &'a Item, keys: &[Arc<str>]) -> Option<&'a Item> {
-    let mut cur = item;
-    for k in keys {
-        cur = cur.as_object()?.get(k)?;
-    }
-    Some(cur)
 }
 
 /// Reference-counted iterator node.

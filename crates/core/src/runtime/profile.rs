@@ -16,7 +16,8 @@
 
 use crate::error::Result;
 use crate::item::Item;
-use crate::runtime::{DynamicContext, ExprIterator, ExprRef, ItemCursor, ItemPath, ItemPredicate};
+use crate::runtime::row::{RowFn, RowScope};
+use crate::runtime::{DynamicContext, ExprIterator, ExprRef, ItemCursor};
 use sparklite::rdd::Rdd;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -102,7 +103,7 @@ impl NodeStats {
     }
 
     /// The execution mode that ran, `"-"` if the node never executed (e.g.
-    /// a predicate fully compiled away into a fused scan filter).
+    /// a constant operand folded into its parent's compiled closure).
     pub fn mode(&self) -> &'static str {
         mode_name(self.mode.load(Ordering::Relaxed))
     }
@@ -123,10 +124,15 @@ impl NodeStats {
         self.mode.fetch_max(mode_code(name), Ordering::Relaxed);
     }
 
-    /// Runs one evaluation of a compiled accessor: one row, timed, in the
-    /// task that evaluates it.
-    fn evaluation<R>(&self, f: impl FnOnce() -> R) -> R {
+    /// Runs one evaluation of a compiled row expression: one row, timed, in
+    /// the task that evaluates it.
+    pub(crate) fn evaluation<R>(&self, f: impl FnOnce() -> R) -> R {
         self.add_rows(1);
+        self.timed(f)
+    }
+
+    /// Runs `f`, adding its time (but no row) to this node.
+    pub(crate) fn timed<R>(&self, f: impl FnOnce() -> R) -> R {
         self.raise_mode("local");
         let t0 = Instant::now();
         let out = f();
@@ -238,8 +244,8 @@ pub fn fmt_ns(ns: u64) -> String {
 }
 
 /// The profiling decorator: delegates every `ExprIterator` capability to the
-/// wrapped node (so RDD probing, fused scans, constant folding and item
-/// predicates behave exactly as in an unprofiled plan) while recording
+/// wrapped node (so RDD probing, fused scans, constant folding and
+/// row compilation behave exactly as in an unprofiled plan) while recording
 /// opens, rows, sampled time and the execution mode into its [`NodeStats`].
 pub struct ProfiledIter {
     pub inner: ExprRef,
@@ -289,30 +295,16 @@ impl ExprIterator for ProfiledIter {
         out
     }
 
-    fn key_path(&self, var: &str) -> Option<Vec<Arc<str>>> {
-        self.inner.key_path(var)
-    }
-
     fn const_item(&self) -> Option<Item> {
         self.inner.const_item()
     }
 
-    fn item_predicate(&self, var: &str) -> Option<ItemPredicate> {
-        // A node that compiles to an item predicate runs *inside* a fused
-        // scan filter or a `where` UDF — no cursor ever opens on it. Count
-        // evaluations as rows so the plan still shows how much data flowed
-        // through.
-        let inner = self.inner.item_predicate(var)?;
-        let stats = Arc::clone(&self.stats);
-        Some(Arc::new(move |item: &Item| stats.evaluation(|| inner(item))))
-    }
-
-    fn item_path(&self, var: &str) -> Option<ItemPath> {
-        // Same as `item_predicate`: a compiled key or return path counts
-        // one row per evaluation.
-        let inner = self.inner.item_path(var)?;
-        let stats = Arc::clone(&self.stats);
-        Some(Arc::new(move |items: &[Item]| stats.evaluation(|| inner(items))))
+    fn compile_row(&self, scope: &mut RowScope) -> Option<RowFn> {
+        // A compiled node runs inside a DataFrame UDF or a fused scan
+        // filter, and no cursor ever opens on it: count each evaluation as
+        // one row, timed, so the plan shows the program that runs. (A
+        // constant its parent folds away never runs, and says so.)
+        Some(self.inner.compile_row(scope)?.profiled(Arc::clone(&self.stats)))
     }
 
     fn take_ordered(&self, ctx: &DynamicContext, n: usize) -> Result<Option<Vec<Item>>> {

@@ -5,8 +5,8 @@
 //!
 //! [`analyze`] runs every pass with error recovery and returns *all*
 //! findings; [`check_program`] keeps the historical fail-fast contract
-//! (first static error, as a [`RumbleError`]) the compiler uses as its
-//! gate. The passes:
+//! (first static error, as a [`RumbleError`](crate::error::RumbleError))
+//! the compiler uses as its gate. The passes:
 //!
 //! - **resolve** (here): scope checking against chained static contexts and
 //!   function resolution — errors `XPST0008`/`XPST0017`.
