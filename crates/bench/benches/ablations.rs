@@ -14,8 +14,7 @@
 //!   range sort's sampling and routing passes each run the pipeline below
 //!   the sort, so without the source cache each parses the JSON again;
 //! * `let` vs inline — the messy cleaning expressions bound by `let`
-//!   clauses (each a DataFrame column of variable cells) vs written inline
-//!   in the `return` of a fused scan.
+//!   clauses vs written inline in the `return`, both run as one fused scan.
 //!
 //! Arms that compute the same answer are checked to agree (as sorted
 //! serialized items, or in order for the top-K and full-sort pairs) once
@@ -185,9 +184,11 @@ fn bench(c: &mut Criterion) {
     g.finish();
 
     // --- `let` clauses vs inline expressions ----------------------------------
-    // The three cleaning expressions of the messy benchmark's scan. Bound by
-    // `let`, each is a UDF column of variable cells on the DataFrame path;
-    // inline, the whole FLWOR is a fused scan with one compiled return.
+    // The three cleaning expressions of the messy benchmark's scan, bound by
+    // `let` clauses or inline in the `return`. Both forms are fused scans:
+    // the `let` form evaluates each binding once per item into a value the
+    // compiled return reads, with no variable cell or projection, so the two
+    // arms differ only by those values.
     let let_form = r#"for $r in json-file("hdfs:///messy.json")
                       let $id := if ($r.id instance of integer) then $r.id
                                  else if ($r.id instance of string) then ($r.id cast as integer)

@@ -266,23 +266,15 @@ impl PreparedQuery {
     }
 
     /// Writes the result as JSON Lines. Distributed pipelines write in
-    /// parallel, one output block per partition, without materializing on
-    /// the driver (§5.4: "Rumble can directly write the results back to
-    /// HDFS … in parallel"). Returns the number of items written.
+    /// parallel, in one job, one output block per partition, without
+    /// materializing on the driver (§5.4: "Rumble can directly write the
+    /// results back to HDFS … in parallel"). Returns the number of items
+    /// written.
     pub fn write_json_lines(&self, path: &str) -> Result<u64> {
         let ctx = self.root_ctx()?;
         if self.program.body.is_rdd(&ctx) {
             let rdd = self.program.body.rdd(&ctx)?;
-            // The serialized lines are consumed twice (count, then save);
-            // persist so the pipeline runs once, then free the partitions.
-            let lines = rdd
-                .map(|item| item.serialize())
-                .persist(sparklite::StorageLevel::MemoryDeserialized);
-            let n = lines.count()?;
-            let saved = lines.save_as_text_file(path);
-            lines.unpersist();
-            saved?;
-            return Ok(n);
+            return Ok(rdd.map(|item| item.serialize()).save_as_text_file(path)?);
         }
         let items = self.program.body.materialize(&ctx)?;
         let mut text = String::new();
@@ -389,11 +381,11 @@ mod tests {
         let lines: String =
             (0..40).map(|i| format!("{{\"country\": \"c{}\", \"pop\": {}}}\n", i % 4, i)).collect();
         r.hdfs_put("/fused.json", &lines).unwrap();
-        // let + where cannot take the fused-RDD shortcut (the let breaks the
-        // scan shape), so this runs through the DataFrame mapping. Its
-        // `let` projection and `where` filter are UDFs, which run on rows,
-        // so no columnar segment fuses — and the profile says so.
-        let q = "for $e in json-file(\"hdfs:///fused.json\")
+        // A positional `for` cannot take the fused-RDD shortcut, so this
+        // runs through the DataFrame mapping. Its `let` projection and
+        // `where` filter are UDFs, which run on rows, so no columnar
+        // segment fuses — and the profile says so.
+        let q = "for $e at $p in json-file(\"hdfs:///fused.json\")
                  let $c := $e.country
                  where $c eq \"c1\"
                  return $c";
@@ -533,7 +525,9 @@ mod tests {
                  return {\"id\": $id, \"tags\": count($r.tags[])}";
         let report = r.analyze_profile(q).unwrap();
         assert_eq!(report.items, r.run(q).unwrap());
-        assert!(report.plan.contains("mode=dataframe"), "plan:\n{}", report.plan);
+        // The messy scan's shape, `for` then `let`s and `where`s: a fused
+        // scan, one pass per item with no tuple frame.
+        assert!(report.plan.contains("mode=rdd (fused)"), "plan:\n{}", report.plan);
         let plan = &report.plan;
         // The null ids drop out at the `where`.
         let kept = (0..n).filter(|i| i % 4 != 2).count() as u64;

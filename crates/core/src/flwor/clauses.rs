@@ -7,14 +7,15 @@
 //! the columns its expression actually uses — its declared `uses`
 //! footprint, which also feeds the optimizer's pruning (§4.7's "does not
 //! create the column at all"). Each per-row expression — a `let`, a
-//! `where`, a non-initial `for`, a key, the `return` — is a `RowExpr`:
-//! compiled to a closure that borrows the used cells as its row variables
-//! (see [`crate::runtime::row`]), or, when some node has no compiled form,
-//! evaluated against a dynamic context bound from those cells.
+//! `where`, a non-initial `for`, a key, the `return`, and each clause of a
+//! fused scan — is a `RowExpr`: compiled to a closure that borrows the
+//! items of the variables it uses as its row variables (see
+//! [`crate::runtime::row`]), or, when some node has no compiled form,
+//! evaluated against a dynamic context bound from those items.
 
 use super::{
-    bind_cell, cell_items, cell_of, ctx_from_row, row_var, ClauseIterator, ClauseRef, FusedScan,
-    Tuple, TupleCursor, TupleFrame,
+    bind_cell, cell_items, cell_of, row_var, ClauseIterator, ClauseRef, FusedScan, ScanStep, Tuple,
+    TupleCursor, TupleFrame,
 };
 use crate::error::{codes, Result, RumbleError};
 use crate::item::{group_key, seq, GroupKey, Item, Sequence};
@@ -96,10 +97,12 @@ impl Iterator for TupleFlatMap {
     }
 }
 
-/// One expression evaluated per row of a tuple frame: compiled over the
-/// cells of the variables it uses (its `uses`, in order, are the program's
-/// row variables), or, if it does not compile, run against a context
-/// bound from those cells.
+/// One expression evaluated per row: compiled over the items of the
+/// variables it uses (its `uses`, in order, are the program's row
+/// variables), or, if it does not compile, run against a context bound
+/// from those items. A tuple-frame row supplies the items from its cells
+/// ([`eval_with`](Self::eval_with)); a fused scan from its slots
+/// ([`eval`](Self::eval)).
 pub(crate) struct RowExpr {
     expr: ExprRef,
     uses: Vec<Arc<str>>,
@@ -110,8 +113,26 @@ pub(crate) struct RowExpr {
 }
 
 /// Row variables a row binds without allocating: up to this many borrowed
-/// cells live on the stack.
+/// sequences live on the stack.
 const INLINE_VARS: usize = 8;
+
+/// Calls `f` with the items `var(i)` for each `i` in `0..n`: on the
+/// stack while they fit.
+pub(crate) fn with_items<'a, R>(
+    n: usize,
+    var: impl Fn(usize) -> &'a [Item],
+    f: impl FnOnce(&[&[Item]]) -> R,
+) -> R {
+    if n <= INLINE_VARS {
+        let mut vars: [&[Item]; INLINE_VARS] = [&[]; INLINE_VARS];
+        for (i, slot) in vars[..n].iter_mut().enumerate() {
+            *slot = var(i);
+        }
+        f(&vars[..n])
+    } else {
+        f(&(0..n).map(var).collect::<Vec<_>>())
+    }
+}
 
 impl RowExpr {
     pub(crate) fn new(expr: &ExprRef, uses: &[Arc<str>], ctx: &DynamicContext) -> RowExpr {
@@ -125,10 +146,22 @@ impl RowExpr {
         }
     }
 
+    /// The variables the expression reads, in the order [`eval`](Self::eval)
+    /// takes their items.
+    pub(crate) fn uses(&self) -> &[Arc<str>] {
+        &self.uses
+    }
+
+    /// Whether an evaluation may raise: always, unless it compiled to a
+    /// program that never does.
+    pub(crate) fn may_raise(&self) -> bool {
+        self.program.as_ref().is_none_or(|p| p.raises() > Raises::Never)
+    }
+
     /// The columns of the `uses` variables in `schema`: the cached ones
-    /// while the schema still has them there, else resolved afresh. `None`
-    /// if the frame lacks one (a variable bound outside the FLWOR).
-    fn columns(&self, schema: &Schema) -> Option<Cow<'_, [usize]>> {
+    /// while the schema still has them there, else resolved afresh. A
+    /// frame lacking one fails the task.
+    fn columns(&self, schema: &Schema) -> Cow<'_, [usize]> {
         let resolve = || self.uses.iter().map(|u| schema.index_of(u)).collect::<Option<Box<_>>>();
         let cached = self.cols.get_or_init(|| resolve().unwrap_or_default());
         let fields = schema.fields();
@@ -138,22 +171,19 @@ impl RowExpr {
                 .zip(&self.uses)
                 .all(|(&c, u)| fields.get(c).is_some_and(|f| f.name == **u));
         if fits {
-            Some(Cow::Borrowed(cached))
-        } else {
-            resolve().map(|cols| Cow::Owned(cols.into_vec()))
+            return Cow::Borrowed(cached);
         }
-    }
-
-    /// The compiled program and the columns it reads, if this expression
-    /// compiled and the frame carries every variable it uses.
-    fn compiled(&self, schema: &Schema) -> Option<(&RowProgram, Cow<'_, [usize]>)> {
-        Some((self.program.as_ref()?, self.columns(schema)?))
+        match resolve() {
+            Some(cols) => Cow::Owned(cols.into_vec()),
+            None => task_bail(format!("a tuple frame lacks a column of {:?}", self.uses)),
+        }
     }
 
     /// Calls `f` with the items of the `uses` variables in `row`: native
     /// cells borrowed in place, on the stack; a `Bin` (a cell that crossed
     /// a process boundary) decoded.
-    fn with_vars<R>(&self, cols: &[usize], row: &[Value], f: impl FnOnce(&[&[Item]]) -> R) -> R {
+    fn with_row<R>(&self, schema: &Schema, row: &[Value], f: impl FnOnce(&[&[Item]]) -> R) -> R {
+        let cols = self.columns(schema);
         if cols.len() <= INLINE_VARS {
             let mut vars: [&[Item]; INLINE_VARS] = [&[]; INLINE_VARS];
             let native = cols.iter().zip(&mut vars).all(|(&c, var)| match cell_items(&row[c]) {
@@ -173,51 +203,60 @@ impl RowExpr {
         f(&vars)
     }
 
-    /// The context the interpreted path binds for `row`.
-    fn bound(&self, schema: &Schema, row: &[Value]) -> DynamicContext {
-        ctx_from_row(&self.base, schema, row, &self.uses)
+    /// The context the interpreted path binds for `vars`.
+    fn bound(&self, vars: &[&[Item]]) -> DynamicContext {
+        let bindings = self.uses.iter().zip(vars).map(|(u, v)| (Arc::clone(u), seq(v.to_vec())));
+        self.base.bind_many(bindings.collect())
     }
 
-    /// Hands the result sequence of `row` to `k`.
+    /// The result over `vars`, the items of the `uses` variables in order,
+    /// borrowing from them where it can.
+    pub(crate) fn eval<'e>(&'e self, vars: &'e [&'e [Item]]) -> Result<Seq<'e>> {
+        match &self.program {
+            Some(program) => program.eval(vars),
+            None => Ok(Seq::Owned(self.expr.materialize(&self.bound(vars))?)),
+        }
+    }
+
+    /// The effective boolean value of [`eval`](Self::eval)'s result. It
+    /// reads at most two items, so a program that can raise after its
+    /// first item leaves it to the iterator tree.
+    pub(crate) fn test(&self, vars: &[&[Item]]) -> Result<bool> {
+        match self.program.as_ref().filter(|p| p.raises() <= Raises::Early) {
+            Some(program) => program.ebv(vars),
+            None => eval_ebv(&self.expr, &self.bound(vars)),
+        }
+    }
+
+    /// Hands the result over the variables of a tuple-frame row to `k`.
     pub(crate) fn eval_with<R>(
         &self,
         schema: &Schema,
         row: &[Value],
         k: impl FnOnce(Seq<'_>) -> R,
     ) -> Result<R> {
-        match self.compiled(schema) {
-            Some((program, cols)) => self.with_vars(&cols, row, |vars| program.run(vars, k)),
-            None => Ok(k(Seq::Owned(self.expr.materialize(&self.bound(schema, row))?))),
-        }
+        self.with_row(schema, row, |vars| self.eval(vars).map(k))
     }
 
-    pub(crate) fn eval(&self, schema: &Schema, row: &[Value]) -> Result<Vec<Item>> {
+    pub(crate) fn eval_row(&self, schema: &Schema, row: &[Value]) -> Result<Vec<Item>> {
         self.eval_with(schema, row, |items| items.into_vec())
     }
 
-    /// The effective boolean value of [`eval`](Self::eval)'s result. It
-    /// reads at most two items, so a program that can raise after its
-    /// first item leaves it to the iterator tree.
+    /// [`test`](Self::test) over the variables of a tuple-frame row.
     fn ebv(&self, schema: &Schema, row: &[Value]) -> Result<bool> {
-        match self.compiled(schema).filter(|(p, _)| p.raises() <= Raises::Early) {
-            Some((program, cols)) => self.with_vars(&cols, row, |vars| program.ebv(vars)),
-            None => eval_ebv(&self.expr, &self.bound(schema, row)),
-        }
+        self.with_row(schema, row, |vars| self.test(vars))
     }
 }
 
-/// Builds a DataFrame UDF that evaluates an expression against the
-/// variables of a row and post-processes its result sequence.
+/// Builds a DataFrame UDF that evaluates `row_expr` against the variables
+/// of a row and post-processes its result sequence.
 fn row_udf(
     name: &str,
-    expr: ExprRef,
-    uses: Vec<Arc<str>>,
-    ctx: &DynamicContext,
+    row_expr: RowExpr,
     finish: impl Fn(Seq<'_>) -> Value + Send + Sync + 'static,
 ) -> DfExpr {
-    let uses_strings: Vec<String> = uses.iter().map(|u| u.to_string()).collect();
-    let row_expr = RowExpr::new(&expr, &uses, ctx);
-    DfExpr::udf(name, Some(uses_strings), move |schema: &Schema, row: &[Value]| {
+    let uses = row_expr.uses().iter().map(|u| u.to_string()).collect();
+    DfExpr::udf(name, Some(uses), move |schema: &Schema, row: &[Value]| {
         match row_expr.eval_with(schema, row, &finish) {
             Ok(value) => value,
             Err(e) => task_bail(e),
@@ -303,7 +342,7 @@ impl ClauseIterator for ForClauseIter {
         Some(FusedScan {
             var: Arc::clone(&self.var),
             source: Arc::clone(&self.expr),
-            predicates: Vec::new(),
+            steps: Vec::new(),
         })
     }
 
@@ -372,9 +411,7 @@ impl ClauseIterator for ForClauseIter {
                 }
                 let items_udf = row_udf(
                     &format!("for ${}", self.var),
-                    Arc::clone(&self.expr),
-                    self.uses.clone(),
-                    ctx,
+                    RowExpr::new(&self.expr, &self.uses, ctx),
                     |items| Value::list(items.iter().map(|i| cell_of(vec![i.clone()])).collect()),
                 );
                 let tmp = format!("__rumble_for_{}", self.var);
@@ -426,6 +463,13 @@ impl ClauseIterator for LetClauseIter {
         self.parent.as_ref().is_some_and(|p| p.is_unit_var(var))
     }
 
+    fn fused_scan(&self) -> Option<FusedScan> {
+        let mut scan = self.parent.as_ref()?.fused_scan()?;
+        let (var, expr) = (Arc::clone(&self.var), Arc::clone(&self.expr));
+        scan.steps.push(ScanStep::Let { var, expr, uses: self.uses.clone() });
+        Some(scan)
+    }
+
     fn tuples(&self, ctx: &DynamicContext) -> Result<TupleCursor> {
         let var = Arc::clone(&self.var);
         let expr = Arc::clone(&self.expr);
@@ -447,13 +491,16 @@ impl ClauseIterator for LetClauseIter {
         // first clause … execution is local").
         let Some(parent) = &self.parent else { return Ok(None) };
         let Some(f) = parent.frame(ctx)? else { return Ok(None) };
-        let udf = row_udf(
-            &format!("let ${}", self.var),
-            Arc::clone(&self.expr),
-            self.uses.clone(),
-            ctx,
-            |items| cell_of(items.into_vec()),
-        );
+        let value = RowExpr::new(&self.expr, &self.uses, ctx);
+        let may_raise = value.may_raise();
+        let mut udf =
+            row_udf(&format!("let ${}", self.var), value, |items| cell_of(items.into_vec()));
+        if may_raise {
+            // The local path binds every `let` of every tuple that reaches
+            // it, so one that can raise sees the rows a later `where`
+            // drops: the filter stays above it.
+            udf = udf.nondeterministic();
+        }
         let df = f.df.with_column(self.var.as_ref(), udf, DataType::Bin)?;
         Ok(Some(TupleFrame { df, vars: self.out.clone() }))
     }
@@ -480,11 +527,9 @@ impl ClauseIterator for WhereClauseIter {
     }
 
     fn fused_scan(&self) -> Option<FusedScan> {
-        // A `where` over a fused scan stays fused: with only the initial
-        // `for` in scope, the predicate sees exactly `$var` plus the
-        // driver context the filter closure captures.
         let mut scan = self.parent.fused_scan()?;
-        scan.predicates.push(Arc::clone(&self.predicate));
+        let (predicate, uses) = (Arc::clone(&self.predicate), self.uses.clone());
+        scan.steps.push(ScanStep::Where { predicate, uses });
         Some(scan)
     }
 
@@ -733,9 +778,7 @@ impl ClauseIterator for GroupByClauseIter {
         for (spec, col) in self.keys.iter().zip(&key_cols) {
             let name = format!("group key ${}", spec.var);
             let udf = match &spec.expr {
-                Some(e) => {
-                    row_udf(&name, Arc::clone(e), spec.uses.clone(), ctx, |k| group_key_cell(&k))
-                }
+                Some(e) => row_udf(&name, RowExpr::new(e, &spec.uses, ctx), |k| group_key_cell(&k)),
                 None => {
                     let var = Arc::clone(&spec.var);
                     DfExpr::udf(
@@ -971,7 +1014,8 @@ impl OrderByClauseIter {
         for (i, spec) in self.specs.iter().enumerate() {
             let col = format!("__o{i}");
             let slot = Arc::new(AtomicU8::new(0));
-            let udf = row_udf(&col, Arc::clone(&spec.expr), spec.uses.clone(), ctx, move |key| {
+            let key = RowExpr::new(&spec.expr, &spec.uses, ctx);
+            let udf = row_udf(&col, key, move |key| {
                 let cell = order_cell(&key).unwrap_or_else(|e| task_bail(e));
                 note_class(&slot, &cell).unwrap_or_else(|e| task_bail(e));
                 cell

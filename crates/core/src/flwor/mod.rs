@@ -29,14 +29,16 @@
 //! `return` — runs compiled where it can ([`crate::runtime::row`]): the
 //! UDF borrows the cells of the variables it uses as its row variables,
 //! with no dynamic context. So does a *fused scan*, an initial `for` over a
-//! distributed source followed only by `where` clauses, which skips the
-//! tuple frame and filters and maps the source's items directly.
+//! distributed source followed by `let` and `where` clauses only, which
+//! skips the tuple frame: its leading `where`s filter the source's items,
+//! and the rest runs as one pass per item over the item and its `let`
+//! values, with no variable cell, row or projection built.
 
 pub mod clauses;
 
-use crate::error::Result;
+use crate::error::{codes, Result, RumbleError};
 use crate::item::{decode_items, encode_items, Item, Sequence};
-use crate::runtime::row::{Raises, RowProgram};
+use crate::runtime::row::Seq;
 use crate::runtime::{cursor_of, DynamicContext, ExprIterator, ExprRef, ItemCursor};
 use sparklite::dataframe::{DataFrame, ExtCell, Row, Schema, Value};
 use sparklite::rdd::{task_bail, Rdd};
@@ -110,9 +112,9 @@ pub trait ClauseIterator: Send + Sync {
     }
 
     /// The clause chain as a fused scan — an initial simple `for` over one
-    /// source followed only by `where` filters — if it has that shape.
-    /// Fused pipelines run straight over the item RDD (filter + flatMap)
-    /// without the tuple-frame DataFrame detour.
+    /// source followed by `let` and `where` clauses only — if it has that
+    /// shape. Fused pipelines run straight over the item RDD (filter +
+    /// flatMap) without the tuple-frame DataFrame detour.
     fn fused_scan(&self) -> Option<FusedScan> {
         None
     }
@@ -131,11 +133,19 @@ pub trait ClauseIterator: Send + Sync {
 
 pub type ClauseRef = Arc<dyn ClauseIterator>;
 
-/// See [`ClauseIterator::fused_scan`]: `for $var in source where p1 …`.
+/// See [`ClauseIterator::fused_scan`]: `for $var in source`, then its
+/// `let` and `where` clauses in order.
 pub struct FusedScan {
     pub var: Arc<str>,
     pub source: ExprRef,
-    pub predicates: Vec<ExprRef>,
+    pub steps: Vec<ScanStep>,
+}
+
+/// One clause of a fused scan after its `for`, with the FLWOR variables
+/// its expression reads.
+pub enum ScanStep {
+    Where { predicate: ExprRef, uses: Vec<Arc<str>> },
+    Let { var: Arc<str>, expr: ExprRef, uses: Vec<Arc<str>> },
 }
 
 // ---------------------------------------------------------------------------
@@ -195,19 +205,6 @@ pub(crate) fn row_var(schema: &Schema, row: &[Value], var: &str) -> Option<Seque
     schema.index_of(var).map(|idx| bind_cell(var, &row[idx]))
 }
 
-/// Binds the `uses` columns of a row as variables on top of `base` (which
-/// must already be executor-flagged).
-pub(crate) fn ctx_from_row(
-    base: &DynamicContext,
-    schema: &Schema,
-    row: &[Value],
-    uses: &[Arc<str>],
-) -> DynamicContext {
-    let bindings =
-        uses.iter().filter_map(|var| Some((Arc::clone(var), row_var(schema, row, var)?))).collect();
-    base.bind_many(bindings)
-}
-
 // ---------------------------------------------------------------------------
 // The FLWOR expression itself
 // ---------------------------------------------------------------------------
@@ -233,55 +230,150 @@ impl FlworIter {
         FlworIter { last, return_expr, return_uses, return_var }
     }
 
-    /// Builds the fused (DataFrame-free) RDD for scan-shaped pipelines:
-    /// each `where` becomes a filter and the return expression a flatMap,
-    /// all directly over items, compiled with the scan variable as the one
-    /// row variable.
+    /// Builds the fused (DataFrame-free) RDD of a scan-shaped pipeline. The
+    /// `where`s before the first `let` filter the source's items, and a
+    /// `return $var` right after them returns the items as they are. The
+    /// rest runs as one flatMap per item ([`ScanPass`]). Every `let` is
+    /// evaluated in full on each item that reaches it, as the local path
+    /// binds it.
     fn fused_rdd(&self, scan: FusedScan, ctx: &DynamicContext) -> Result<Rdd<Item>> {
         let mut rdd = scan.source.rdd(ctx)?;
-        let base = ctx.enter_executor();
-        let var = std::slice::from_ref(&scan.var);
-        for pred in scan.predicates {
-            // The effective boolean value reads at most two items: a
-            // program that may raise after its first item stays interpreted.
-            let compiled = RowProgram::compile(&pred, var, &base);
-            if let Some(p) = compiled.filter(|p| p.raises() <= Raises::Early) {
-                rdd = rdd.filter(move |item| match p.ebv(&[std::slice::from_ref(item)]) {
-                    Ok(b) => b,
-                    Err(e) => task_bail(e),
-                });
-                continue;
-            }
-            let base = base.clone();
-            let var = Arc::clone(&scan.var);
-            rdd = rdd.filter(move |item| {
-                let child = base.bind(Arc::clone(&var), Arc::new(vec![item.clone()]));
-                match pred.ebv(&child) {
-                    Ok(b) => b,
-                    Err(e) => task_bail(e),
+        let passthrough = self.return_var.as_ref() == Some(&scan.var);
+        let mut slots = ScanSlots { names: vec![Some(scan.var)] };
+        let mut steps = scan.steps.into_iter().peekable();
+        while let Some(ScanStep::Where { predicate, uses }) =
+            steps.next_if(|s| matches!(s, ScanStep::Where { .. }))
+        {
+            let pred = slots.expr(&predicate, &uses, ctx)?;
+            rdd = rdd.filter(move |item| pred.test(&[std::slice::from_ref(item)], &[]));
+        }
+        if passthrough && steps.peek().is_none() {
+            return Ok(rdd);
+        }
+        let mut pipeline = Vec::new();
+        for step in steps {
+            pipeline.push(match step {
+                ScanStep::Where { predicate, uses } => (slots.expr(&predicate, &uses, ctx)?, None),
+                ScanStep::Let { var, expr, uses } => {
+                    let value = slots.expr(&expr, &uses, ctx)?;
+                    (value, Some(slots.bind(var)))
                 }
             });
         }
-        if self.return_var.as_ref() == Some(&scan.var) {
-            return Ok(rdd);
+        let ret = slots.expr(&self.return_expr, &self.return_uses, ctx)?;
+        let pass = ScanPass { pipeline, ret, lets: slots.names.len() - 1 };
+        Ok(rdd.flat_map(move |item| pass.run(&item)))
+    }
+}
+
+/// The `let` values of one item of a fused scan that live on the stack.
+const LET_VALUES: usize = 8;
+
+/// The flatMap of a fused scan after its leading `where`s: each clause in
+/// order, with the index of its value for a `let`, then the return, over
+/// the slots of [`ScanSlots`].
+struct ScanPass {
+    pipeline: Vec<(SlotExpr, Option<usize>)>,
+    ret: SlotExpr,
+    lets: usize,
+}
+
+impl ScanPass {
+    fn run(&self, item: &Item) -> Vec<Item> {
+        let item = [std::slice::from_ref(item)];
+        if self.lets <= LET_VALUES {
+            let mut values: [Seq; LET_VALUES] = std::array::from_fn(|_| Seq::EMPTY);
+            self.over(&item, &mut values[..self.lets])
+        } else {
+            self.over(&item, &mut (0..self.lets).map(|_| Seq::EMPTY).collect::<Vec<_>>())
         }
-        if let Some(p) = RowProgram::compile(&self.return_expr, var, &base) {
-            return Ok(rdd.flat_map(move |item| {
-                match p.run(&[std::slice::from_ref(&item)], |items| items.into_vec()) {
-                    Ok(items) => items,
-                    Err(e) => task_bail(e),
-                }
-            }));
-        }
-        let var = scan.var;
-        let ret = Arc::clone(&self.return_expr);
-        Ok(rdd.flat_map(move |item| {
-            let child = base.bind(Arc::clone(&var), Arc::new(vec![item]));
-            match ret.materialize(&child) {
-                Ok(items) => items,
-                Err(e) => task_bail(e),
+    }
+
+    fn over<'x>(&'x self, item: &'x [&'x [Item]], values: &mut [Seq<'x>]) -> Vec<Item> {
+        for (expr, value) in &self.pipeline {
+            match value {
+                Some(i) => values[*i] = expr.bind(item, values),
+                None if !expr.test(item, values) => return Vec::new(),
+                None => {}
             }
-        }))
+        }
+        let ret = &self.ret;
+        ret.with_vars(item, values, |vars| ret.expr.eval(vars).map(Seq::into_vec))
+            .unwrap_or_else(|e| task_bail(e))
+    }
+}
+
+/// The variables of a fused scan's flatMap: slot 0 is the scanned item,
+/// slot `i + 1` the `i`-th `let` value. A `let` that redeclares a `let`
+/// variable overwrites its value; one that redeclares the `for` variable
+/// leaves the item's slot unnamed.
+struct ScanSlots {
+    names: Vec<Option<Arc<str>>>,
+}
+
+impl ScanSlots {
+    /// `expr` compiled over the slots of its `uses` as they are named now.
+    fn expr(&self, expr: &ExprRef, uses: &[Arc<str>], ctx: &DynamicContext) -> Result<SlotExpr> {
+        let slots: Box<[usize]> = uses
+            .iter()
+            .map(|u| self.names.iter().position(|n| n.as_ref() == Some(u)))
+            .collect::<Option<_>>()
+            .ok_or_else(|| {
+                RumbleError::dynamic(codes::CLUSTER, format!("fused scan lacks one of {uses:?}"))
+            })?;
+        let on_item = slots.iter().all(|&s| s == 0);
+        Ok(SlotExpr { expr: clauses::RowExpr::new(expr, uses, ctx), slots, on_item })
+    }
+
+    /// The index among the `let` values of the one `let $var` binds.
+    fn bind(&mut self, var: Arc<str>) -> usize {
+        if let Some(i) = self.names[1..].iter().position(|n| n.as_ref() == Some(&var)) {
+            return i;
+        }
+        if self.names[0].as_ref() == Some(&var) {
+            self.names[0] = None;
+        }
+        self.names.push(Some(var));
+        self.names.len() - 2
+    }
+}
+
+/// A row expression of a fused scan with the slots of its variables. An
+/// error fails the task.
+struct SlotExpr {
+    expr: clauses::RowExpr,
+    slots: Box<[usize]>,
+    /// Whether it reads no `let` value, only the item, if anything.
+    on_item: bool,
+}
+
+impl SlotExpr {
+    /// Calls `f` with the items of the expression's variables: `item` is
+    /// slot 0, `values` the rest.
+    fn with_vars<R>(&self, item: &[&[Item]], values: &[Seq], f: impl FnOnce(&[&[Item]]) -> R) -> R {
+        if self.on_item {
+            return f(&item[..self.slots.len()]);
+        }
+        let var = |i: usize| match self.slots[i] {
+            0 => item[0],
+            slot => &values[slot - 1][..],
+        };
+        clauses::with_items(self.slots.len(), var, f)
+    }
+
+    /// The value of a `let`: borrowed from the item where it can be, when
+    /// the `let` reads no other `let`; owned otherwise.
+    fn bind<'x>(&'x self, item: &'x [&'x [Item]], values: &[Seq]) -> Seq<'x> {
+        let value = if self.on_item {
+            self.expr.eval(&item[..self.slots.len()])
+        } else {
+            self.with_vars(item, values, |vars| self.expr.eval(vars).map(Seq::into_owned))
+        };
+        value.unwrap_or_else(|e| task_bail(e))
+    }
+
+    fn test(&self, item: &[&[Item]], values: &[Seq]) -> bool {
+        self.with_vars(item, values, |vars| self.expr.test(vars)).unwrap_or_else(|e| task_bail(e))
     }
 }
 
@@ -318,10 +410,7 @@ impl ExprIterator for FlworIter {
             }
         }
         let frame = self.last.frame(ctx)?.ok_or_else(|| {
-            crate::error::RumbleError::dynamic(
-                crate::error::codes::CLUSTER,
-                "FLWOR tuple stream has no DataFrame form",
-            )
+            RumbleError::dynamic(codes::CLUSTER, "FLWOR tuple stream has no DataFrame form")
         })?;
         // §4.10: the return clause maps each row of the DataFrame to the
         // items produced by the return expression — one flatMap back to an
@@ -329,7 +418,7 @@ impl ExprIterator for FlworIter {
         let rows = frame.df.to_rdd()?;
         let schema = Arc::clone(frame.df.schema());
         let ret = clauses::RowExpr::new(&self.return_expr, &self.return_uses, ctx);
-        Ok(rows.flat_map(move |row| match ret.eval(&schema, &row) {
+        Ok(rows.flat_map(move |row| match ret.eval_row(&schema, &row) {
             Ok(items) => items,
             Err(e) => task_bail(e),
         }))
@@ -345,7 +434,7 @@ impl ExprIterator for FlworIter {
         let ret = clauses::RowExpr::new(&self.return_expr, &self.return_uses, ctx);
         let mut out = Vec::with_capacity(n);
         for row in &rows {
-            out.extend(ret.eval(&schema, row)?);
+            out.extend(ret.eval_row(&schema, row)?);
             if out.len() >= n {
                 out.truncate(n);
                 return Ok(Some(out));

@@ -81,6 +81,17 @@ impl<'e> Seq<'e> {
         }
     }
 
+    /// This sequence, owning its items; one item stays off the heap.
+    pub(crate) fn into_owned(self) -> Seq<'static> {
+        match self {
+            Seq::Borrowed([]) => Seq::EMPTY,
+            Seq::Borrowed([item]) => Seq::One(item.clone()),
+            Seq::Borrowed(s) => Seq::Owned(s.to_vec()),
+            Seq::One(item) => Seq::One(item),
+            Seq::Owned(v) => Seq::Owned(v),
+        }
+    }
+
     /// The single item of a sequence of length one.
     pub(crate) fn into_one(self) -> Option<Item> {
         match self {
@@ -592,9 +603,9 @@ impl RowProgram {
     }
 
     /// Evaluates over one row, `row[i]` being the items of row variable
-    /// `i`, and hands the result to `k`.
-    pub(crate) fn run<R>(&self, row: &[&[Item]], k: impl FnOnce(Seq<'_>) -> R) -> Result<R> {
-        self.code.eval(&self.env(row)).map(k)
+    /// `i`. The result borrows from the row where it can.
+    pub(crate) fn eval<'e>(&'e self, row: &'e [&'e [Item]]) -> Result<Seq<'e>> {
+        self.code.eval(&self.env(row))
     }
 
     /// The effective boolean value over one row. Only for programs that

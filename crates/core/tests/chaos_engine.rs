@@ -144,3 +144,36 @@ proptest! {
         }
     }
 }
+
+/// `write_json_lines` writes in one job, and the count it returns is
+/// summed from the tasks' own results: under 20% chaos a retried task's
+/// lines are counted once.
+#[test]
+fn a_json_lines_write_is_one_job_that_counts_each_line_once() {
+    let q = r#"for $r in json-file("hdfs:///chaos.json")
+               let $w := $r.v * 2
+               where $r.v ge 300
+               return { "k": $r.k, "w": $w }"#;
+    let text = dataset(1_200);
+    let expected = {
+        let clean = engine(FaultPlan::default());
+        clean.hdfs_put("/chaos.json", &text).unwrap();
+        clean.run(q).unwrap().len() as u64
+    };
+    for (name, plan) in [("clean", FaultPlan::default()), ("chaos", FaultPlan::chaos(0x57A, 0.2))] {
+        let r = engine(plan);
+        r.hdfs_put("/chaos.json", &text).unwrap();
+        let prepared = r.compile(q).unwrap();
+        let before = r.sparklite().metrics();
+        let n = prepared.write_json_lines("hdfs:///out.json").unwrap();
+        let after = r.sparklite().metrics();
+        assert_eq!(after.jobs - before.jobs, 1, "{name}: jobs of one write");
+        assert_eq!(n, expected, "{name}: lines reported");
+        if name == "chaos" {
+            let retried = after.retried_tasks - before.retried_tasks;
+            assert!(retried > 0, "20% chaos must retry tasks of the write, got {after:?}");
+        }
+        let back = r.run(r#"count(json-file("hdfs:///out.json"))"#).unwrap();
+        assert_eq!(back, vec![rumble_core::item::Item::Integer(expected as i64)], "{name}");
+    }
+}

@@ -119,8 +119,8 @@ const CASES: &[Case] = &[
     },
     Case {
         // The second `where` raises a type error on string values, which
-        // the first `where` drops: it must never see them. (The `let`
-        // keeps the FLWOR off the fused scan, whose filters run one by one.)
+        // the first `where` drops: it must never see them. (Past the `let`,
+        // the fused scan runs both `where`s in one pass per item.)
         name: "where after where",
         query: r#"for $r in SRC
                   let $v := $r.v
@@ -245,6 +245,63 @@ const CASES: &[Case] = &[
                   return [$r.id, $r.v - $lim, $r.tags[] = $keep]"#,
         sorted: false,
     },
+    Case {
+        // A fused scan whose `let` redeclares a `let` variable: the second
+        // binding reads the first and overwrites its slot.
+        name: "a redeclared let",
+        query: r#"for $r in SRC
+                  let $x := $r.v[$$ instance of integer]
+                  let $x := $x + 1
+                  return [$r.id, $x]"#,
+        sorted: false,
+    },
+    Case {
+        // A `let` that shadows the `for` variable: later clauses and the
+        // `return $r` read the `let`, not the scanned item.
+        name: "a let shadowing the for variable",
+        query: r#"for $r in SRC
+                  let $r := $r.id
+                  where $r instance of integer
+                  return $r"#,
+        sorted: false,
+    },
+    Case {
+        name: "a where between lets",
+        query: r#"for $r in SRC
+                  let $v := $r.v
+                  where $v instance of integer
+                  let $w := $v * 2
+                  where $w gt 20
+                  return [$r.id, $w]"#,
+        sorted: false,
+    },
+    Case {
+        // The `let`s below are not part of a fused scan: each is a column
+        // of the tuple frame.
+        name: "a let after order by",
+        query: r#"for $r in SRC
+                  where $r.id instance of integer
+                  order by $r.id descending
+                  let $t := $r.tags
+                  return [$r.id, $t]"#,
+        sorted: false,
+    },
+    Case {
+        name: "a let after group by",
+        query: r#"for $r in SRC
+                  group by $g := $r.g
+                  let $n := count($r)
+                  return [$g, $n]"#,
+        sorted: true,
+    },
+    Case {
+        name: "a let after a non-initial for",
+        query: r#"for $r in SRC
+                  for $t in $r.tags[]
+                  let $u := [$r.id, $t]
+                  return $u"#,
+        sorted: false,
+    },
 ];
 
 /// Queries every path must fail with the same error code: the name, the
@@ -298,6 +355,36 @@ const ERRORS: &[(&str, &str, &str)] = &[
         "empty over a comma whose later member raises at open",
         "FORG0001",
         r#"for $r in SRC let $e := empty(($r.tags, $r.id cast as integer)) return $e"#,
+    ),
+    // Every `let` is bound on every tuple that reaches it, read or not.
+    (
+        "an unread let that raises",
+        "FORG0001",
+        r#"for $r in SRC let $x := $r.id cast as integer return $r.id"#,
+    ),
+    (
+        "an unread let that raises, after a non-initial for",
+        "FORG0001",
+        r#"for $r in SRC for $t in $r.tags[] let $x := $r.id cast as integer return $t"#,
+    ),
+    (
+        "an unread let with no compiled form",
+        "FOER0000",
+        r#"for $r in SRC let $x := error() return $r.id"#,
+    ),
+    // A `where` after a `let` must not be pushed below it: the `let` sees
+    // the rows the `where` drops, and raises on their string ids.
+    (
+        "a let that raises on rows a later where drops, then an order by",
+        "XPTY0004",
+        r#"for $r in SRC let $y := $r.id + 1 where $r.id instance of integer
+           order by $r.id return $y"#,
+    ),
+    (
+        "a let that raises on rows a later where drops, then a group by",
+        "XPTY0004",
+        r#"for $r in SRC let $y := $r.id + 1 where $r.id instance of integer
+           group by $k := $r.id mod 3 return [$k, count($y)]"#,
     ),
 ];
 

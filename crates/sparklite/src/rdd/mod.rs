@@ -397,10 +397,12 @@ impl<K: Ord, T> Ord for Ranked<K, T> {
 
 impl<T: Data + AsRef<str>> Rdd<T> {
     /// Writes the RDD as a text file, one line per element, one output
-    /// block per partition (like Spark's `part-00000` files). `hdfs://`
-    /// paths land in the simulated HDFS; other paths on the local
-    /// filesystem as a single file.
-    pub fn save_as_text_file(&self, path: &str) -> Result<()> {
+    /// block per partition (like Spark's `part-00000` files), in one job;
+    /// returns the number of lines written. `hdfs://` paths land in the
+    /// simulated HDFS; other paths on the local filesystem as a single
+    /// file. Each task returns its own line count with its block, so a
+    /// retried task is counted once.
+    pub fn save_as_text_file(&self, path: &str) -> Result<u64> {
         let parts = self.core.run_partitions(
             &self.op,
             Arc::new(|iter: BoxIter<T>, tc: &TaskContext| {
@@ -412,17 +414,16 @@ impl<T: Data + AsRef<str>> Rdd<T> {
                     n += 1;
                 }
                 crate::executor::TaskMetrics::bump(&tc.task_metrics.output_records, n);
-                out
+                (out, n)
             }),
         )?;
+        let lines = parts.iter().map(|(_, n)| n).sum();
+        let parts: Vec<String> = parts.into_iter().map(|(part, _)| part).collect();
         match resolve_scheme(path) {
-            (PathScheme::SimHdfs, key) => self.core.hdfs.put_parts(key, parts),
-            (PathScheme::LocalFs, p) => {
-                let joined: String = parts.concat();
-                std::fs::write(p, joined)?;
-                Ok(())
-            }
+            (PathScheme::SimHdfs, key) => self.core.hdfs.put_parts(key, parts)?,
+            (PathScheme::LocalFs, p) => std::fs::write(p, parts.concat())?,
         }
+        Ok(lines)
     }
 }
 
@@ -831,7 +832,7 @@ mod tests {
     fn save_and_reload_text() {
         let sc = sc();
         let rdd = sc.parallelize((0..50).map(|i| format!("line-{i}")).collect(), 4);
-        rdd.save_as_text_file("hdfs:///out/data").unwrap();
+        assert_eq!(rdd.save_as_text_file("hdfs:///out/data").unwrap(), 50);
         let back = sc.text_file("hdfs:///out/data").unwrap().collect().unwrap();
         assert_eq!(back.len(), 50);
         assert_eq!(back[49].as_ref(), "line-49");

@@ -12,6 +12,7 @@ use sparklite::dataframe::{
 };
 use sparklite::{SparkliteConf, SparkliteContext};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn ctx() -> SparkliteContext {
     SparkliteContext::new(SparkliteConf::default().with_executors(2).with_optimizer(false))
@@ -253,5 +254,40 @@ fn filters_stay_above_a_nondeterministic_projection_and_its_sort() {
             let fired = rule_by_id(rule_id).unwrap().apply(d.plan()).is_some();
             assert_eq!(fired, deterministic, "{rule_id}, deterministic = {deterministic}");
         }
+    }
+}
+
+/// A JSONiq `let … where` over a tuple frame: a projection computing a
+/// UDF that raises on some rows (`b = 0`), under a filter that reads only
+/// pass-through columns and drops those rows. Deterministic, the optimizer
+/// pushes the filter below the projection and the UDF never sees the row;
+/// nondeterministic, as a `let` that may raise is marked, the filter stays
+/// above and the query raises, as the local path does.
+#[test]
+fn a_filter_stays_above_a_let_projection_that_may_raise() {
+    let c = ctx();
+    let project = "Project [a := col(a) as I64, b := col(b) as I64, xs := col(xs) as List, \
+                   y := udf(let y, uses=Some([\"b\"])) as I64]";
+    let pushed = format!(
+        "{project}\n\
+        \x20 Filter (col(a) Gt lit(0))\n\
+        \x20   FromRdd [a: I64, b: I64, xs: List]\n"
+    );
+    let kept = format!(
+        "Filter (col(a) Gt lit(0))\n\
+        \x20 {project}\n\
+        \x20   FromRdd [a: I64, b: I64, xs: List]\n"
+    );
+    for (deterministic, want) in [(true, pushed), (false, kept)] {
+        let udf = Expr::udf("let y", Some(vec!["b".into()]), |_, row: &[Value]| match row[1] {
+            Value::I64(0) => sparklite::rdd::task_bail("y raised"),
+            ref b => b.clone(),
+        });
+        let udf = if deterministic { udf } else { udf.nondeterministic() };
+        let d = base(&c).with_column("y", udf, DataType::I64).unwrap().filter(a_gt(0)).unwrap();
+        let optimized = d.with_plan(sparklite::dataframe::optimize(Arc::clone(d.plan())));
+        assert_eq!(optimized.plan().render(), want, "deterministic = {deterministic}");
+        let rows = optimized.collect_rows();
+        assert_eq!(rows.is_err(), !deterministic, "deterministic = {deterministic}: {rows:?}");
     }
 }
