@@ -716,7 +716,7 @@ fn literal(lit: &ast::Literal) -> Result<Item> {
         ast::Literal::Boolean(b) => Item::Boolean(*b),
         ast::Literal::Integer(v) => Item::Integer(*v),
         ast::Literal::Decimal(raw) => {
-            Item::Decimal(raw.parse().map_err(|()| RumbleError::syntax("bad decimal", None))?)
+            Item::decimal(raw.parse().map_err(|()| RumbleError::syntax("bad decimal", None))?)
         }
         ast::Literal::Double(v) => Item::Double(*v),
         ast::Literal::Str(s) => Item::str(s),

@@ -4,30 +4,25 @@
 //! attributable.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rumble_core::item::{decode_items, encode_items, item_from_json};
+use rumble_core::item::{decode_items, encode_items, items_from_json_lines};
 use rumble_datagen::{confusion, DEFAULT_SEED};
 use sparklite::{SparkliteConf, SparkliteContext};
 
 fn bench(c: &mut Criterion) {
     let text = confusion::generate(5_000, DEFAULT_SEED);
-    let lines: Vec<&str> = text.lines().collect();
+    let n_lines = text.lines().count();
 
-    // JSON Lines → items (the §5.7 hot loop).
+    // JSON Lines → items (the §5.7 hot loop), one builder over the whole
+    // block as a `json-file` partition parses it.
     let mut g = c.benchmark_group("substrate/json-parse");
-    g.throughput(Throughput::Elements(lines.len() as u64));
+    g.throughput(Throughput::Elements(n_lines as u64));
     g.bench_function("items", |b| {
-        b.iter(|| {
-            let mut n = 0usize;
-            for l in &lines {
-                n += item_from_json(l).expect("valid line").is_atomic() as usize;
-            }
-            n
-        })
+        b.iter(|| items_from_json_lines(&text).expect("valid block").len())
     });
     g.finish();
 
     // The binary item codec (DataFrame Bin columns, §4.3).
-    let items: Vec<_> = lines.iter().map(|l| item_from_json(l).expect("valid")).collect();
+    let items = items_from_json_lines(&text).expect("valid block");
     let encoded: Vec<Vec<u8>> =
         items.iter().map(|i| encode_items(std::slice::from_ref(i))).collect();
     let mut g = c.benchmark_group("substrate/item-codec");

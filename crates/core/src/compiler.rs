@@ -489,7 +489,7 @@ fn literal_item(lit: &ast::Literal) -> Result<Item> {
         ast::Literal::Null => Item::Null,
         ast::Literal::Boolean(b) => Item::Boolean(*b),
         ast::Literal::Integer(v) => Item::Integer(*v),
-        ast::Literal::Decimal(raw) => Item::Decimal(raw.parse::<Dec>().map_err(|()| {
+        ast::Literal::Decimal(raw) => Item::decimal(raw.parse::<Dec>().map_err(|()| {
             RumbleError::syntax(format!("decimal literal out of range: {raw}"), None)
         })?),
         ast::Literal::Double(v) => Item::Double(*v),

@@ -305,7 +305,7 @@ impl<'a> Reader<'a> {
             TAG_DEC => {
                 let m = i128::from_le_bytes(self.bytes(16)?.try_into().expect("16 bytes"));
                 let scale = self.varu()? as u32;
-                Item::Decimal(Dec::new(m, scale))
+                Item::decimal(Dec::new(m, scale))
             }
             TAG_DBL => {
                 Item::Double(f64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
@@ -375,8 +375,8 @@ mod tests {
             Item::Integer(-1),
             Item::Integer(i64::MAX),
             Item::Integer(i64::MIN),
-            Item::Decimal("123.456".parse().unwrap()),
-            Item::Decimal("-0.000001".parse().unwrap()),
+            Item::decimal("123.456".parse().unwrap()),
+            Item::decimal("-0.000001".parse().unwrap()),
             Item::Double(std::f64::consts::E),
             Item::Double(f64::NEG_INFINITY),
             Item::str(""),
@@ -392,6 +392,56 @@ mod tests {
             // Decimal scale survives, not just numeric value.
             assert_eq!(a.type_name(), b.type_name());
         }
+    }
+
+    #[test]
+    fn boxed_decimals_encode_decode_and_compare_by_value() {
+        use crate::item::{deep_equal, group_key, value_compare};
+        use std::cmp::Ordering;
+        let texts = [
+            "-0.05",
+            "0.05",
+            "123456789012345678901234567890",
+            "-12345678901234567890.1234567890",
+            "1.50",
+            "0",
+        ];
+        for t in texts {
+            let d: Dec = t.parse().unwrap();
+            let item = Item::decimal(d);
+            // The bytes depend on the value alone: tag, 16-byte mantissa,
+            // scale; the box adds nothing.
+            let mut want = vec![TAG_DEC];
+            want.extend_from_slice(&d.mantissa().to_le_bytes());
+            write_varu(&mut want, d.scale() as u64);
+            let mut enc = Vec::new();
+            encode_item(&item, &mut enc);
+            assert_eq!(enc, want, "{t}");
+            let back = decode_item(&enc).unwrap();
+            let Item::Decimal(b) = &back else { panic!("{t} decodes to a decimal") };
+            assert_eq!((b.mantissa(), b.scale()), (d.mantissa(), d.scale()), "{t}");
+            assert!(deep_equal(&item, &back));
+            assert_eq!(value_compare(&item, &back).unwrap(), Ordering::Equal);
+            assert_eq!(
+                group_key(std::slice::from_ref(&back)).unwrap(),
+                group_key(std::slice::from_ref(&item)).unwrap()
+            );
+            assert_eq!(back.serialize(), d.to_string());
+        }
+        let items: Vec<Item> = texts.iter().map(|t| Item::decimal(t.parse().unwrap())).collect();
+        let back = decode_items(&encode_items(&items)).unwrap();
+        for (i, a) in back.iter().enumerate() {
+            for (j, b) in back.iter().enumerate() {
+                let (x, y): (Dec, Dec) = (texts[i].parse().unwrap(), texts[j].parse().unwrap());
+                assert_eq!(value_compare(a, b).unwrap(), x.cmp(&y), "{} vs {}", texts[i], texts[j]);
+                assert_eq!(deep_equal(a, b), x == y);
+            }
+        }
+        // A scaled decimal still equals the integer and double of its value.
+        let one_half = Item::decimal("0.50".parse().unwrap());
+        assert!(deep_equal(&one_half, &Item::Double(0.5)));
+        assert!(deep_equal(&Item::decimal("2.0".parse().unwrap()), &Item::Integer(2)));
+        assert_eq!(group_key(&[one_half]).unwrap(), group_key(&[Item::Double(0.5)]).unwrap());
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! executor threads — is O(1). The `Item` super-type playing the role of
 //! the paper's Java `Item` class hierarchy (§4.1.1): an `Rdd<Item>`
 //! naturally supports heterogeneous sequences.
+//!
+//! Layout: an `Item` is 24 bytes (a tag plus the 16-byte `Arc<str>` of a
+//! string), so an object member is 40. The 128-bit decimal is boxed to keep
+//! it there; objects and arrays hold exact-size buffers (DESIGN.md §9,
+//! "Item layout and the per-partition string table").
 
 mod codec;
 mod decimal;
@@ -28,12 +33,14 @@ use std::sync::Arc;
 /// keys keep the last value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Object {
-    pairs: Vec<(Arc<str>, Item)>,
+    pairs: Box<[(Arc<str>, Item)]>,
 }
 
 impl Object {
+    /// Takes the members in document order; a vector with spare capacity
+    /// is shrunk to fit.
     pub fn new(pairs: Vec<(Arc<str>, Item)>) -> Object {
-        Object { pairs }
+        Object { pairs: pairs.into_boxed_slice() }
     }
 
     pub fn get(&self, key: &str) -> Option<&Item> {
@@ -63,7 +70,9 @@ pub enum Item {
     Null,
     Boolean(bool),
     Integer(i64),
-    Decimal(Dec),
+    /// Boxed: an inline `Dec` (an `i128` mantissa) would double the size
+    /// of every item. `Arc`, so a clone still allocates nothing.
+    Decimal(Arc<Dec>),
     Double(f64),
     Str(Arc<str>),
     Array(Arc<Vec<Item>>),
@@ -75,6 +84,10 @@ impl Item {
 
     pub fn str(s: impl AsRef<str>) -> Item {
         Item::Str(Arc::from(s.as_ref()))
+    }
+
+    pub fn decimal(d: Dec) -> Item {
+        Item::Decimal(Arc::new(d))
     }
 
     pub fn array(items: Vec<Item>) -> Item {
@@ -271,6 +284,13 @@ mod tests {
     use super::*;
 
     #[test]
+    fn item_layout_is_pinned() {
+        // Every parsed member pays these sizes; see the module docs.
+        assert_eq!(std::mem::size_of::<Item>(), 24);
+        assert_eq!(std::mem::size_of::<(Arc<str>, Item)>(), 40);
+    }
+
+    #[test]
     fn object_lookup_last_wins() {
         let o = Item::object_from(vec![("a", Item::Integer(1)), ("a", Item::Integer(2))]);
         assert_eq!(o.as_object().unwrap().get("a"), Some(&Item::Integer(2)));
@@ -281,7 +301,7 @@ mod tests {
     fn type_names() {
         assert_eq!(Item::Null.type_name(), "null");
         assert_eq!(Item::str("x").type_name(), "string");
-        assert_eq!(Item::Decimal("1.5".parse().unwrap()).type_name(), "decimal");
+        assert_eq!(Item::decimal("1.5".parse().unwrap()).type_name(), "decimal");
         assert_eq!(Item::array(vec![]).type_name(), "array");
     }
 
@@ -307,7 +327,7 @@ mod tests {
 
     #[test]
     fn numeric_equality_across_types() {
-        assert_eq!(Item::Integer(1), Item::Decimal("1.0".parse().unwrap()));
+        assert_eq!(Item::Integer(1), Item::decimal("1.0".parse().unwrap()));
         assert_eq!(Item::Integer(1), Item::Double(1.0));
         assert_ne!(Item::Integer(1), Item::str("1"));
     }

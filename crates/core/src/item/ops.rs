@@ -28,9 +28,9 @@ fn promote(op: &str, a: &Item, b: &Item) -> Result<NumPair> {
     use Item::*;
     Ok(match (a, b) {
         (Integer(x), Integer(y)) => NumPair::Int(*x, *y),
-        (Integer(x), Decimal(y)) => NumPair::Dec(Dec::from_i64(*x), *y),
-        (Decimal(x), Integer(y)) => NumPair::Dec(*x, Dec::from_i64(*y)),
-        (Decimal(x), Decimal(y)) => NumPair::Dec(*x, *y),
+        (Integer(x), Decimal(y)) => NumPair::Dec(Dec::from_i64(*x), **y),
+        (Decimal(x), Integer(y)) => NumPair::Dec(**x, Dec::from_i64(*y)),
+        (Decimal(x), Decimal(y)) => NumPair::Dec(**x, **y),
         (Double(x), other) => NumPair::Dbl(*x, other.as_f64().ok_or_else(|| type_err2(op, a, b))?),
         (other, Double(y)) => NumPair::Dbl(other.as_f64().ok_or_else(|| type_err2(op, a, b))?, *y),
         _ => return Err(type_err2(op, a, b)),
@@ -49,7 +49,7 @@ fn div_zero() -> RumbleError {
 pub fn item_add(a: &Item, b: &Item) -> Result<Item> {
     match promote("+", a, b)? {
         NumPair::Int(x, y) => x.checked_add(y).map(Item::Integer).ok_or_else(|| overflow("+")),
-        NumPair::Dec(x, y) => x.checked_add(y).map(Item::Decimal).ok_or_else(|| overflow("+")),
+        NumPair::Dec(x, y) => x.checked_add(y).map(Item::decimal).ok_or_else(|| overflow("+")),
         NumPair::Dbl(x, y) => Ok(Item::Double(x + y)),
     }
 }
@@ -58,7 +58,7 @@ pub fn item_add(a: &Item, b: &Item) -> Result<Item> {
 pub fn item_sub(a: &Item, b: &Item) -> Result<Item> {
     match promote("-", a, b)? {
         NumPair::Int(x, y) => x.checked_sub(y).map(Item::Integer).ok_or_else(|| overflow("-")),
-        NumPair::Dec(x, y) => x.checked_sub(y).map(Item::Decimal).ok_or_else(|| overflow("-")),
+        NumPair::Dec(x, y) => x.checked_sub(y).map(Item::decimal).ok_or_else(|| overflow("-")),
         NumPair::Dbl(x, y) => Ok(Item::Double(x - y)),
     }
 }
@@ -67,7 +67,7 @@ pub fn item_sub(a: &Item, b: &Item) -> Result<Item> {
 pub fn item_mul(a: &Item, b: &Item) -> Result<Item> {
     match promote("*", a, b)? {
         NumPair::Int(x, y) => x.checked_mul(y).map(Item::Integer).ok_or_else(|| overflow("*")),
-        NumPair::Dec(x, y) => x.checked_mul(y).map(Item::Decimal).ok_or_else(|| overflow("*")),
+        NumPair::Dec(x, y) => x.checked_mul(y).map(Item::decimal).ok_or_else(|| overflow("*")),
         NumPair::Dbl(x, y) => Ok(Item::Double(x * y)),
     }
 }
@@ -76,9 +76,9 @@ pub fn item_mul(a: &Item, b: &Item) -> Result<Item> {
 pub fn item_div(a: &Item, b: &Item) -> Result<Item> {
     match promote("div", a, b)? {
         NumPair::Int(x, y) => {
-            Dec::from_i64(x).checked_div(Dec::from_i64(y)).map(Item::Decimal).ok_or_else(div_zero)
+            Dec::from_i64(x).checked_div(Dec::from_i64(y)).map(Item::decimal).ok_or_else(div_zero)
         }
-        NumPair::Dec(x, y) => x.checked_div(y).map(Item::Decimal).ok_or_else(div_zero),
+        NumPair::Dec(x, y) => x.checked_div(y).map(Item::decimal).ok_or_else(div_zero),
         NumPair::Dbl(x, y) => Ok(Item::Double(x / y)), // IEEE semantics: ±INF/NaN
     }
 }
@@ -119,7 +119,7 @@ pub fn item_mod(a: &Item, b: &Item) -> Result<Item> {
                 Ok(Item::Integer(x.wrapping_rem(y)))
             }
         }
-        NumPair::Dec(x, y) => x.checked_rem(y).map(Item::Decimal).ok_or_else(div_zero),
+        NumPair::Dec(x, y) => x.checked_rem(y).map(Item::decimal).ok_or_else(div_zero),
         NumPair::Dbl(x, y) => Ok(Item::Double(x % y)),
     }
 }
@@ -128,7 +128,7 @@ pub fn item_mod(a: &Item, b: &Item) -> Result<Item> {
 pub fn item_neg(a: &Item) -> Result<Item> {
     match a {
         Item::Integer(x) => x.checked_neg().map(Item::Integer).ok_or_else(|| overflow("-")),
-        Item::Decimal(d) => Ok(Item::Decimal(d.neg())),
+        Item::Decimal(d) => Ok(Item::decimal(d.neg())),
         Item::Double(x) => Ok(Item::Double(-x)),
         other => {
             Err(RumbleError::type_err(format!("unary - is not defined for {}", other.type_name())))
@@ -150,8 +150,8 @@ pub fn value_compare(a: &Item, b: &Item) -> Result<Ordering> {
         (Boolean(x), Boolean(y)) => Ok(x.cmp(y)),
         (Str(x), Str(y)) => Ok(x.as_ref().cmp(y.as_ref())),
         (Integer(x), Integer(y)) => Ok(x.cmp(y)),
-        (Integer(x), Decimal(y)) => Ok(Dec::from_i64(*x).cmp(y)),
-        (Decimal(x), Integer(y)) => Ok(x.cmp(&Dec::from_i64(*y))),
+        (Integer(x), Decimal(y)) => Ok(Dec::from_i64(*x).cmp(y.as_ref())),
+        (Decimal(x), Integer(y)) => Ok(x.as_ref().cmp(&Dec::from_i64(*y))),
         (Decimal(x), Decimal(y)) => Ok(x.cmp(y)),
         (x, y) if x.is_numeric() && y.is_numeric() => {
             // At least one double: IEEE total order via total_cmp.
@@ -357,7 +357,7 @@ mod tests {
     use super::*;
 
     fn dec(s: &str) -> Item {
-        Item::Decimal(s.parse().unwrap())
+        Item::decimal(s.parse().unwrap())
     }
 
     #[test]
@@ -432,7 +432,7 @@ mod tests {
         ]);
         let b = Item::object_from(vec![
             ("y", Item::array(vec![Item::str("a"), Item::Null])),
-            ("x", Item::Decimal("1.0".parse().unwrap())),
+            ("x", Item::decimal("1.0".parse().unwrap())),
         ]);
         assert!(deep_equal(&a, &b), "key order does not matter, numerics unify");
         let c = Item::object_from(vec![("x", Item::Integer(2))]);

@@ -1060,10 +1060,11 @@ impl JsonFileIter {
         let path = self.resolve_path(ctx)?;
         let lines = ctx.engine().sc.text_file(&path)?;
         // Streamed straight into items by the event-driven parser (§5.7):
-        // no intermediate JSON tree.
-        Ok(lines.map(|line| match crate::item::item_from_json(&line) {
-            Ok(i) => i,
-            Err(e) => task_bail(e),
+        // no intermediate JSON tree. One builder per partition, so the
+        // partition's items share its string table and no other's.
+        Ok(lines.map_partitions(|_, lines| {
+            let mut builder = crate::item::ItemBuilder::new();
+            Box::new(lines.map(move |line| builder.parse(&line).unwrap_or_else(|e| task_bail(e))))
         }))
     }
 }

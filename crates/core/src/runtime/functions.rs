@@ -620,7 +620,7 @@ impl ExprIterator for BuiltinCallIter {
             Abs => match numeric_arg(&args[0], ctx, "abs")? {
                 None => Ok(cursor_empty()),
                 Some(Item::Integer(v)) => Ok(cursor_one(Item::Integer(v.abs()))),
-                Some(Item::Decimal(d)) => Ok(cursor_one(Item::Decimal(d.abs()))),
+                Some(Item::Decimal(d)) => Ok(cursor_one(Item::decimal(d.abs()))),
                 Some(Item::Double(v)) => Ok(cursor_one(Item::Double(v.abs()))),
                 _ => unreachable!("numeric_arg filters"),
             },
@@ -631,7 +631,7 @@ impl ExprIterator for BuiltinCallIter {
                     Some(Item::Integer(v)) => Ok(cursor_one(Item::Integer(v))),
                     Some(Item::Decimal(d)) => {
                         let r = if up { d.ceiling() } else { d.floor() };
-                        Ok(cursor_one(Item::Decimal(r)))
+                        Ok(cursor_one(Item::decimal(r)))
                     }
                     Some(Item::Double(v)) => {
                         Ok(cursor_one(Item::Double(if up { v.ceil() } else { v.floor() })))
@@ -651,7 +651,7 @@ impl ExprIterator for BuiltinCallIter {
                 match numeric_arg(&args[0], ctx, "round")? {
                     None => Ok(cursor_empty()),
                     Some(Item::Integer(v)) => Ok(cursor_one(Item::Integer(v))),
-                    Some(Item::Decimal(d)) => Ok(cursor_one(Item::Decimal(d.round(digits)))),
+                    Some(Item::Decimal(d)) => Ok(cursor_one(Item::decimal(d.round(digits)))),
                     Some(Item::Double(v)) => {
                         let m = 10f64.powi(digits as i32);
                         // round half toward +inf, like the decimal path
@@ -1093,7 +1093,7 @@ mod tests {
     #[test]
     fn rounding() {
         assert_eq!(
-            run(&call(Builtin::Round, vec![lit(Item::Decimal("2.5".parse().unwrap()))])),
+            run(&call(Builtin::Round, vec![lit(Item::decimal("2.5".parse().unwrap()))])),
             vec![Item::Integer(3)][..].to_vec()
         );
         assert_eq!(

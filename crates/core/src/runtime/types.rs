@@ -113,23 +113,23 @@ pub fn cast_item(item: &Item, target: AtomicType) -> Result<Item> {
             _ => Err(cast_fail(item, target)),
         },
         Decimal => match item {
-            Item::Integer(v) => Ok(Item::Decimal(Dec::from_i64(*v))),
-            Item::Decimal(d) => Ok(Item::Decimal(*d)),
+            Item::Integer(v) => Ok(Item::decimal(Dec::from_i64(*v))),
+            Item::Decimal(_) => Ok(item.clone()),
             Item::Double(v) => {
                 if v.is_finite() {
                     // Route through the shortest decimal text of the double.
                     v.to_string()
                         .parse::<Dec>()
-                        .map(Item::Decimal)
+                        .map(Item::decimal)
                         .map_err(|_| cast_fail(item, target))
                 } else {
                     Err(cast_fail(item, target))
                 }
             }
             Item::Str(s) => {
-                s.trim().parse::<Dec>().map(Item::Decimal).map_err(|_| cast_fail(item, target))
+                s.trim().parse::<Dec>().map(Item::decimal).map_err(|_| cast_fail(item, target))
             }
-            Item::Boolean(b) => Ok(Item::Decimal(Dec::from_i64(*b as i64))),
+            Item::Boolean(b) => Ok(Item::decimal(Dec::from_i64(*b as i64))),
             _ => Err(cast_fail(item, target)),
         },
         Double => match item {
@@ -178,7 +178,7 @@ mod tests {
     fn integer_is_a_decimal() {
         let dec = st(ItemTypeAst::Atomic(AtomicType::Decimal), Occurrence::One);
         assert!(seq_matches(&[Item::Integer(1)], &dec));
-        assert!(seq_matches(&[Item::Decimal("1.5".parse().unwrap())], &dec));
+        assert!(seq_matches(&[Item::decimal("1.5".parse().unwrap())], &dec));
         assert!(!seq_matches(&[Item::Double(1.5)], &dec));
     }
 

@@ -17,7 +17,7 @@ fn arb_item() -> impl Strategy<Value = Item> {
         any::<i64>().prop_map(Item::Integer),
         any::<f64>().prop_map(Item::Double),
         "-?(0|[1-9][0-9]{0,9})\\.[0-9]{1,9}"
-            .prop_map(|s| Item::Decimal(s.parse().expect("grammatical decimal"))),
+            .prop_map(|s| Item::decimal(s.parse().expect("grammatical decimal"))),
         "[a-zA-Z0-9 _\\-\u{e9}]{0,10}".prop_map(Item::str),
     ];
     leaf.prop_recursive(3, 32, 6, |inner| {
