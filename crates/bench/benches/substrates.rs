@@ -4,7 +4,7 @@
 //! attributable.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rumble_core::item::{decode_items, encode_items, items_from_json_lines};
+use rumble_core::item::{decode_items, encode_items, items_from_json_lines, ItemBuilder};
 use rumble_datagen::{confusion, DEFAULT_SEED};
 use sparklite::{SparkliteConf, SparkliteContext};
 
@@ -18,6 +18,15 @@ fn bench(c: &mut Criterion) {
     g.throughput(Throughput::Elements(n_lines as u64));
     g.bench_function("items", |b| {
         b.iter(|| items_from_json_lines(&text).expect("valid block").len())
+    });
+    // The same block projected to the two fields the Fig. 11 group query
+    // reads: the skipped members are parsed and checked, not built.
+    let group_fields = Some(["country", "target"].into_iter().map(Into::into).collect());
+    g.bench_function("items-projected", |b| {
+        b.iter(|| {
+            let mut builder = ItemBuilder::projecting(Clone::clone(&group_fields));
+            builder.parse_lines(&text).expect("valid block").len()
+        })
     });
     g.finish();
 

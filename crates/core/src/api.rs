@@ -165,7 +165,8 @@ impl Rumble {
         query: &str,
         run: impl FnOnce(&PreparedQuery) -> Result<Vec<Item>>,
     ) -> Result<ProfileReport> {
-        let (program, registry) = compile_query_profiled(query)?;
+        let auto_persist = self.engine.auto_persist.read().is_some();
+        let (program, registry) = compile_query_profiled(query, auto_persist)?;
         let prepared = PreparedQuery { engine: Arc::clone(&self.engine), program };
         let started = std::time::Instant::now();
         let items = run(&prepared)?;

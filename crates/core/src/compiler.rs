@@ -9,7 +9,7 @@ use crate::flwor::clauses::{
     NonGroupingUsage, OrderByClauseIter, OrderSpecIter, WhereClauseIter,
 };
 use crate::flwor::{ClauseRef, FlworIter};
-use crate::item::{Dec, Item};
+use crate::item::{Dec, Fields, Item};
 use crate::runtime::exprs::*;
 use crate::runtime::functions::{Builtin, BuiltinCallIter, CompiledFunction, UserCallIter};
 use crate::runtime::profile::{ProfileRegistry, ProfiledIter};
@@ -38,8 +38,14 @@ pub fn compile_query(src: &str) -> Result<CompiledProgram> {
 /// Like [`compile_query`], but wraps every runtime iterator in a profiling
 /// decorator recording opens, rows, sampled time and execution mode per
 /// plan node — the compilation behind `EXPLAIN ANALYZE`. Render the
-/// registry after executing the program.
-pub fn compile_query_profiled(src: &str) -> Result<(CompiledProgram, Arc<ProfileRegistry>)> {
+/// registry after executing the program. `auto_persist` says whether the
+/// engine that runs it auto-persists literal-path sources, whose scans
+/// then build every field: the plan's `json-file` nodes say which fields
+/// they build.
+pub fn compile_query_profiled(
+    src: &str,
+    auto_persist: bool,
+) -> Result<(CompiledProgram, Arc<ProfileRegistry>)> {
     let program = parse_program(src)?;
     check_program(&program)?;
     let registry = Arc::new(ProfileRegistry::new());
@@ -48,6 +54,7 @@ pub fn compile_query_profiled(src: &str) -> Result<(CompiledProgram, Arc<Profile
         profiler: Some(Profiler {
             registry: Arc::clone(&registry),
             stack: RefCell::new(Vec::new()),
+            auto_persist,
         }),
     };
     Ok((compile_with(c, &program)?, registry))
@@ -99,6 +106,8 @@ struct Profiler {
     /// Registry indices of the enclosing nodes during the (single-threaded,
     /// recursive) compile — the top is the parent of the next registration.
     stack: RefCell<Vec<usize>>,
+    /// See [`compile_query_profiled`].
+    auto_persist: bool,
 }
 
 impl Compiler {
@@ -106,11 +115,38 @@ impl Compiler {
     /// node (under the enclosing node being compiled, if any) and wraps the
     /// iterator in a [`ProfiledIter`]; otherwise it is [`Compiler::expr_inner`].
     fn expr(&self, e: &ast::Expr) -> Result<ExprRef> {
-        let Some(p) = &self.profiler else { return self.expr_inner(e) };
+        self.node(|_| expr_label(e), || self.expr_inner(e))
+    }
+
+    /// Compiles the source of a FLWOR's initial `for`, a `json-file` call,
+    /// to a scan that builds only `fields` of each item (see
+    /// [`scan_fields`]).
+    fn scan_source(&self, e: &ast::Expr, fields: Fields) -> Result<ExprRef> {
+        let ast::ExprKind::FunctionCall { name, args } = &e.kind else {
+            unreachable!("scan_fields only projects a json-file call")
+        };
+        // An auto-persisted source caches, and so builds, every field.
+        let label = |p: &Profiler| {
+            let persisted = p.auto_persist && literal_key(name, args).is_some();
+            let fields = if persisted { None } else { Some(&fields) };
+            format!("FunctionCall({name}#{}) {}", args.len(), fields_label(fields))
+        };
+        self.node(label, || self.function_call(name, args, Some(fields.clone())))
+    }
+
+    /// Builds one node. In profiled mode this registers the node, labelled
+    /// `label`, under the enclosing node being compiled, if any, and wraps
+    /// the iterator in a [`ProfiledIter`].
+    fn node(
+        &self,
+        label: impl FnOnce(&Profiler) -> String,
+        build: impl FnOnce() -> Result<ExprRef>,
+    ) -> Result<ExprRef> {
+        let Some(p) = &self.profiler else { return build() };
         let parent = p.stack.borrow().last().copied();
-        let (id, stats) = p.registry.register(expr_label(e), parent);
+        let (id, stats) = p.registry.register(label(p), parent);
         p.stack.borrow_mut().push(id);
-        let inner = self.expr_inner(e);
+        let inner = build();
         p.stack.borrow_mut().pop();
         Ok(Arc::new(ProfiledIter { inner: inner?, stats }))
     }
@@ -224,35 +260,43 @@ impl Compiler {
                 }
                 cur
             }
-            ast::ExprKind::FunctionCall { name, args } => self.function_call(name, args)?,
+            ast::ExprKind::FunctionCall { name, args } => self.function_call(name, args, None)?,
             ast::ExprKind::Flwor(f) => self.flwor(f)?,
         })
     }
 
-    fn function_call(&self, name: &str, args: &[ast::Expr]) -> Result<ExprRef> {
+    /// Compiles a function call. `fields`, for a `json-file` call only,
+    /// are the top-level fields its scan builds when it is not persisted.
+    fn function_call(
+        &self,
+        name: &str,
+        args: &[ast::Expr],
+        fields: Option<Fields>,
+    ) -> Result<ExprRef> {
         let compiled: Vec<ExprRef> = args.iter().map(|a| self.expr(a)).collect::<Result<_>>()?;
-        // A source named by a string literal always reads the same data, so
-        // its RDD can be auto-persisted and shared engine-wide under the
-        // `<function>:<literal>` key; a computed path may resolve
-        // differently per evaluation and must not be.
-        let literal_key = match args.first().map(|a| &a.kind) {
-            Some(ast::ExprKind::Literal(ast::Literal::Str(s))) => Some(format!("{name}:{s}")),
-            _ => None,
-        };
-        let auto_persist = |src: ExprRef| -> ExprRef {
-            match literal_key {
-                Some(key) => Arc::new(PersistIter { inner: src, key }),
-                None => src,
-            }
-        };
+        let literal_key = literal_key(name, args);
         // Input functions get dedicated source iterators (§5.7).
         match (name, compiled.len()) {
             ("json-file", 1) | ("json-file", 2) => {
                 let mut it = compiled.into_iter();
-                return Ok(auto_persist(Arc::new(JsonFileIter {
-                    path: it.next().expect("arity"),
-                    partitions: it.next(),
-                })));
+                let (path, partitions) = (it.next().expect("arity"), it.next());
+                let scan = |fields| -> ExprRef {
+                    Arc::new(JsonFileIter {
+                        path: Arc::clone(&path),
+                        partitions: partitions.clone(),
+                        fields,
+                    })
+                };
+                return Ok(match literal_key {
+                    // The cache holds full items for every later query, so
+                    // only a scan that is not persisted projects.
+                    Some(key) => Arc::new(PersistIter {
+                        inner: scan(None),
+                        key,
+                        unpersisted: fields.map(|f| scan(Some(f))),
+                    }),
+                    None => scan(fields),
+                });
             }
             ("parallelize", 1) | ("parallelize", 2) => {
                 let mut it = compiled.into_iter();
@@ -263,9 +307,11 @@ impl Compiler {
             }
             ("collection", 1) => {
                 let mut it = compiled.into_iter();
-                return Ok(auto_persist(Arc::new(CollectionIter {
-                    name: it.next().expect("arity"),
-                })));
+                let source: ExprRef = Arc::new(CollectionIter { name: it.next().expect("arity") });
+                return Ok(match literal_key {
+                    Some(key) => Arc::new(PersistIter { inner: source, key, unpersisted: None }),
+                    None => source,
+                });
             }
             _ => {}
         }
@@ -300,6 +346,10 @@ impl Compiler {
         let mut clauses: Vec<ast::Clause> = f.clauses.clone();
         let mut ret: ast::Expr = (*f.return_expr).clone();
         let mut chain: Option<ClauseRef> = None;
+        // The fields the initial `for` reads of a scanned file, decided on
+        // the clauses as written: `count($v)` keeps the projection whether
+        // or not §4.7 rewrites it below.
+        let mut scan_fields = scan_fields(&clauses, &ret);
 
         let mut i = 0;
         while i < clauses.len() {
@@ -308,12 +358,16 @@ impl Compiler {
                 ast::Clause::For(bindings) => {
                     for b in bindings {
                         let uses = Self::flwor_uses(&b.expr, chain.as_ref());
+                        let source = match scan_fields.take() {
+                            Some(fields) => self.scan_source(&b.expr, fields)?,
+                            None => self.expr(&b.expr)?,
+                        };
                         chain = Some(Arc::new(ForClauseIter::new(
                             chain.take(),
                             Arc::from(b.var.as_str()),
                             b.positional.as_deref().map(Arc::from),
                             b.allowing_empty,
-                            self.expr(&b.expr)?,
+                            source,
                             uses,
                         )));
                     }
@@ -461,6 +515,9 @@ fn expr_label(e: &ast::Expr) -> String {
             }
             format!("Postfix({shape})")
         }
+        ast::ExprKind::FunctionCall { name, args } if name == "json-file" => {
+            format!("FunctionCall({name}#{}) {}", args.len(), fields_label(None))
+        }
         ast::ExprKind::FunctionCall { name, args } => {
             format!("FunctionCall({name}#{})", args.len())
         }
@@ -481,6 +538,25 @@ fn expr_label(e: &ast::Expr) -> String {
             }
             format!("Flwor({shape} return)")
         }
+    }
+}
+
+/// What a `json-file` scan builds, for its plan label.
+fn fields_label(fields: Option<&Fields>) -> String {
+    match fields {
+        None => "fields=all".to_string(),
+        Some(fields) => format!("fields=[{}]", fields.join(", ")),
+    }
+}
+
+/// The engine-wide identity of a source named by a string literal,
+/// `<function>:<literal>`. Such a source always reads the same data, so
+/// its RDD can be auto-persisted and shared engine-wide under this key; a
+/// computed path may resolve differently per evaluation and must not be.
+fn literal_key(name: &str, args: &[ast::Expr]) -> Option<String> {
+    match args.first().map(|a| &a.kind) {
+        Some(ast::ExprKind::Literal(ast::Literal::Str(s))) => Some(format!("{name}:{s}")),
+        _ => None,
     }
 }
 
@@ -506,47 +582,8 @@ fn literal_item(lit: &ast::Literal) -> Result<Item> {
 /// `count($v)` (`CountOnly`, a native COUNT/SUM replaces materialization),
 /// or for real (`Materialize`).
 fn analyze_usage(var: &str, rest: &[ast::Clause], ret: &ast::Expr) -> NonGroupingUsage {
-    struct UsageState {
-        refs: usize,
-        counted: usize,
-        rebound: bool,
-    }
-    fn visit(e: &ast::Expr, var: &str, st: &mut UsageState) {
-        usage_walk(e, var, &mut st.refs, &mut st.counted);
-        st.rebound |= rebinds(e, var);
-    }
-    let mut st = UsageState { refs: 0, counted: 0, rebound: false };
-    for c in rest {
-        match c {
-            ast::Clause::For(bindings) => {
-                for b in bindings {
-                    visit(&b.expr, var, &mut st);
-                    st.rebound |= b.var == var || b.positional.as_deref() == Some(var);
-                }
-            }
-            ast::Clause::Let(bindings) => {
-                for b in bindings {
-                    visit(&b.expr, var, &mut st);
-                    st.rebound |= b.var == var;
-                }
-            }
-            ast::Clause::Where(e) => visit(e, var, &mut st),
-            ast::Clause::GroupBy(specs) => {
-                for s in specs {
-                    if let Some(e) = &s.expr {
-                        visit(e, var, &mut st);
-                    } else if s.var == var {
-                        st.refs += 1;
-                    }
-                    st.rebound |= s.var == var;
-                }
-            }
-            ast::Clause::OrderBy(specs) => specs.iter().for_each(|s| visit(&s.expr, var, &mut st)),
-            ast::Clause::Count(v, _) => st.rebound |= v == var,
-        }
-    }
-    visit(ret, var, &mut st);
-    let UsageState { refs, counted, rebound } = st;
+    let (mut refs, mut counted) = (0, 0);
+    let rebound = visit_rest(var, rest, ret, &mut |e| usage_walk(e, var, &mut refs, &mut counted));
     if rebound {
         // A later clause (or nested scope) rebinds the name: rewriting
         // would be unsound, so keep the full materialization.
@@ -563,6 +600,132 @@ fn analyze_usage(var: &str, rest: &[ast::Clause], ret: &ast::Expr) -> NonGroupin
     } else {
         NonGroupingUsage::Unused
     }
+}
+
+/// Calls `visit` on every expression of the clauses `rest` and of `ret`,
+/// and says whether a clause of `rest` or a scope nested in one of those
+/// expressions (re)binds `var`. A grouping spec with no expression
+/// (`group by $var`) reads the variable whole: it is visited as a plain
+/// reference to it.
+fn visit_rest<'a>(
+    var: &str,
+    rest: impl IntoIterator<Item = &'a ast::Clause>,
+    ret: &ast::Expr,
+    visit: &mut dyn FnMut(&ast::Expr),
+) -> bool {
+    // Visits `e`; true if a scope nested in it rebinds `var`.
+    let mut check = |e: &ast::Expr| {
+        visit(e);
+        rebinds(e, var)
+    };
+    let mut rebound = false;
+    for c in rest {
+        match c {
+            ast::Clause::For(bindings) => {
+                for b in bindings {
+                    rebound |= check(&b.expr);
+                    rebound |= b.var == var || b.positional.as_deref() == Some(var);
+                }
+            }
+            ast::Clause::Let(bindings) => {
+                for b in bindings {
+                    rebound |= check(&b.expr);
+                    rebound |= b.var == var;
+                }
+            }
+            ast::Clause::Where(e) => rebound |= check(e),
+            ast::Clause::GroupBy(specs) => {
+                for s in specs {
+                    match &s.expr {
+                        Some(e) => rebound |= check(e),
+                        None if s.var == var => {
+                            check(&ast::ExprKind::VarRef(s.var.clone()).at(s.span));
+                        }
+                        None => {}
+                    }
+                    rebound |= s.var == var;
+                }
+            }
+            ast::Clause::OrderBy(specs) => {
+                for s in specs {
+                    rebound |= check(&s.expr);
+                }
+            }
+            ast::Clause::Count(v, _) => rebound |= v == var,
+        }
+    }
+    rebound | check(ret)
+}
+
+// ---------------------------------------------------------------------------
+// Projection pushdown into the JSON scan
+// ---------------------------------------------------------------------------
+
+/// The top-level fields the rest of a FLWOR reads of the items its initial
+/// `for $v in json-file(…)` binds, sorted: the fields the scan has to
+/// build. `None` when it must build every field. `$v` keeps the projection
+/// where it is read through a static first step `$v.name` (any steps may
+/// follow) or counted, `count($v)`. Any other use may see the whole item:
+/// a bare `$v`, `$v[]`, `$v.($k)`, `$v ! …`, `group by $v`, `$v` passed to
+/// a function. So may every use once a clause or a nested scope rebinds
+/// `$v`.
+fn scan_fields(clauses: &[ast::Clause], ret: &ast::Expr) -> Option<Fields> {
+    let (ast::Clause::For(bindings), rest) = clauses.split_first()? else { return None };
+    let (scan, others) = bindings.split_first()?;
+    match &scan.expr.kind {
+        ast::ExprKind::FunctionCall { name, args } if name == "json-file" && args.len() <= 2 => {}
+        _ => return None,
+    }
+    let var = scan.var.as_str();
+    let others = ast::Clause::For(others.to_vec());
+    let mut keys = Vec::new();
+    let mut whole = false;
+    let rebound = visit_rest(var, std::iter::once(&others).chain(rest), ret, &mut |e| {
+        whole |= !read_keys(e, var, &mut keys)
+    });
+    if whole || rebound {
+        return None;
+    }
+    keys.sort();
+    keys.dedup();
+    Some(keys.into_iter().map(Arc::from).collect())
+}
+
+/// Adds to `keys` the name of every static first step `$var.name` in `e`;
+/// `false` if `e` may read `$var` in any other way (see [`scan_fields`]).
+fn read_keys(e: &ast::Expr, var: &str, keys: &mut Vec<String>) -> bool {
+    let is_var = |e: &ast::Expr| matches!(&e.kind, ast::ExprKind::VarRef(v) if v == var);
+    match &e.kind {
+        ast::ExprKind::VarRef(v) => return v != var,
+        ast::ExprKind::FunctionCall { name, args }
+            if name == "count" && args.len() == 1 && is_var(&args[0]) =>
+        {
+            return true
+        }
+        ast::ExprKind::Postfix(base, ops) if is_var(base) => {
+            let Some(ast::PostfixOp::Lookup(ast::LookupKey::Name(first))) = ops.first() else {
+                return false;
+            };
+            keys.push(first.clone());
+            let mut ok = true;
+            for op in ops {
+                match op {
+                    ast::PostfixOp::Predicate(x) | ast::PostfixOp::ArrayLookup(x) => {
+                        ok &= read_keys(x, var, keys)
+                    }
+                    ast::PostfixOp::Lookup(ast::LookupKey::Expr(x)) => {
+                        ok &= read_keys(x, var, keys)
+                    }
+                    _ => {}
+                }
+            }
+            return ok;
+        }
+        _ => {}
+    }
+    let mut ok = true;
+    for_each_child(e, &mut |c| ok &= read_keys(c, var, keys));
+    ok
 }
 
 /// Counts plain references vs. `count($var)` wrappers.
@@ -711,6 +874,71 @@ mod tests {
         usage_walk(&rewritten, "o", &mut refs, &mut counted);
         assert_eq!(counted, 0);
         assert_eq!(refs, 1);
+    }
+
+    /// The fields `scan_fields` projects the FLWOR `q` to, `$i` bound by
+    /// its initial `for` to `json-file("f")`.
+    fn projection(q: &str) -> Option<Vec<String>> {
+        let f = parse_flwor(&q.replace("SRC", r#"json-file("f")"#));
+        scan_fields(&f.clauses, &f.return_expr).map(|fs| fs.iter().map(|k| k.to_string()).collect())
+    }
+
+    #[test]
+    fn scan_fields_collects_static_first_steps_and_counts() {
+        for (q, fields) in [
+            (
+                "for $i in SRC group by $c := $i.country, $t := $i.target \
+                 return { c: $c, t: $t, n: count($i) }",
+                vec!["country", "target"],
+            ),
+            (
+                "for $i in SRC where $i.guess = $i.target \
+                 order by $i.target, $i.country descending, $i.date return $i.sample",
+                vec!["country", "date", "guess", "sample", "target"],
+            ),
+            ("for $i in SRC where exists($i.nested) return 1", vec!["nested"]),
+            (
+                "for $i in SRC, $t in $i.tags[] let $n := $i.\"x y\"[$$ gt 1].k[[1]] return [$t, $n]",
+                vec!["tags", "x y"],
+            ),
+            ("for $i in SRC return count($i)", vec![]),
+            ("for $i in SRC group by $k := $i.k return [$k, $i.v]", vec!["k", "v"]),
+            // Another `$j` is another variable.
+            ("for $i in SRC let $j := 1 return [$j, $i.a]", vec!["a"]),
+        ] {
+            assert_eq!(projection(q), Some(fields.iter().map(|f| f.to_string()).collect()), "{q}");
+        }
+    }
+
+    #[test]
+    fn scan_fields_builds_every_field_when_the_item_escapes_or_is_rebound() {
+        for q in [
+            "for $i in SRC return $i",
+            "for $i in SRC return $i[]",
+            "for $i in SRC let $k := \"a\" return $i.($k)",
+            "for $i in SRC return $i.$i",
+            "for $i in SRC return $i ! $$.a",
+            "for $i in SRC return $i[$$.a]",
+            "for $i in SRC return $i[[1]]",
+            "for $i in SRC group by $i return 1",
+            "for $i in SRC return serialize($i)",
+            "for $i in SRC return count(($i, 1))",
+            "for $i in SRC let $j := $i return $j.a",
+            "for $i in SRC, $j in ($i, 1) return $j",
+            "for $i in SRC where $i instance of object return $i.a",
+            // Rebinding, in a clause or a nested scope.
+            "for $i in SRC let $i := {\"a\": 1} return $i.a",
+            "for $i in SRC group by $i := $i.a return $i",
+            "for $i in SRC count $i return $i",
+            "for $i in SRC, $i in (1, 2) return $i",
+            "for $i in SRC return (for $i in (1, 2) return $i)",
+            "for $i in SRC return some $i in (1, 2) satisfies $i eq 1",
+        ] {
+            assert_eq!(projection(q), None, "{q}");
+        }
+        // Only the initial `for` over a json-file scans.
+        assert_eq!(projection("for $i in parallelize(1) return $i.a"), None);
+        assert_eq!(projection("let $a := SRC for $i in $a return $i.a"), None);
     }
 
     #[test]

@@ -18,10 +18,21 @@ const INTERN_MAX_LEN: usize = 32;
 /// that never repeat cannot crowd out the ones that do for long.
 const INTERN_MAX_ENTRIES: usize = 1024;
 
+/// The top-level keys a projected parse builds: sorted, without
+/// duplicates. The compiler derives them from the FLWOR that scans the
+/// file (DESIGN.md §9, "Projection pushdown").
+pub type Fields = Arc<[Arc<str>]>;
+
 /// Streaming builder: receives parser events and assembles the item tree
 /// bottom-up. Reuse one builder for many documents (a partition, a JSON
 /// Lines text): the items it builds then share one `Arc<str>` per repeated
 /// key and short value, and its stacks are allocated once.
+///
+/// A builder made with [`ItemBuilder::projecting`] builds, of a top-level
+/// object, only the members whose key is in its [`Fields`]. The events of
+/// the other members still pass through the parser and the decimal check,
+/// so a document fails exactly as a full parse would; they only build
+/// nothing.
 #[derive(Default)]
 pub struct ItemBuilder {
     /// The completed values of every open frame, innermost frame last.
@@ -31,6 +42,11 @@ pub struct ItemBuilder {
     frames: Vec<Frame>,
     result: Option<Item>,
     strings: HashSet<Arc<str>, BuildHasherDefault<FxHasher>>,
+    /// `None` builds every member.
+    fields: Option<Fields>,
+    /// While a top-level member is skipped: one more than the containers
+    /// open inside its value. Zero while building.
+    skip: usize,
 }
 
 /// An open object or array: where its values (and keys) start.
@@ -44,6 +60,13 @@ impl ItemBuilder {
         Self::default()
     }
 
+    /// A builder that keeps, of each top-level object, only the members
+    /// keyed in `fields`; `None` builds every member. A document that is
+    /// not an object is built whole.
+    pub fn projecting(fields: Option<Fields>) -> Self {
+        ItemBuilder { fields, ..Self::default() }
+    }
+
     /// Parses one JSON document into an item. A malformed document is a
     /// `BAD_INPUT` error and leaves the builder ready for the next one.
     pub fn parse(&mut self, text: &str) -> Result<Item> {
@@ -53,9 +76,24 @@ impl ItemBuilder {
             self.items.clear();
             self.keys.clear();
             self.frames.clear();
+            self.skip = 0;
             return Err(RumbleError::dynamic(codes::BAD_INPUT, format!("malformed JSON: {e}")));
         }
         Ok(result.expect("a successful parse yields a value"))
+    }
+
+    /// Parses every non-blank line of a JSON Lines text; an error names its
+    /// line.
+    pub fn parse_lines(&mut self, text: &str) -> Result<Vec<Item>> {
+        let mut out = Vec::new();
+        for (line_no, line) in jsonlite::JsonLines::new(text) {
+            let item = self.parse(line).map_err(|mut e| {
+                e.message = format!("line {line_no}: {}", e.message);
+                e
+            })?;
+            out.push(item);
+        }
+        Ok(out)
     }
 
     /// The table's shared copy of `s`, added on a miss.
@@ -71,6 +109,28 @@ impl ItemBuilder {
         fresh
     }
 
+    /// Consumes a scalar event: `true` if it belongs to a skipped member,
+    /// whose value it completes when it is the whole value.
+    #[inline]
+    fn skips_scalar(&mut self) -> bool {
+        self.skip != 0 && self.skip_scalar()
+    }
+
+    #[cold]
+    fn skip_scalar(&mut self) -> bool {
+        if self.skip == 1 {
+            self.skip = 0;
+        }
+        true
+    }
+
+    fn scalar(&mut self, item: Item) -> jsonlite::Result<()> {
+        if self.skips_scalar() {
+            return Ok(());
+        }
+        self.emit(item)
+    }
+
     fn emit(&mut self, item: Item) -> jsonlite::Result<()> {
         if self.frames.is_empty() {
             self.result = Some(item);
@@ -81,33 +141,53 @@ impl ItemBuilder {
     }
 
     fn begin(&mut self) -> jsonlite::Result<()> {
-        self.frames.push(Frame { items: self.items.len(), keys: self.keys.len() });
+        if self.skip > 0 {
+            self.skip += 1;
+        } else {
+            self.frames.push(Frame { items: self.items.len(), keys: self.keys.len() });
+        }
         Ok(())
     }
 
-    fn end(&mut self) -> Frame {
-        self.frames.pop().expect("events are well-bracketed")
+    /// Closes a container: its frame, or `None` inside a skipped member.
+    fn end(&mut self) -> Option<Frame> {
+        if self.skip > 0 {
+            self.skip -= 1;
+            if self.skip == 1 {
+                self.skip = 0; // the skipped member's value is complete
+            }
+            return None;
+        }
+        Some(self.frames.pop().expect("events are well-bracketed"))
     }
 }
 
 impl jsonlite::JsonSink for ItemBuilder {
     fn null(&mut self) -> jsonlite::Result<()> {
-        self.emit(Item::Null)
+        self.scalar(Item::Null)
     }
     fn boolean(&mut self, v: bool) -> jsonlite::Result<()> {
-        self.emit(Item::Boolean(v))
+        self.scalar(Item::Boolean(v))
     }
     fn integer(&mut self, v: i64) -> jsonlite::Result<()> {
-        self.emit(Item::Integer(v))
+        self.scalar(Item::Integer(v))
     }
     fn decimal(&mut self, raw: &str) -> jsonlite::Result<()> {
+        // Checked in a skipped member too: an out-of-range decimal fails a
+        // projected parse as it fails a full one.
         let d: Dec = raw.parse().map_err(|_| JsonError::sink(format!("bad decimal {raw}")))?;
+        if self.skips_scalar() {
+            return Ok(());
+        }
         self.emit(Item::decimal(d))
     }
     fn double(&mut self, v: f64) -> jsonlite::Result<()> {
-        self.emit(Item::Double(v))
+        self.scalar(Item::Double(v))
     }
     fn string(&mut self, v: &str) -> jsonlite::Result<()> {
+        if self.skips_scalar() {
+            return Ok(());
+        }
         let s = if v.len() <= INTERN_MAX_LEN { self.intern(v) } else { Arc::from(v) };
         self.emit(Item::Str(s))
     }
@@ -115,12 +195,23 @@ impl jsonlite::JsonSink for ItemBuilder {
         self.begin()
     }
     fn key(&mut self, k: &str) -> jsonlite::Result<()> {
+        if self.skip > 0 {
+            return Ok(());
+        }
+        // Only a key of the top-level object arrives with one frame open:
+        // an array has no keys.
+        if let (Some(fields), 1) = (&self.fields, self.frames.len()) {
+            if !fields.iter().any(|f| f.as_ref() == k) {
+                self.skip = 1;
+                return Ok(());
+            }
+        }
         let k = self.intern(k);
         self.keys.push(k);
         Ok(())
     }
     fn end_object(&mut self) -> jsonlite::Result<()> {
-        let f = self.end();
+        let Some(f) = self.end() else { return Ok(()) };
         let mut pairs = Vec::with_capacity(self.items.len() - f.items);
         pairs.extend(self.keys.drain(f.keys..).zip(self.items.drain(f.items..)));
         self.emit(Item::Object(Arc::new(Object::new(pairs))))
@@ -129,7 +220,7 @@ impl jsonlite::JsonSink for ItemBuilder {
         self.begin()
     }
     fn end_array(&mut self) -> jsonlite::Result<()> {
-        let f = self.end();
+        let Some(f) = self.end() else { return Ok(()) };
         let mut items = Vec::with_capacity(self.items.len() - f.items);
         items.extend(self.items.drain(f.items..));
         self.emit(Item::Array(Arc::new(items)))
@@ -143,16 +234,7 @@ pub fn item_from_json(text: &str) -> Result<Item> {
 
 /// Parses every line of a JSON Lines document through one builder.
 pub fn items_from_json_lines(text: &str) -> Result<Vec<Item>> {
-    let mut builder = ItemBuilder::new();
-    let mut out = Vec::new();
-    for (line_no, line) in jsonlite::JsonLines::new(text) {
-        let item = builder.parse(line).map_err(|mut e| {
-            e.message = format!("line {line_no}: {}", e.message);
-            e
-        })?;
-        out.push(item);
-    }
-    Ok(out)
+    ItemBuilder::new().parse_lines(text)
 }
 
 /// Writes one item into a [`JsonWriter`].
@@ -185,6 +267,7 @@ pub fn write_item(item: &Item, w: &mut JsonWriter) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparklite::rdd::util::SplitMix64;
 
     #[test]
     fn builds_items_with_number_taxonomy() {
@@ -291,5 +374,159 @@ mod tests {
     fn malformed_is_bad_input() {
         let e = item_from_json("{").unwrap_err();
         assert_eq!(e.code, codes::BAD_INPUT);
+    }
+
+    fn fields(keys: &[&str]) -> Fields {
+        keys.iter().map(|k| Arc::from(*k)).collect()
+    }
+
+    fn projected(keys: &[&str], text: &str) -> Result<Item> {
+        ItemBuilder::projecting(Some(fields(keys))).parse(text)
+    }
+
+    /// The full item with, of a top-level object, only the members keyed
+    /// in `keys`.
+    fn restricted(item: Item, keys: &[&str]) -> Item {
+        match item.as_object() {
+            Some(o) => Item::Object(Arc::new(Object::new(
+                o.pairs().iter().filter(|(k, _)| keys.contains(&k.as_ref())).cloned().collect(),
+            ))),
+            None => item,
+        }
+    }
+
+    #[test]
+    fn a_projected_parse_builds_only_the_named_top_level_members() {
+        let text = r#"{"a": {"a": 1, "b": [2, {"b": 3}]}, "b": {"a": 4}, "c": [[], {}], "d": 5}"#;
+        let item = projected(&["a", "d"], text).unwrap();
+        assert_eq!(item.serialize(), r#"{"a":{"a":1,"b":[2,{"b":3}]},"d":5}"#);
+        assert_eq!(item, restricted(item_from_json(text).unwrap(), &["a", "d"]));
+        // Inner keys are never filtered, projected names or not; a skipped
+        // member is skipped whatever it holds.
+        assert_eq!(projected(&["b"], text).unwrap().serialize(), r#"{"b":{"a":4}}"#);
+        assert_eq!(projected(&[], text).unwrap().serialize(), "{}");
+        // A document that is not an object is built whole.
+        for whole in [r#"[{"x": 1}, 2]"#, "7", r#""s""#, "null"] {
+            assert_eq!(projected(&["a"], whole).unwrap(), item_from_json(whole).unwrap());
+        }
+    }
+
+    #[test]
+    fn duplicate_kept_keys_stay_in_order_and_the_last_wins() {
+        let item = projected(&["a"], r#"{"a": 1, "b": 2, "a": [3], "c": 4, "a": 5}"#).unwrap();
+        let o = item.as_object().unwrap();
+        assert_eq!(o.keys().map(|k| k.as_ref()).collect::<Vec<_>>(), ["a", "a", "a"]);
+        assert_eq!(o.get("a"), Some(&Item::Integer(5)));
+        assert_eq!(item.serialize(), r#"{"a":1,"a":[3],"a":5}"#);
+    }
+
+    #[test]
+    fn a_skipped_member_fails_exactly_as_a_full_parse() {
+        let big = "1234567890123456789012345678901234567890"; // 40 digits
+        for text in [
+            r#"{"a": 1, "b": [1, {"c": }]}"#,
+            r#"{"a": 1, "b": {"c": [1, 2}, "d": 3}"#,
+            r#"{"a": 1, "b": "unterminated}"#,
+            r#"{"a": 1, "b": tru}"#,
+            r#"{"a": 1, "b": 01}"#,
+            &format!(r#"{{"a": 1, "b": {big}}}"#),
+            &format!(r#"{{"a": 1, "b": [{{"c": -{big}}}]}}"#),
+            r#"{"a": 1, "b": 2} trailing"#,
+        ] {
+            let full = item_from_json(text).unwrap_err();
+            let projected = projected(&["a"], text).unwrap_err();
+            assert_eq!(projected.code, codes::BAD_INPUT, "{text}");
+            assert_eq!(projected.message, full.message, "{text}");
+        }
+        // A number the builder can hold passes in both, and is dropped.
+        let text = r#"{"a": 1, "b": 12345678901234567890123456.5}"#;
+        assert!(item_from_json(text).is_ok());
+        assert_eq!(projected(&["a"], text).unwrap().serialize(), r#"{"a":1}"#);
+    }
+
+    #[test]
+    fn a_reused_builder_is_clean_after_an_error_inside_a_skipped_member() {
+        let mut b = ItemBuilder::projecting(Some(fields(&["a"])));
+        assert!(b.parse(r#"{"a": 1, "b": [[{"c": [1, 2"#).is_err());
+        assert!(b.items.is_empty() && b.keys.is_empty() && b.frames.is_empty(), "no stale frames");
+        assert_eq!(b.skip, 0, "not left skipping");
+        let text = r#"{"b": [1], "a": {"b": 2}}"#;
+        assert_eq!(b.parse(text).unwrap().serialize(), r#"{"a":{"b":2}}"#);
+        assert_eq!(b.parse_lines(&format!("{text}\n[1]\n")).unwrap().len(), 2);
+    }
+
+    /// A random JSON value over a small key alphabet, so that documents
+    /// repeat keys and nest projected names.
+    fn random_value(rng: &mut SplitMix64, depth: u32, out: &mut String) {
+        let pick = if depth >= 3 { rng.next_below(8) } else { rng.next_below(10) };
+        match pick {
+            0 => out.push_str("null"),
+            1 => out.push_str(["true", "false"][rng.next_below(2) as usize]),
+            2 => out.push_str(&(rng.next_u64() as i64 >> rng.next_below(64)).to_string()),
+            3 => out.push_str(["1.25", "-0.5", "1e3", "-2.5E-2", "0"][rng.next_below(5) as usize]),
+            // Decimals past `i64`, some past the builder's 128 bits.
+            4 => out.push_str(&"9".repeat(19 + rng.next_below(24) as usize)),
+            5 => out.push_str(r#""x\"y""#),
+            6 | 7 => out.push_str(&format!("\"s{}\"", rng.next_below(5))),
+            8 => {
+                out.push('[');
+                for i in 0..rng.next_below(4) {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    random_value(rng, depth + 1, out);
+                }
+                out.push(']');
+            }
+            _ => random_object(rng, depth, out),
+        }
+    }
+
+    fn random_object(rng: &mut SplitMix64, depth: u32, out: &mut String) {
+        const KEYS: [&str; 4] = ["a", "b", "c", "a\\u0062"]; // the last is "ab"
+        out.push('{');
+        for i in 0..rng.next_below(6) {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("\"{}\":", KEYS[rng.next_below(4) as usize]));
+            random_value(rng, depth + 1, out);
+        }
+        out.push('}');
+    }
+
+    #[test]
+    fn projected_parses_of_random_documents_match_the_restricted_full_parse() {
+        let mut rng = SplitMix64::new(0x5EED);
+        let mut checked_errors = 0;
+        for _ in 0..3000 {
+            let mut text = String::new();
+            // Mostly objects: what a projection applies to.
+            match rng.next_below(5) {
+                0 => random_value(&mut rng, 1, &mut text),
+                _ => random_object(&mut rng, 1, &mut text),
+            }
+            // One document in five is cut short or gets a stray byte.
+            match rng.next_below(10) {
+                0 => text.truncate(rng.next_below(text.len() as u64) as usize),
+                1 => text.insert(rng.next_below(text.len() as u64 + 1) as usize, ':'),
+                _ => {}
+            }
+            let keys: Vec<&str> =
+                ["a", "b", "c", "ab"].into_iter().filter(|_| rng.next_below(2) == 0).collect();
+            match (item_from_json(&text), projected(&keys, &text)) {
+                (Ok(full), Ok(projected)) => {
+                    assert_eq!(projected, restricted(full, &keys), "{text} over {keys:?}")
+                }
+                (Err(full), Err(projected)) => {
+                    assert_eq!(projected.message, full.message, "{text}");
+                    checked_errors += 1;
+                }
+                (full, projected) => {
+                    panic!("{text} over {keys:?}: full {full:?}, projected {projected:?}")
+                }
+            }
+        }
+        assert!(checked_errors > 300, "too few failing documents: {checked_errors}");
     }
 }

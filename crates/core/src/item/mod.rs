@@ -19,7 +19,7 @@ mod ops;
 
 pub use codec::{decode_item, decode_items, encode_item, encode_items, ItemCacheCodec};
 pub use decimal::Dec;
-pub use json::{item_from_json, items_from_json_lines, ItemBuilder};
+pub use json::{item_from_json, items_from_json_lines, Fields, ItemBuilder};
 pub use ops::{
     atomic_equal, deep_equal, effective_boolean_value, group_key, is_nan, item_add, item_div,
     item_idiv, item_mod, item_mul, item_neg, item_sub, value_compare, GroupKey,

@@ -14,7 +14,7 @@ use super::{
 use crate::error::{codes, Result, RumbleError};
 use crate::item::{
     atomic_equal, effective_boolean_value, exactly_one, item_add, item_div, item_idiv, item_mod,
-    item_mul, item_neg, item_sub, seq, value_compare, Item,
+    item_mul, item_neg, item_sub, seq, value_compare, Fields, Item, ItemBuilder,
 };
 use crate::syntax::ast::{ArithOp, AtomicType, CompOp, SequenceType};
 use sparklite::rdd::{task_bail, Rdd};
@@ -1046,9 +1046,21 @@ pub struct JsonFileIter {
     pub path: ExprRef,
     /// Accepted for API compatibility; partitioning follows storage blocks.
     pub partitions: Option<ExprRef>,
+    /// The top-level fields each object is built with, when the query
+    /// reads no others (projection pushdown); `None` builds every field.
+    pub fields: Option<Fields>,
 }
 
 impl JsonFileIter {
+    /// The scan of the file at `path`, building every field.
+    fn whole(path: String) -> JsonFileIter {
+        JsonFileIter {
+            path: Arc::new(LiteralIter(Item::str(path))),
+            partitions: None,
+            fields: None,
+        }
+    }
+
     fn resolve_path(&self, ctx: &DynamicContext) -> Result<String> {
         let item = eval_one(&self.path, ctx, "json-file path")?;
         item.as_str()
@@ -1058,14 +1070,15 @@ impl JsonFileIter {
 
     fn lines_rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
         let path = self.resolve_path(ctx)?;
-        let lines = ctx.engine().sc.text_file(&path)?;
-        // Streamed straight into items by the event-driven parser (§5.7):
-        // no intermediate JSON tree. One builder per partition, so the
-        // partition's items share its string table and no other's.
-        Ok(lines.map_partitions(|_, lines| {
-            let mut builder = crate::item::ItemBuilder::new();
-            Box::new(lines.map(move |line| builder.parse(&line).unwrap_or_else(|e| task_bail(e))))
-        }))
+        let fields = self.fields.clone();
+        // Streamed straight from the storage block into items by the
+        // event-driven parser (§5.7): no line copy and no intermediate JSON
+        // tree. One builder per partition, so the partition's items share
+        // its string table and no other's.
+        Ok(ctx.engine().sc.text_file_with(&path, move || {
+            let mut builder = ItemBuilder::projecting(fields.clone());
+            move |line: &str| builder.parse(line).unwrap_or_else(|e| task_bail(e))
+        })?)
     }
 }
 
@@ -1084,7 +1097,7 @@ impl ExprIterator for JsonFileIter {
             sparklite::storage::PathScheme::LocalFs => std::fs::read_to_string(key)
                 .map_err(|e| RumbleError::dynamic(codes::BAD_INPUT, format!("{key}: {e}")))?,
         };
-        Ok(cursor_of(crate::item::items_from_json_lines(&text)?))
+        Ok(cursor_of(ItemBuilder::projecting(self.fields.clone()).parse_lines(&text)?))
     }
 
     fn is_rdd(&self, ctx: &DynamicContext) -> bool {
@@ -1150,8 +1163,7 @@ impl ExprIterator for CollectionIter {
         match self.source(ctx)? {
             CollectionSource::Items(items) => Ok(cursor_of(items.to_vec())),
             CollectionSource::Path(path) => {
-                let inner =
-                    JsonFileIter { path: Arc::new(LiteralIter(Item::str(path))), partitions: None };
+                let inner = JsonFileIter::whole(path);
                 if self.is_rdd(ctx) {
                     Ok(cursor_of(ExprIterator::materialize(&inner, ctx)?))
                 } else {
@@ -1171,11 +1183,7 @@ impl ExprIterator for CollectionIter {
                 let parts = ctx.engine().sc.conf().default_parallelism;
                 Ok(ctx.engine().sc.parallelize(items.to_vec(), parts))
             }
-            CollectionSource::Path(path) => {
-                let inner =
-                    JsonFileIter { path: Arc::new(LiteralIter(Item::str(path))), partitions: None };
-                inner.rdd(ctx)
-            }
+            CollectionSource::Path(path) => JsonFileIter::whole(path).rdd(ctx),
         }
     }
 }
@@ -1193,9 +1201,19 @@ impl ExprIterator for CollectionIter {
 /// literal: a binding-dependent path could resolve differently per
 /// evaluation, so the compiler never wraps those.
 pub struct PersistIter {
+    /// The source, building full items: what the cache holds.
     pub inner: ExprRef,
     /// Engine-wide identity of the source, e.g. `json-file:hdfs:///x.json`.
     pub key: String,
+    /// The same source building only the fields the query reads, which
+    /// runs instead of `inner` whenever nothing is persisted.
+    pub unpersisted: Option<ExprRef>,
+}
+
+impl PersistIter {
+    fn unpersisted(&self) -> &ExprRef {
+        self.unpersisted.as_ref().unwrap_or(&self.inner)
+    }
 }
 
 impl ExprIterator for PersistIter {
@@ -1203,7 +1221,7 @@ impl ExprIterator for PersistIter {
         if self.is_rdd(ctx) {
             return Ok(cursor_of(crate::runtime::collect_rdd_capped(self.rdd(ctx)?, ctx)?));
         }
-        self.inner.open(ctx)
+        self.unpersisted().open(ctx)
     }
 
     fn is_rdd(&self, ctx: &DynamicContext) -> bool {
@@ -1213,7 +1231,7 @@ impl ExprIterator for PersistIter {
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
         let engine = ctx.engine();
         let Some(level) = *engine.auto_persist.read() else {
-            return self.inner.rdd(ctx);
+            return self.unpersisted().rdd(ctx);
         };
         let map_key = (self.key.clone(), level);
         if let Some(rdd) = engine.persisted_sources.read().get(&map_key) {

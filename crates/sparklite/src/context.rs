@@ -218,7 +218,21 @@ impl SparkliteContext {
     /// block. Paths with `hdfs://`/`s3://` schemes resolve against the
     /// simulated HDFS; everything else reads the local filesystem.
     pub fn text_file(&self, path: &str) -> Result<Rdd<Arc<str>>> {
-        let op = TextFileRdd::open(Arc::clone(&self.core), path)?;
+        self.text_file_with(path, || |line: &str| Arc::<str>::from(line))
+    }
+
+    /// [`text_file`](Self::text_file), mapping each line as it lies in its
+    /// storage block, with no copy: a task calls `parser` once for its
+    /// partition, then the function it returns on each line of the block.
+    pub fn text_file_with<U: Data, F>(
+        &self,
+        path: &str,
+        parser: impl Fn() -> F + Send + Sync + 'static,
+    ) -> Result<Rdd<U>>
+    where
+        F: FnMut(&str) -> U + Send + 'static,
+    {
+        let op = TextFileRdd::open(Arc::clone(&self.core), path, parser)?;
         Ok(Rdd::new(Arc::clone(&self.core), Arc::new(op)))
     }
 }
@@ -242,6 +256,30 @@ mod tests {
         let rdd = sc.parallelize(vec![1, 2], 8);
         assert_eq!(rdd.collect().unwrap(), vec![1, 2]);
         assert_eq!(rdd.count().unwrap(), 2);
+    }
+
+    #[test]
+    fn text_file_with_maps_lines_in_place_and_counts_them() {
+        let sc = SparkliteContext::new(SparkliteConf::default().with_block_size(1024));
+        let text: String = (0..500).map(|i| format!("{i}\r\n")).collect();
+        sc.hdfs().put_text("/d/n.txt", &text).unwrap();
+        // One parser per partition: each numbers its own lines from zero.
+        let rdd = sc
+            .text_file_with("hdfs:///d/n.txt", || {
+                let mut seen = 0u64;
+                move |line: &str| {
+                    seen += 1;
+                    (line.parse::<u64>().unwrap(), seen)
+                }
+            })
+            .unwrap();
+        let before = sc.metrics().input_records;
+        let rows = rdd.collect().unwrap();
+        assert_eq!(sc.metrics().input_records - before, 500);
+        assert_eq!(rows.iter().map(|r| r.0).collect::<Vec<_>>(), (0..500).collect::<Vec<_>>());
+        let firsts = rows.iter().filter(|r| r.1 == 1).count();
+        assert_eq!(firsts, rdd.num_partitions());
+        assert!(firsts > 1);
     }
 
     #[test]

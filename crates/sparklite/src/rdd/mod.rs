@@ -642,10 +642,13 @@ impl<T: Data> RddOp<T> for FromPartitionsRdd<T> {
     }
 }
 
-/// A text file scanned one storage block per partition.
-pub struct TextFileRdd {
+/// A text file scanned one storage block per partition. Each task makes a
+/// line parser with `parser` and runs it over the lines of its block in
+/// place.
+pub struct TextFileRdd<P> {
     core: Arc<Core>,
     source: TextSource,
+    parser: P,
 }
 
 enum TextSource {
@@ -653,8 +656,8 @@ enum TextSource {
     Local { blocks: Arc<Vec<Arc<str>>> },
 }
 
-impl TextFileRdd {
-    pub(crate) fn open(core: Arc<Core>, path: &str) -> Result<Self> {
+impl<P> TextFileRdd<P> {
+    pub(crate) fn open(core: Arc<Core>, path: &str, parser: P) -> Result<Self> {
         let source = match resolve_scheme(path) {
             (PathScheme::SimHdfs, key) => {
                 let num_blocks = core.hdfs.num_blocks(key)?;
@@ -665,17 +668,22 @@ impl TextFileRdd {
                 TextSource::Local { blocks: Arc::new(blocks) }
             }
         };
-        Ok(TextFileRdd { core, source })
+        Ok(TextFileRdd { core, source, parser })
     }
 }
 
-impl Preparable for TextFileRdd {
+impl<P: Send + Sync> Preparable for TextFileRdd<P> {
     fn prepare(&self) -> Result<()> {
         Ok(())
     }
 }
 
-impl RddOp<Arc<str>> for TextFileRdd {
+impl<U, F, P> RddOp<U> for TextFileRdd<P>
+where
+    U: Data,
+    F: FnMut(&str) -> U + Send + 'static,
+    P: Fn() -> F + Send + Sync + 'static,
+{
     fn num_partitions(&self) -> usize {
         match &self.source {
             TextSource::SimHdfs { num_blocks, .. } => (*num_blocks).max(1),
@@ -683,7 +691,7 @@ impl RddOp<Arc<str>> for TextFileRdd {
         }
     }
 
-    fn compute(&self, split: usize, tc: &TaskContext) -> BoxIter<Arc<str>> {
+    fn compute(&self, split: usize, tc: &TaskContext) -> BoxIter<U> {
         let block: Arc<str> = match &self.source {
             TextSource::SimHdfs { key, num_blocks } => {
                 if *num_blocks == 0 {
@@ -704,8 +712,10 @@ impl RddOp<Arc<str>> for TextFileRdd {
         };
         crate::executor::TaskMetrics::bump(&tc.task_metrics.input_bytes, block.len() as u64);
         let task_metrics = Arc::clone(&tc.task_metrics);
-        Box::new(util::BlockLines::new(block).inspect(move |_| {
+        let mut parse = (self.parser)();
+        Box::new(util::BlockLines::new(block, move |line: &str| {
             crate::executor::TaskMetrics::bump(&task_metrics.input_records, 1);
+            parse(line)
         }))
     }
 }

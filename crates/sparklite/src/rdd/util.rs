@@ -60,21 +60,23 @@ impl<T: Data> Iterator for ArcPartIter<T> {
     }
 }
 
-/// Iterates the lines of a text block as freshly allocated `Arc<str>`s.
-pub struct BlockLines {
+/// Iterates the lines of a text block, each mapped through `f` where it
+/// lies in the block. A `\r\n` terminator is stripped whole.
+pub struct BlockLines<F> {
     block: Arc<str>,
     pos: usize,
+    f: F,
 }
 
-impl BlockLines {
-    pub fn new(block: Arc<str>) -> Self {
-        BlockLines { block, pos: 0 }
+impl<F> BlockLines<F> {
+    pub fn new(block: Arc<str>, f: F) -> Self {
+        BlockLines { block, pos: 0, f }
     }
 }
 
-impl Iterator for BlockLines {
-    type Item = Arc<str>;
-    fn next(&mut self) -> Option<Arc<str>> {
+impl<U, F: FnMut(&str) -> U> Iterator for BlockLines<F> {
+    type Item = U;
+    fn next(&mut self) -> Option<U> {
         let rest = &self.block[self.pos..];
         if rest.is_empty() {
             return None;
@@ -84,7 +86,7 @@ impl Iterator for BlockLines {
             None => (rest, rest.len()),
         };
         self.pos += advance;
-        Some(Arc::from(line.strip_suffix('\r').unwrap_or(line)))
+        Some((self.f)(line.strip_suffix('\r').unwrap_or(line)))
     }
 }
 
@@ -214,15 +216,14 @@ mod tests {
 
     #[test]
     fn block_lines_handles_terminators() {
-        let lines: Vec<String> =
-            BlockLines::new(Arc::from("a\nb\r\nc")).map(|l| l.to_string()).collect();
-        assert_eq!(lines, vec!["a", "b", "c"]);
-        assert_eq!(BlockLines::new(Arc::from("")).count(), 0);
+        let lines = |block: &str| -> Vec<String> {
+            BlockLines::new(Arc::from(block), |l: &str| l.to_string()).collect()
+        };
+        assert_eq!(lines("a\nb\r\nc"), vec!["a", "b", "c"]);
+        assert!(lines("").is_empty());
         // A trailing newline does not create a phantom empty line.
-        assert_eq!(BlockLines::new(Arc::from("x\n")).count(), 1);
+        assert_eq!(lines("x\n"), vec!["x"]);
         // But interior empty lines are preserved.
-        let lines: Vec<String> =
-            BlockLines::new(Arc::from("a\n\nb")).map(|l| l.to_string()).collect();
-        assert_eq!(lines, vec!["a", "", "b"]);
+        assert_eq!(lines("a\n\nb"), vec!["a", "", "b"]);
     }
 }
