@@ -20,12 +20,25 @@ fn bench(c: &mut Criterion) {
         b.iter(|| items_from_json_lines(&text).expect("valid block").len())
     });
     // The same block projected to the two fields the Fig. 11 group query
-    // reads: the skipped members are parsed and checked, not built.
+    // reads: the parser validates the other members without handing them
+    // to the builder.
     let group_fields = Some(["country", "target"].into_iter().map(Into::into).collect());
     g.bench_function("items-projected", |b| {
         b.iter(|| {
             let mut builder = ItemBuilder::projecting(Clone::clone(&group_fields));
             builder.parse_lines(&text).expect("valid block").len()
+        })
+    });
+    // The parser alone, into a sink that builds nothing: the floor under
+    // both arms above.
+    g.bench_function("tokenize", |b| {
+        b.iter(|| {
+            let mut n = 0;
+            for (_, line) in jsonlite::JsonLines::new(&text) {
+                jsonlite::parse(line, &mut Discard).expect("valid line");
+                n += 1;
+            }
+            n
         })
     });
     g.finish();
@@ -77,6 +90,45 @@ fn bench(c: &mut Criterion) {
         })
     });
     g.finish();
+}
+
+/// A parse sink that keeps nothing.
+struct Discard;
+
+impl jsonlite::JsonSink for Discard {
+    fn null(&mut self) -> jsonlite::Result<()> {
+        Ok(())
+    }
+    fn boolean(&mut self, _: bool) -> jsonlite::Result<()> {
+        Ok(())
+    }
+    fn integer(&mut self, _: i64) -> jsonlite::Result<()> {
+        Ok(())
+    }
+    fn decimal(&mut self, _: &str) -> jsonlite::Result<()> {
+        Ok(())
+    }
+    fn double(&mut self, _: f64) -> jsonlite::Result<()> {
+        Ok(())
+    }
+    fn string(&mut self, _: &str) -> jsonlite::Result<()> {
+        Ok(())
+    }
+    fn begin_object(&mut self) -> jsonlite::Result<()> {
+        Ok(())
+    }
+    fn key(&mut self, _: &str) -> jsonlite::Result<()> {
+        Ok(())
+    }
+    fn end_object(&mut self) -> jsonlite::Result<()> {
+        Ok(())
+    }
+    fn begin_array(&mut self) -> jsonlite::Result<()> {
+        Ok(())
+    }
+    fn end_array(&mut self) -> jsonlite::Result<()> {
+        Ok(())
+    }
 }
 
 criterion_group!(benches, bench);

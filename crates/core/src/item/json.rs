@@ -29,10 +29,10 @@ pub type Fields = Arc<[Arc<str>]>;
 /// key and short value, and its stacks are allocated once.
 ///
 /// A builder made with [`ItemBuilder::projecting`] builds, of a top-level
-/// object, only the members whose key is in its [`Fields`]. The events of
-/// the other members still pass through the parser and the decimal check,
-/// so a document fails exactly as a full parse would; they only build
-/// nothing.
+/// object, only the members whose key is in its [`Fields`]. It declines the
+/// other members' values, which the parser then validates without events
+/// (`jsonlite::JsonSink::skip_value`); their decimals still reach the
+/// builder's check, so a document fails exactly as a full parse would.
 #[derive(Default)]
 pub struct ItemBuilder {
     /// The completed values of every open frame, innermost frame last.
@@ -42,17 +42,24 @@ pub struct ItemBuilder {
     frames: Vec<Frame>,
     result: Option<Item>,
     strings: HashSet<Arc<str>, BuildHasherDefault<FxHasher>>,
-    /// `None` builds every member.
-    fields: Option<Fields>,
-    /// While a top-level member is skipped: one more than the containers
-    /// open inside its value. Zero while building.
-    skip: usize,
+    /// The builder's own copies of the projected top-level keys; `None`
+    /// builds every member.
+    kept: Option<Box<[Arc<str>]>>,
+    /// Set by `key` when the member it names is not kept, and taken by the
+    /// parser's `skip_value` right after.
+    declined: bool,
 }
 
 /// An open object or array: where its values (and keys) start.
 struct Frame {
     items: usize,
     keys: usize,
+}
+
+/// The decimal `raw` names, or the parse error a number the builder
+/// cannot hold raises, built or skipped.
+fn parse_decimal(raw: &str) -> jsonlite::Result<Dec> {
+    raw.parse().map_err(|_| JsonError::sink(format!("bad decimal {raw}")))
 }
 
 impl ItemBuilder {
@@ -63,8 +70,15 @@ impl ItemBuilder {
     /// A builder that keeps, of each top-level object, only the members
     /// keyed in `fields`; `None` builds every member. A document that is
     /// not an object is built whole.
+    ///
+    /// The builder copies the names: every kept key of its items clones
+    /// one of those copies. `fields` is shared by every partition of a scan
+    /// on every executor thread, so cloning its `Arc`s would make every
+    /// object of every partition bump the same atomic reference counts,
+    /// and the threads would contend for those cache lines.
     pub fn projecting(fields: Option<Fields>) -> Self {
-        ItemBuilder { fields, ..Self::default() }
+        let kept = fields.map(|f| f.iter().map(|k| Arc::from(k.as_ref())).collect());
+        ItemBuilder { kept, ..Self::default() }
     }
 
     /// Parses one JSON document into an item. A malformed document is a
@@ -76,7 +90,6 @@ impl ItemBuilder {
             self.items.clear();
             self.keys.clear();
             self.frames.clear();
-            self.skip = 0;
             return Err(RumbleError::dynamic(codes::BAD_INPUT, format!("malformed JSON: {e}")));
         }
         Ok(result.expect("a successful parse yields a value"))
@@ -109,28 +122,6 @@ impl ItemBuilder {
         fresh
     }
 
-    /// Consumes a scalar event: `true` if it belongs to a skipped member,
-    /// whose value it completes when it is the whole value.
-    #[inline]
-    fn skips_scalar(&mut self) -> bool {
-        self.skip != 0 && self.skip_scalar()
-    }
-
-    #[cold]
-    fn skip_scalar(&mut self) -> bool {
-        if self.skip == 1 {
-            self.skip = 0;
-        }
-        true
-    }
-
-    fn scalar(&mut self, item: Item) -> jsonlite::Result<()> {
-        if self.skips_scalar() {
-            return Ok(());
-        }
-        self.emit(item)
-    }
-
     fn emit(&mut self, item: Item) -> jsonlite::Result<()> {
         if self.frames.is_empty() {
             self.result = Some(item);
@@ -141,53 +132,36 @@ impl ItemBuilder {
     }
 
     fn begin(&mut self) -> jsonlite::Result<()> {
-        if self.skip > 0 {
-            self.skip += 1;
-        } else {
-            self.frames.push(Frame { items: self.items.len(), keys: self.keys.len() });
-        }
+        self.frames.push(Frame { items: self.items.len(), keys: self.keys.len() });
         Ok(())
     }
 
-    /// Closes a container: its frame, or `None` inside a skipped member.
-    fn end(&mut self) -> Option<Frame> {
-        if self.skip > 0 {
-            self.skip -= 1;
-            if self.skip == 1 {
-                self.skip = 0; // the skipped member's value is complete
-            }
-            return None;
-        }
-        Some(self.frames.pop().expect("events are well-bracketed"))
+    fn end(&mut self) -> Frame {
+        self.frames.pop().expect("events are well-bracketed")
     }
 }
 
 impl jsonlite::JsonSink for ItemBuilder {
     fn null(&mut self) -> jsonlite::Result<()> {
-        self.scalar(Item::Null)
+        self.emit(Item::Null)
     }
     fn boolean(&mut self, v: bool) -> jsonlite::Result<()> {
-        self.scalar(Item::Boolean(v))
+        self.emit(Item::Boolean(v))
     }
     fn integer(&mut self, v: i64) -> jsonlite::Result<()> {
-        self.scalar(Item::Integer(v))
+        self.emit(Item::Integer(v))
     }
     fn decimal(&mut self, raw: &str) -> jsonlite::Result<()> {
-        // Checked in a skipped member too: an out-of-range decimal fails a
-        // projected parse as it fails a full one.
-        let d: Dec = raw.parse().map_err(|_| JsonError::sink(format!("bad decimal {raw}")))?;
-        if self.skips_scalar() {
-            return Ok(());
-        }
+        let d = parse_decimal(raw)?;
         self.emit(Item::decimal(d))
     }
+    fn skipped_decimal(&mut self, raw: &str) -> jsonlite::Result<()> {
+        parse_decimal(raw).map(drop)
+    }
     fn double(&mut self, v: f64) -> jsonlite::Result<()> {
-        self.scalar(Item::Double(v))
+        self.emit(Item::Double(v))
     }
     fn string(&mut self, v: &str) -> jsonlite::Result<()> {
-        if self.skips_scalar() {
-            return Ok(());
-        }
         let s = if v.len() <= INTERN_MAX_LEN { self.intern(v) } else { Arc::from(v) };
         self.emit(Item::Str(s))
     }
@@ -195,23 +169,26 @@ impl jsonlite::JsonSink for ItemBuilder {
         self.begin()
     }
     fn key(&mut self, k: &str) -> jsonlite::Result<()> {
-        if self.skip > 0 {
-            return Ok(());
-        }
         // Only a key of the top-level object arrives with one frame open:
         // an array has no keys.
-        if let (Some(fields), 1) = (&self.fields, self.frames.len()) {
-            if !fields.iter().any(|f| f.as_ref() == k) {
-                self.skip = 1;
-                return Ok(());
-            }
-        }
-        let k = self.intern(k);
+        let k = match (&self.kept, self.frames.len()) {
+            (Some(kept), 1) => match kept.iter().find(|f| f.as_ref() == k) {
+                Some(f) => Arc::clone(f),
+                None => {
+                    self.declined = true;
+                    return Ok(());
+                }
+            },
+            _ => self.intern(k),
+        };
         self.keys.push(k);
         Ok(())
     }
+    fn skip_value(&mut self) -> bool {
+        std::mem::take(&mut self.declined)
+    }
     fn end_object(&mut self) -> jsonlite::Result<()> {
-        let Some(f) = self.end() else { return Ok(()) };
+        let f = self.end();
         let mut pairs = Vec::with_capacity(self.items.len() - f.items);
         pairs.extend(self.keys.drain(f.keys..).zip(self.items.drain(f.items..)));
         self.emit(Item::Object(Arc::new(Object::new(pairs))))
@@ -220,7 +197,7 @@ impl jsonlite::JsonSink for ItemBuilder {
         self.begin()
     }
     fn end_array(&mut self) -> jsonlite::Result<()> {
-        let Some(f) = self.end() else { return Ok(()) };
+        let f = self.end();
         let mut items = Vec::with_capacity(self.items.len() - f.items);
         items.extend(self.items.drain(f.items..));
         self.emit(Item::Array(Arc::new(items)))
@@ -411,6 +388,30 @@ mod tests {
         }
     }
 
+    /// Each builder clones its own copies of the kept names into its items,
+    /// not the `Fields` entries: one `Fields` is shared by every partition
+    /// of a scan on every executor thread, and cloning its `Arc`s would make
+    /// all of them contend for the same atomic reference counts.
+    #[test]
+    fn kept_keys_are_the_builders_own_copies() {
+        let shared = fields(&["a", "b"]);
+        let kept = |b: &mut ItemBuilder| {
+            let item = b.parse(r#"{"a": 1, "c": 2, "b": 3}"#).unwrap();
+            item.as_object().unwrap().pairs().iter().map(|(k, _)| Arc::clone(k)).collect::<Vec<_>>()
+        };
+        let (mut one, mut two) = (
+            ItemBuilder::projecting(Some(Arc::clone(&shared))),
+            ItemBuilder::projecting(Some(Arc::clone(&shared))),
+        );
+        let (first, again, other) = (kept(&mut one), kept(&mut one), kept(&mut two));
+        assert_eq!(first.iter().map(|k| k.as_ref()).collect::<Vec<_>>(), ["a", "b"]);
+        for (i, key) in first.iter().enumerate() {
+            assert!(Arc::ptr_eq(key, &again[i]), "one builder: one copy per name");
+            assert!(!Arc::ptr_eq(key, &other[i]), "another builder: its own copy");
+            assert!(!shared.iter().any(|f| Arc::ptr_eq(key, f)), "not the shared entry");
+        }
+    }
+
     #[test]
     fn duplicate_kept_keys_stay_in_order_and_the_last_wins() {
         let item = projected(&["a"], r#"{"a": 1, "b": 2, "a": [3], "c": 4, "a": 5}"#).unwrap();
@@ -449,7 +450,7 @@ mod tests {
         let mut b = ItemBuilder::projecting(Some(fields(&["a"])));
         assert!(b.parse(r#"{"a": 1, "b": [[{"c": [1, 2"#).is_err());
         assert!(b.items.is_empty() && b.keys.is_empty() && b.frames.is_empty(), "no stale frames");
-        assert_eq!(b.skip, 0, "not left skipping");
+        assert!(!b.declined, "no stale verdict");
         let text = r#"{"b": [1], "a": {"b": 2}}"#;
         assert_eq!(b.parse(text).unwrap().serialize(), r#"{"a":{"b":2}}"#);
         assert_eq!(b.parse_lines(&format!("{text}\n[1]\n")).unwrap().len(), 2);
@@ -464,9 +465,24 @@ mod tests {
             1 => out.push_str(["true", "false"][rng.next_below(2) as usize]),
             2 => out.push_str(&(rng.next_u64() as i64 >> rng.next_below(64)).to_string()),
             3 => out.push_str(["1.25", "-0.5", "1e3", "-2.5E-2", "0"][rng.next_below(5) as usize]),
-            // Decimals past `i64`, some past the builder's 128 bits.
-            4 => out.push_str(&"9".repeat(19 + rng.next_below(24) as usize)),
-            5 => out.push_str(r#""x\"y""#),
+            // Decimals past `i64`, some past the builder's 128 bits, with
+            // and without a fraction.
+            4 => {
+                out.push_str(&"9".repeat(19 + rng.next_below(24) as usize));
+                if rng.next_below(2) == 0 {
+                    out.push_str(".5");
+                }
+            }
+            // Escapes, a 2-byte scalar and a surrogate pair, short and past
+            // the parser's 8-byte string chunks.
+            5 => out.push_str(
+                [
+                    r#""x\"y""#,
+                    r#""a longer value with \"quotes\" and \\ in it""#,
+                    r#""caf\u00e9 then café, past eight bytes""#,
+                    r#""pair \ud83d\ude00 and \n after é""#,
+                ][rng.next_below(4) as usize],
+            ),
             6 | 7 => out.push_str(&format!("\"s{}\"", rng.next_below(5))),
             8 => {
                 out.push('[');
@@ -507,9 +523,17 @@ mod tests {
                 _ => random_object(&mut rng, 1, &mut text),
             }
             // One document in five is cut short or gets a stray byte.
+            // (At a char boundary: a string may hold multi-byte scalars.)
+            let boundary = |text: &str, mut at: usize| {
+                while !text.is_char_boundary(at) {
+                    at -= 1;
+                }
+                at
+            };
             match rng.next_below(10) {
-                0 => text.truncate(rng.next_below(text.len() as u64) as usize),
-                1 => text.insert(rng.next_below(text.len() as u64 + 1) as usize, ':'),
+                0 => text.truncate(boundary(&text, rng.next_below(text.len() as u64) as usize)),
+                1 => text
+                    .insert(boundary(&text, rng.next_below(text.len() as u64 + 1) as usize), ':'),
                 _ => {}
             }
             let keys: Vec<&str> =

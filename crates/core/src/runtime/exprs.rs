@@ -1074,10 +1074,16 @@ impl JsonFileIter {
         // Streamed straight from the storage block into items by the
         // event-driven parser (§5.7): no line copy and no intermediate JSON
         // tree. One builder per partition, so the partition's items share
-        // its string table and no other's.
+        // its string table and no other's. A blank line holds no record, as
+        // in the local scan's `parse_lines`.
         Ok(ctx.engine().sc.text_file_with(&path, move || {
             let mut builder = ItemBuilder::projecting(fields.clone());
-            move |line: &str| builder.parse(line).unwrap_or_else(|e| task_bail(e))
+            move |line: &str| {
+                if line.trim().is_empty() {
+                    return None;
+                }
+                Some(builder.parse(line).unwrap_or_else(|e| task_bail(e)))
+            }
         })?)
     }
 }

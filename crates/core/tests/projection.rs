@@ -257,3 +257,24 @@ fn a_projected_scan_counts_every_input_line() {
     assert_eq!(n, 500);
     assert_eq!(r.sparklite().metrics().input_records - before, 500);
 }
+
+/// A blank or whitespace-only line holds no record on any path: the
+/// distributed scan skips it as the local one does, and still counts it as
+/// an input record.
+#[test]
+fn blank_lines_hold_no_record_on_any_path() {
+    let paths = paths(0xB1A);
+    let text = "{\"a\":1}\n\n  \t\r\n{\"a\":2}\n";
+    put(&paths, text);
+    let q = "for $i in SRC return $i.a";
+    let expected = Ok(vec!["1".to_string(), "2".to_string()]);
+    assert_eq!(outcome(&paths[0].1, &local(q)), expected, "local");
+    for (path, r) in &paths {
+        assert_eq!(outcome(r, &distributed(q)), expected, "{path}");
+    }
+    assert_eq!(in_task_outcome(&paths[0].1, q), expected, "in task");
+    let r = &paths[0].1;
+    let before = r.sparklite().metrics().input_records;
+    r.run(&distributed(q)).unwrap();
+    assert_eq!(r.sparklite().metrics().input_records - before, 4);
+}

@@ -1,10 +1,13 @@
 //! The streaming, event-driven JSON parser.
 //!
-//! The parser walks the input once, byte by byte, and calls into a
-//! [`JsonSink`]. There is no token vector and no DOM: a sink that builds
-//! engine-native values (like `rumble-core`'s item builder) pays only for
-//! the values it constructs, which is what makes JSON parsing CPU-bound
-//! rather than allocation-bound (the paper's §5.7 observation).
+//! The parser walks the input once and calls into a [`JsonSink`]. There is
+//! no token vector and no DOM: a sink that builds engine-native values
+//! (like `rumble-core`'s item builder) pays only for the values it
+//! constructs, which is what makes JSON parsing CPU-bound rather than
+//! allocation-bound (the paper's §5.7 observation). A sink may also decline
+//! an object member's value ([`JsonSink::skip_value`]); the parser then
+//! validates the value without events, so a projected scan pays neither for
+//! building nor for receiving the members it does not read.
 
 use crate::error::{JsonError, JsonErrorKind, Result};
 
@@ -31,6 +34,21 @@ pub trait JsonSink {
     fn end_object(&mut self) -> Result<()>;
     fn begin_array(&mut self) -> Result<()>;
     fn end_array(&mut self) -> Result<()>;
+    /// Asked after each [`key`](Self::key): `true` declines the member's
+    /// value. The parser then walks the value without events, raising the
+    /// same error at the same offset as a full parse would, and hands the
+    /// sink only the numbers [`decimal`](Self::decimal) would have received,
+    /// through [`skipped_decimal`](Self::skipped_decimal).
+    fn skip_value(&mut self) -> bool {
+        false
+    }
+    /// A number inside a declined value that [`decimal`](Self::decimal)
+    /// would have received, so that a sink which fails on a decimal it
+    /// cannot hold fails the same document whether it builds the value or
+    /// not.
+    fn skipped_decimal(&mut self, _raw: &str) -> Result<()> {
+        Ok(())
+    }
 }
 
 /// Hard limits applied while parsing, to keep adversarial inputs bounded.
@@ -70,6 +88,43 @@ pub fn parse_with_limits<S: JsonSink>(
     Ok(())
 }
 
+/// The length of the plain string content at the start of `bytes`: the
+/// bytes before the first `"`, `\` or control byte (below 0x20), or all of
+/// them. Eight bytes are tested at a time: a byte is flagged when it
+/// equals a target (zero after the XOR) or is below 0x20, by subtracting
+/// per byte and keeping the high bits of bytes that had theirs clear. A
+/// borrow only carries upward, from a flagged byte into the next, so the
+/// lowest flagged byte is always a true match and is the only one used.
+#[inline]
+fn plain_len(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let below = |w: u64, n: u8| w.wrapping_sub(ONES * n as u64) & !w;
+    let mut chunks = bytes.chunks_exact(8);
+    let mut len = 0;
+    for chunk in &mut chunks {
+        let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        let quote = w ^ (ONES * b'"' as u64);
+        let backslash = w ^ (ONES * b'\\' as u64);
+        let hits = (below(quote, 1) | below(backslash, 1) | below(w, 0x20)) & HIGHS;
+        if hits != 0 {
+            return len + (hits.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    let tail = chunks.remainder();
+    len + tail.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20).unwrap_or(tail.len())
+}
+
+/// What a number token holds, by the JSONiq lexical mapping.
+enum NumberShape {
+    /// No fraction, no exponent.
+    Integer,
+    /// A fraction, no exponent.
+    Fraction,
+    Exponent,
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     input: &'a str,
@@ -85,6 +140,7 @@ impl<'a> Parser<'a> {
 
     /// Builds an error, computing line/column by scanning the prefix once.
     /// This is cold: the happy path never pays for position tracking.
+    #[cold]
     fn err_at(&self, kind: JsonErrorKind, offset: usize) -> JsonError {
         let offset = offset.min(self.bytes.len());
         let mut line = 1usize;
@@ -98,6 +154,15 @@ impl<'a> Parser<'a> {
         JsonError::at(kind, offset, line, offset - line_start + 1)
     }
 
+    /// The error for the byte at the cursor, which the grammar does not
+    /// allow there.
+    fn unexpected(&self) -> JsonError {
+        self.err(match self.peek() {
+            Some(b) => JsonErrorKind::UnexpectedByte(b),
+            None => JsonErrorKind::UnexpectedEof,
+        })
+    }
+
     fn patch_sink_err(&self, mut e: JsonError, offset: usize) -> JsonError {
         if e.kind == JsonErrorKind::Sink && e.offset == 0 && e.line == 0 {
             let pos = self.err_at(JsonErrorKind::Sink, offset);
@@ -108,6 +173,7 @@ impl<'a> Parser<'a> {
         e
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             match b {
@@ -117,6 +183,7 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -127,19 +194,9 @@ impl<'a> Parser<'a> {
         }
         let start = self.pos;
         match self.peek() {
-            None => Err(self.err(JsonErrorKind::UnexpectedEof)),
             Some(b'{') => self.object(sink, depth),
             Some(b'[') => self.array(sink, depth),
-            Some(b'"') => {
-                // Borrow the scratch buffer around the call so the sink sees
-                // either a slice of the input (fast path) or the unescaped text.
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let r = self
-                    .string_token(&mut scratch)
-                    .and_then(|s| sink.string(s).map_err(|e| self.patch_sink_err(e, start)));
-                self.scratch = scratch;
-                r
-            }
+            Some(b'"') => self.string_with(|s| sink.string(s)),
             Some(b't') => {
                 self.literal(b"true")?;
                 sink.boolean(true).map_err(|e| self.patch_sink_err(e, start))
@@ -153,7 +210,63 @@ impl<'a> Parser<'a> {
                 sink.null().map_err(|e| self.patch_sink_err(e, start))
             }
             Some(b'-') | Some(b'0'..=b'9') => self.number(sink),
-            Some(b) => Err(self.err(JsonErrorKind::UnexpectedByte(b))),
+            _ => Err(self.unexpected()),
+        }
+    }
+
+    /// Walks a value the sink declined, through the same token and
+    /// punctuation steps as [`value`](Self::value), so it fails where and
+    /// as a full parse would; only decimal-shaped numbers reach the sink.
+    fn skip<S: JsonSink>(&mut self, sink: &mut S, depth: usize) -> Result<()> {
+        if depth > self.limits.max_depth {
+            return Err(self.err(JsonErrorKind::TooDeep));
+        }
+        match self.peek() {
+            Some(b'{') => {
+                if !self.open(b'}') {
+                    loop {
+                        self.member_key()?;
+                        self.skip_string()?;
+                        self.colon()?;
+                        self.skip(sink, depth + 1)?;
+                        if self.comma_or_close(b'}')? {
+                            break;
+                        }
+                    }
+                }
+                Ok(())
+            }
+            Some(b'[') => {
+                if !self.open(b']') {
+                    loop {
+                        self.skip_ws();
+                        self.skip(sink, depth + 1)?;
+                        if self.comma_or_close(b']')? {
+                            break;
+                        }
+                    }
+                }
+                Ok(())
+            }
+            Some(b'"') => self.skip_string(),
+            Some(b't') => self.literal(b"true"),
+            Some(b'f') => self.literal(b"false"),
+            Some(b'n') => self.literal(b"null"),
+            Some(b'-') | Some(b'0'..=b'9') => {
+                let (start, shape) = self.number_token()?;
+                let raw = &self.input[start..self.pos];
+                let decimal = match shape {
+                    NumberShape::Exponent => false,
+                    NumberShape::Fraction => true,
+                    // Eighteen digits always fit in `i64`.
+                    NumberShape::Integer => raw.len() > 18 && raw.parse::<i64>().is_err(),
+                };
+                if !decimal {
+                    return Ok(());
+                }
+                sink.skipped_decimal(raw).map_err(|e| self.patch_sink_err(e, start))
+            }
+            _ => Err(self.unexpected()),
         }
     }
 
@@ -166,105 +279,160 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Consumes a container's opening byte and the whitespace after it;
+    /// `true` (with `close` consumed too) if the container is empty.
+    #[inline]
+    fn open(&mut self, close: u8) -> bool {
+        self.pos += 1;
+        self.skip_ws();
+        let empty = self.peek() == Some(close);
+        if empty {
+            self.pos += 1;
+        }
+        empty
+    }
+
+    /// Skips to a member's key, which must start here.
+    #[inline]
+    fn member_key(&mut self) -> Result<()> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'"') => Ok(()),
+            _ => Err(self.unexpected()),
+        }
+    }
+
+    /// Consumes the `:` after a member's key and the whitespace around it.
+    #[inline]
+    fn colon(&mut self) -> Result<()> {
+        self.skip_ws();
+        if self.peek() != Some(b':') {
+            return Err(self.unexpected());
+        }
+        self.pos += 1;
+        self.skip_ws();
+        Ok(())
+    }
+
+    /// Consumes what follows a member or element: a `,` (`false`) or the
+    /// container's `close` byte (`true`).
+    #[inline]
+    fn comma_or_close(&mut self, close: u8) -> Result<bool> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(false)
+            }
+            Some(b) if b == close => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(self.unexpected()),
+        }
+    }
+
     fn object<S: JsonSink>(&mut self, sink: &mut S, depth: usize) -> Result<()> {
         let start = self.pos;
-        self.pos += 1; // consume '{'
         sink.begin_object().map_err(|e| self.patch_sink_err(e, start))?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return sink.end_object().map_err(|e| self.patch_sink_err(e, start));
-        }
-        loop {
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.err(match self.peek() {
-                    Some(b) => JsonErrorKind::UnexpectedByte(b),
-                    None => JsonErrorKind::UnexpectedEof,
-                }));
-            }
-            let key_start = self.pos;
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let r = self
-                .string_token(&mut scratch)
-                .and_then(|k| sink.key(k).map_err(|e| self.patch_sink_err(e, key_start)));
-            self.scratch = scratch;
-            r?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b':') => self.pos += 1,
-                Some(b) => return Err(self.err(JsonErrorKind::UnexpectedByte(b))),
-                None => return Err(self.err(JsonErrorKind::UnexpectedEof)),
-            }
-            self.skip_ws();
-            self.value(sink, depth + 1)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return sink.end_object().map_err(|e| self.patch_sink_err(e, start));
+        if !self.open(b'}') {
+            loop {
+                self.member_key()?;
+                self.string_with(|k| sink.key(k))?;
+                let skip = sink.skip_value();
+                self.colon()?;
+                if skip {
+                    self.skip(sink, depth + 1)?;
+                } else {
+                    self.value(sink, depth + 1)?;
                 }
-                Some(b) => return Err(self.err(JsonErrorKind::UnexpectedByte(b))),
-                None => return Err(self.err(JsonErrorKind::UnexpectedEof)),
+                if self.comma_or_close(b'}')? {
+                    break;
+                }
             }
         }
+        sink.end_object().map_err(|e| self.patch_sink_err(e, start))
     }
 
     fn array<S: JsonSink>(&mut self, sink: &mut S, depth: usize) -> Result<()> {
         let start = self.pos;
-        self.pos += 1; // consume '['
         sink.begin_array().map_err(|e| self.patch_sink_err(e, start))?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return sink.end_array().map_err(|e| self.patch_sink_err(e, start));
-        }
-        loop {
-            self.skip_ws();
-            self.value(sink, depth + 1)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return sink.end_array().map_err(|e| self.patch_sink_err(e, start));
+        if !self.open(b']') {
+            loop {
+                self.skip_ws();
+                self.value(sink, depth + 1)?;
+                if self.comma_or_close(b']')? {
+                    break;
                 }
-                Some(b) => return Err(self.err(JsonErrorKind::UnexpectedByte(b))),
-                None => return Err(self.err(JsonErrorKind::UnexpectedEof)),
             }
         }
+        sink.end_array().map_err(|e| self.patch_sink_err(e, start))
+    }
+
+    /// Walks a string token (the cursor is on its opening quote) without
+    /// keeping its text.
+    #[inline]
+    fn skip_string(&mut self) -> Result<()> {
+        let end = self.pos + 1 + plain_len(&self.bytes[self.pos + 1..]);
+        if self.bytes.get(end) == Some(&b'"') {
+            self.pos = end + 1;
+            return Ok(());
+        }
+        // An escape to check, or an error to raise where a parse would.
+        self.string_with(|_| Ok(()))
+    }
+
+    /// Reads a string token (the cursor is on its opening quote) and hands
+    /// its text to `f`; an error `f` raises is placed at the token.
+    fn string_with(&mut self, f: impl FnOnce(&str) -> Result<()>) -> Result<()> {
+        let start = self.pos;
+        // Borrow the scratch buffer around the call so `f` sees either a
+        // slice of the input (fast path) or the unescaped text.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let r = self
+            .string_token(&mut scratch)
+            .and_then(|s| f(s).map_err(|e| self.patch_sink_err(e, start)));
+        self.scratch = scratch;
+        r
     }
 
     /// Parses a string token (the cursor is on the opening quote). Returns a
     /// slice of the input when the string has no escapes, otherwise the
     /// unescaped content accumulated in `scratch`.
+    #[inline]
     fn string_token<'s>(&mut self, scratch: &'s mut String) -> Result<&'s str>
     where
         'a: 's,
     {
         debug_assert_eq!(self.peek(), Some(b'"'));
-        self.pos += 1;
-        let content_start = self.pos;
-        // Fast path: scan for the closing quote with no escapes in between.
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.err(JsonErrorKind::UnexpectedEof)),
-                Some(b'"') => {
-                    let s = &self.input[content_start..self.pos];
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => break, // slow path below
-                Some(&b) if b < 0x20 => return Err(self.err(JsonErrorKind::BadControlChar)),
-                Some(_) => self.pos += 1,
-            }
+        let content_start = self.pos + 1;
+        self.pos = content_start + plain_len(&self.bytes[content_start..]);
+        // Fast path: no escape before the closing quote.
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(&self.input[content_start..self.pos - 1]);
         }
-        // Slow path: copy the clean prefix, then unescape the rest.
+        self.escaped_string(content_start, scratch)
+    }
+
+    /// The rest of a string token that holds an escape, or is malformed:
+    /// the cursor is on the first byte after `content_start` that is not
+    /// plain. Kept out of line so the fast path above stays small.
+    #[inline(never)]
+    fn escaped_string<'s>(
+        &mut self,
+        content_start: usize,
+        scratch: &'s mut String,
+    ) -> Result<&'s str>
+    where
+        'a: 's,
+    {
+        // Copy the plain runs, unescape the rest. A run ends at an ASCII
+        // byte or the end of input, so on a UTF-8 boundary.
         scratch.clear();
         scratch.push_str(&self.input[content_start..self.pos]);
         loop {
-            match self.bytes.get(self.pos) {
+            match self.peek() {
                 None => return Err(self.err(JsonErrorKind::UnexpectedEof)),
                 Some(b'"') => {
                     self.pos += 1;
@@ -274,15 +442,11 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     self.unescape_into(scratch)?;
                 }
-                Some(&b) if b < 0x20 => return Err(self.err(JsonErrorKind::BadControlChar)),
-                Some(_) => {
-                    // Copy one whole UTF-8 scalar.
-                    let rest = &self.input[self.pos..];
-                    let ch = rest.chars().next().expect("non-empty by construction");
-                    scratch.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err(self.err(JsonErrorKind::BadControlChar)),
             }
+            let run = self.pos;
+            self.pos += plain_len(&self.bytes[run..]);
+            scratch.push_str(&self.input[run..self.pos]);
         }
     }
 
@@ -353,7 +517,9 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn number<S: JsonSink>(&mut self, sink: &mut S) -> Result<()> {
+    /// Scans one number token (the cursor is on its first byte), checking
+    /// its syntax; returns where it starts and its shape.
+    fn number_token(&mut self) -> Result<(usize, NumberShape)> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -361,27 +527,20 @@ impl<'a> Parser<'a> {
         // Integer part: either a single 0 or [1-9][0-9]*.
         match self.peek() {
             Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-            }
+            Some(b'1'..=b'9') => self.digits(),
             _ => return Err(self.err(JsonErrorKind::BadNumber)),
         }
-        let mut has_frac = false;
+        let mut shape = NumberShape::Integer;
         if self.peek() == Some(b'.') {
-            has_frac = true;
+            shape = NumberShape::Fraction;
             self.pos += 1;
             if !matches!(self.peek(), Some(b'0'..=b'9')) {
                 return Err(self.err(JsonErrorKind::BadNumber));
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
-        let mut has_exp = false;
         if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            has_exp = true;
+            shape = NumberShape::Exponent;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+') | Some(b'-')) {
                 self.pos += 1;
@@ -389,23 +548,35 @@ impl<'a> Parser<'a> {
             if !matches!(self.peek(), Some(b'0'..=b'9')) {
                 return Err(self.err(JsonErrorKind::BadNumber));
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
+        Ok((start, shape))
+    }
+
+    fn digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+    }
+
+    fn number<S: JsonSink>(&mut self, sink: &mut S) -> Result<()> {
+        let (start, shape) = self.number_token()?;
         let raw = &self.input[start..self.pos];
-        let r = if has_exp {
-            let v: f64 = raw.parse().map_err(|_| self.err_at(JsonErrorKind::BadNumber, start))?;
-            sink.double(v)
-        } else if has_frac {
-            sink.decimal(raw)
-        } else {
-            match raw.parse::<i64>() {
+        let r = match shape {
+            NumberShape::Exponent => {
+                // Every token `number_token` accepts parses, so `skip` need
+                // not parse one to fail where this would.
+                let v: f64 =
+                    raw.parse().map_err(|_| self.err_at(JsonErrorKind::BadNumber, start))?;
+                sink.double(v)
+            }
+            NumberShape::Fraction => sink.decimal(raw),
+            NumberShape::Integer => match raw.parse::<i64>() {
                 Ok(v) => sink.integer(v),
                 // Too large for i64: hand the raw digits over as a decimal so
                 // no precision is silently lost.
                 Err(_) => sink.decimal(raw),
-            }
+            },
         };
         r.map_err(|e| self.patch_sink_err(e, start))
     }
@@ -415,61 +586,80 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
-    /// Records events as compact strings for assertions.
+    /// Records events as compact strings for assertions; with `declines`
+    /// set it declines every member's value, and with `refuses_decimals`
+    /// it fails on every decimal, built or skipped.
     #[derive(Default)]
-    struct Trace(Vec<String>);
+    struct Trace {
+        events: Vec<String>,
+        declines: bool,
+        refuses_decimals: bool,
+    }
 
-    impl JsonSink for Trace {
-        fn null(&mut self) -> Result<()> {
-            self.0.push("null".into());
+    impl Trace {
+        fn push(&mut self, event: String) -> Result<()> {
+            self.events.push(event);
             Ok(())
         }
-        fn boolean(&mut self, v: bool) -> Result<()> {
-            self.0.push(format!("bool:{v}"));
-            Ok(())
-        }
-        fn integer(&mut self, v: i64) -> Result<()> {
-            self.0.push(format!("int:{v}"));
-            Ok(())
-        }
-        fn decimal(&mut self, raw: &str) -> Result<()> {
-            self.0.push(format!("dec:{raw}"));
-            Ok(())
-        }
-        fn double(&mut self, v: f64) -> Result<()> {
-            self.0.push(format!("dbl:{v}"));
-            Ok(())
-        }
-        fn string(&mut self, v: &str) -> Result<()> {
-            self.0.push(format!("str:{v}"));
-            Ok(())
-        }
-        fn begin_object(&mut self) -> Result<()> {
-            self.0.push("{".into());
-            Ok(())
-        }
-        fn key(&mut self, k: &str) -> Result<()> {
-            self.0.push(format!("key:{k}"));
-            Ok(())
-        }
-        fn end_object(&mut self) -> Result<()> {
-            self.0.push("}".into());
-            Ok(())
-        }
-        fn begin_array(&mut self) -> Result<()> {
-            self.0.push("[".into());
-            Ok(())
-        }
-        fn end_array(&mut self) -> Result<()> {
-            self.0.push("]".into());
-            Ok(())
+
+        fn push_decimal(&mut self, event: String) -> Result<()> {
+            if self.refuses_decimals {
+                return Err(JsonError::sink(format!("no {event}")));
+            }
+            self.push(event)
         }
     }
 
+    impl JsonSink for Trace {
+        fn null(&mut self) -> Result<()> {
+            self.push("null".into())
+        }
+        fn boolean(&mut self, v: bool) -> Result<()> {
+            self.push(format!("bool:{v}"))
+        }
+        fn integer(&mut self, v: i64) -> Result<()> {
+            self.push(format!("int:{v}"))
+        }
+        fn decimal(&mut self, raw: &str) -> Result<()> {
+            self.push_decimal(format!("dec:{raw}"))
+        }
+        fn double(&mut self, v: f64) -> Result<()> {
+            self.push(format!("dbl:{v}"))
+        }
+        fn string(&mut self, v: &str) -> Result<()> {
+            self.push(format!("str:{v}"))
+        }
+        fn begin_object(&mut self) -> Result<()> {
+            self.push("{".into())
+        }
+        fn key(&mut self, k: &str) -> Result<()> {
+            self.push(format!("key:{k}"))
+        }
+        fn end_object(&mut self) -> Result<()> {
+            self.push("}".into())
+        }
+        fn begin_array(&mut self) -> Result<()> {
+            self.push("[".into())
+        }
+        fn end_array(&mut self) -> Result<()> {
+            self.push("]".into())
+        }
+        fn skip_value(&mut self) -> bool {
+            self.declines
+        }
+        fn skipped_decimal(&mut self, raw: &str) -> Result<()> {
+            self.push_decimal(format!("skipped-dec:{raw}"))
+        }
+    }
+
+    fn trace_with(input: &str, declines: bool, limits: ParseLimits) -> Result<Vec<String>> {
+        let mut t = Trace { declines, ..Trace::default() };
+        parse_with_limits(input, &mut t, limits)?;
+        Ok(t.events)
+    }
+
     fn trace(input: &str) -> Result<Vec<String>> {
-        let mut t = Trace::default();
-        parse(input, &mut t)?;
-        Ok(t.0)
+        trace_with(input, false, ParseLimits::default())
     }
 
     #[test]
@@ -560,8 +750,7 @@ mod tests {
         assert_eq!(e.kind, JsonErrorKind::TooDeep);
         let ok: String = "[".repeat(100) + &"]".repeat(100);
         assert!(trace(&ok).is_ok());
-        let mut t = Trace::default();
-        assert!(parse_with_limits(&ok, &mut t, ParseLimits { max_depth: 10 }).is_err());
+        assert!(trace_with(&ok, false, ParseLimits { max_depth: 10 }).is_err());
     }
 
     #[test]
@@ -607,5 +796,185 @@ mod tests {
         assert_eq!(e.kind, JsonErrorKind::Sink);
         assert_eq!(e.line, 3);
         assert!(e.to_string().contains("no integers today"));
+    }
+
+    #[test]
+    fn a_declined_value_reaches_the_sink_only_through_skipped_decimal() {
+        let doc = r#"{"a": [1, {"b": "x\ny", "c": [true, null]}, 2.5, 99999999999999999999,
+            -9223372036854775808, 1e3, "😀"], "d": {"e": -0.5}, "f": 7}"#;
+        assert_eq!(
+            trace_with(doc, true, ParseLimits::default()).unwrap(),
+            [
+                "{",
+                "key:a",
+                "skipped-dec:2.5",
+                "skipped-dec:99999999999999999999",
+                "key:d",
+                "skipped-dec:-0.5",
+                "key:f",
+                "}"
+            ]
+        );
+        // Only members are declined: the elements of a top-level array are
+        // built.
+        assert_eq!(
+            trace_with("[1, 2.5]", true, ParseLimits::default()).unwrap(),
+            ["[", "int:1", "dec:2.5", "]"]
+        );
+    }
+
+    /// Asserts that `doc` fails the same way, kind and position, whether
+    /// its members are built or declined.
+    fn assert_fails_alike(doc: &str, limits: ParseLimits) -> JsonError {
+        let full = trace_with(doc, false, limits).unwrap_err();
+        let declined = trace_with(doc, true, limits).unwrap_err();
+        assert_eq!(
+            (declined.kind, declined.offset, declined.line, declined.column),
+            (full.kind, full.offset, full.line, full.column),
+            "{doc}"
+        );
+        full
+    }
+
+    #[test]
+    fn a_malformed_declined_member_fails_exactly_as_a_full_parse() {
+        for (member, kind) in [
+            (r#""unterminated"#, JsonErrorKind::UnexpectedEof),
+            (r#""long enough to cross a chunk \q""#, JsonErrorKind::BadEscape),
+            (r#""\u12g4""#, JsonErrorKind::BadEscape),
+            (r#""lone low \udc00""#, JsonErrorKind::BadEscape),
+            (r#""high then not low \ud800A""#, JsonErrorKind::BadEscape),
+            (r#""high at the end \ud800""#, JsonErrorKind::BadEscape),
+            ("\"control \u{1} byte\"", JsonErrorKind::BadControlChar),
+            ("\"a newline\nin a string\"", JsonErrorKind::BadControlChar),
+            ("tru", JsonErrorKind::BadLiteral),
+            ("nul", JsonErrorKind::BadLiteral),
+            ("01", JsonErrorKind::UnexpectedByte(b'1')),
+            ("1.", JsonErrorKind::BadNumber),
+            ("1.}", JsonErrorKind::BadNumber),
+            ("1e", JsonErrorKind::BadNumber),
+            ("1e+}", JsonErrorKind::BadNumber),
+            ("-", JsonErrorKind::BadNumber),
+            ("+1", JsonErrorKind::UnexpectedByte(b'+')),
+            (r#"{"b" 1}"#, JsonErrorKind::UnexpectedByte(b'1')),
+            (r#"{"b": 1 "c": 2}"#, JsonErrorKind::UnexpectedByte(b'"')),
+            (r#"{"b": 1,}"#, JsonErrorKind::UnexpectedByte(b'}')),
+            (r#"{b: 1}"#, JsonErrorKind::UnexpectedByte(b'b')),
+            ("[1 2]", JsonErrorKind::UnexpectedByte(b'2')),
+            ("[1,]", JsonErrorKind::UnexpectedByte(b']')),
+            ("[1, [2, {\"c\": [3", JsonErrorKind::UnexpectedByte(b'}')),
+            ("", JsonErrorKind::UnexpectedByte(b'}')),
+            ("}", JsonErrorKind::UnexpectedByte(b'}')),
+        ] {
+            // A second line, so that line and column are checked too.
+            let doc = format!("{{\"a\": 1,\n  \"x\": {member}}}");
+            assert_eq!(assert_fails_alike(&doc, ParseLimits::default()).kind, kind, "{doc}");
+        }
+        // Truncated anywhere, a document fails alike.
+        let doc = r#"{"a": {"b": [1, -2.5e-3, "s\"é", {"c": null}], "d": false}, "e": 3}"#;
+        for cut in (0..doc.len()).filter(|&cut| doc.is_char_boundary(cut)) {
+            assert_fails_alike(&doc[..cut], ParseLimits::default());
+        }
+    }
+
+    #[test]
+    fn a_declined_member_nested_past_the_depth_limit_fails_alike() {
+        let limits = ParseLimits { max_depth: 4 };
+        let e = assert_fails_alike(r#"{"a": [[[{"b": 1}]]]}"#, limits);
+        assert_eq!((e.kind, e.offset), (JsonErrorKind::TooDeep, 15));
+        assert!(trace_with(r#"{"a": [[[1]]]}"#, true, limits).is_ok());
+        let deep = format!("{{\"a\": {}{}}}", "[".repeat(600), "]".repeat(600));
+        assert_eq!(assert_fails_alike(&deep, ParseLimits::default()).kind, JsonErrorKind::TooDeep);
+    }
+
+    #[test]
+    fn a_sink_error_on_a_skipped_decimal_is_placed_as_on_a_built_one() {
+        for number in ["0.5", "123456789012345678901234567890"] {
+            let doc = format!("{{\"a\": [1,\n {number}]}}");
+            let fail = |declines| {
+                let mut sink = Trace { declines, refuses_decimals: true, ..Trace::default() };
+                parse(&doc, &mut sink).unwrap_err()
+            };
+            let (full, declined) = (fail(false), fail(true));
+            assert_eq!((full.kind, full.offset, full.line), (JsonErrorKind::Sink, 11, 2));
+            assert_eq!((declined.kind, declined.offset, declined.line), (full.kind, 11, 2));
+            assert!(declined.to_string().contains(&format!("no skipped-dec:{number}")));
+        }
+    }
+
+    /// What [`plain_len`] computes, one byte at a time.
+    fn plain_len_bytewise(bytes: &[u8]) -> usize {
+        bytes.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20).unwrap_or(bytes.len())
+    }
+
+    #[test]
+    fn plain_len_finds_a_stop_byte_at_every_offset() {
+        // Fillers next to every edge of the tests: the lowest non-control
+        // byte, the bytes around `"` and `\`, DEL, and non-ASCII bytes.
+        for filler in [b' ', b'!', b'#', b'[', b']', b'a', 0x7f, 0x80, 0xc3, 0xff] {
+            for stop in [b'"', b'\\', 0x00, 0x01, b'\n', 0x1f] {
+                for at in 0..18 {
+                    let mut bytes = vec![filler; 24];
+                    bytes[at] = stop;
+                    // A second stop above the first: only the first counts.
+                    bytes[at + 3] = b'"';
+                    assert_eq!(plain_len(&bytes), at, "{filler:#x} {stop:#x} at {at}");
+                    assert_eq!(plain_len(&bytes[..at]), at, "no stop in {at} bytes");
+                }
+            }
+        }
+        // Random bytes dense in stop bytes and their neighbours, where the
+        // chunked subtraction borrows.
+        let alphabet =
+            [0x00, 0x1f, 0x20, 0x21, 0x22, 0x23, 0x5b, 0x5c, 0x5d, 0x61, 0x7f, 0x80, 0xff];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let len = (state % 25) as usize;
+            let bytes: Vec<u8> = (0..len)
+                .map(|i| {
+                    // Mostly plain bytes, so that stops land late too.
+                    let pick = (state >> (2 * i % 60)) as usize;
+                    if pick.is_multiple_of(5) {
+                        alphabet[pick / 5 % alphabet.len()]
+                    } else {
+                        b'a'
+                    }
+                })
+                .collect();
+            assert_eq!(plain_len(&bytes), plain_len_bytewise(&bytes), "{bytes:x?}");
+        }
+    }
+
+    #[test]
+    fn strings_parse_alike_whatever_the_chunk_edges() {
+        // A quote, an escape or a control byte at every offset.
+        for at in 0..18 {
+            let pad = "p".repeat(at);
+            assert_eq!(trace(&format!("\"{pad}\"")).unwrap(), [format!("str:{pad}")]);
+            let escaped = format!("\"{pad}\\\"{pad}\\n\"");
+            assert_eq!(trace(&escaped).unwrap(), [format!("str:{pad}\"{pad}\n")]);
+            let e = trace(&format!("\"{pad}\u{1f}\"")).unwrap_err();
+            assert_eq!((e.kind, e.offset), (JsonErrorKind::BadControlChar, at + 1));
+            // Unterminated at the end of input, with and without an escape.
+            let e = trace(&format!("\"{pad}")).unwrap_err();
+            assert_eq!((e.kind, e.offset), (JsonErrorKind::UnexpectedEof, at + 1));
+            let e = trace(&format!("\"\\t{pad}")).unwrap_err();
+            assert_eq!((e.kind, e.offset), (JsonErrorKind::UnexpectedEof, at + 3));
+        }
+        // 2-, 3- and 4-byte scalars straddling an 8-byte edge, before a
+        // closing quote or an escape.
+        for scalar in ["é", "€", "😀"] {
+            for at in 0..10 {
+                let text = format!("{}{scalar}{}", "a".repeat(at), "b".repeat(9));
+                assert_eq!(trace(&format!("\"{text}\"")).unwrap(), [format!("str:{text}")]);
+                let doc = format!("\"\\/{text}\\u00e9{text}\"");
+                assert_eq!(trace(&doc).unwrap(), [format!("str:/{text}é{text}")]);
+                let e = trace(&format!("\"{text}")).unwrap_err();
+                assert_eq!((e.kind, e.offset), (JsonErrorKind::UnexpectedEof, text.len() + 1));
+            }
+        }
     }
 }

@@ -218,19 +218,21 @@ impl SparkliteContext {
     /// block. Paths with `hdfs://`/`s3://` schemes resolve against the
     /// simulated HDFS; everything else reads the local filesystem.
     pub fn text_file(&self, path: &str) -> Result<Rdd<Arc<str>>> {
-        self.text_file_with(path, || |line: &str| Arc::<str>::from(line))
+        self.text_file_with(path, || |line: &str| Some(Arc::<str>::from(line)))
     }
 
     /// [`text_file`](Self::text_file), mapping each line as it lies in its
     /// storage block, with no copy: a task calls `parser` once for its
     /// partition, then the function it returns on each line of the block.
+    /// A line it maps to `None` yields no record, but still counts as an
+    /// input record.
     pub fn text_file_with<U: Data, F>(
         &self,
         path: &str,
         parser: impl Fn() -> F + Send + Sync + 'static,
     ) -> Result<Rdd<U>>
     where
-        F: FnMut(&str) -> U + Send + 'static,
+        F: FnMut(&str) -> Option<U> + Send + 'static,
     {
         let op = TextFileRdd::open(Arc::clone(&self.core), path, parser)?;
         Ok(Rdd::new(Arc::clone(&self.core), Arc::new(op)))
@@ -269,7 +271,7 @@ mod tests {
                 let mut seen = 0u64;
                 move |line: &str| {
                     seen += 1;
-                    (line.parse::<u64>().unwrap(), seen)
+                    Some((line.parse::<u64>().unwrap(), seen))
                 }
             })
             .unwrap();
@@ -280,6 +282,21 @@ mod tests {
         let firsts = rows.iter().filter(|r| r.1 == 1).count();
         assert_eq!(firsts, rdd.num_partitions());
         assert!(firsts > 1);
+    }
+
+    #[test]
+    fn text_file_with_drops_the_lines_mapped_to_none_but_counts_them() {
+        let sc = SparkliteContext::new(SparkliteConf::default().with_block_size(64));
+        let text: String =
+            (0..100).map(|i| if i % 3 == 0 { "\n".into() } else { format!("{i}\n") }).collect();
+        sc.hdfs().put_text("/d/gaps.txt", &text).unwrap();
+        let rdd = sc
+            .text_file_with("hdfs:///d/gaps.txt", || |line: &str| line.parse::<u64>().ok())
+            .unwrap();
+        let before = sc.metrics().input_records;
+        let rows = rdd.collect().unwrap();
+        assert_eq!(sc.metrics().input_records - before, 100);
+        assert_eq!(rows, (0..100).filter(|i| i % 3 != 0).collect::<Vec<u64>>());
     }
 
     #[test]

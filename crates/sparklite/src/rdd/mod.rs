@@ -644,7 +644,7 @@ impl<T: Data> RddOp<T> for FromPartitionsRdd<T> {
 
 /// A text file scanned one storage block per partition. Each task makes a
 /// line parser with `parser` and runs it over the lines of its block in
-/// place.
+/// place, keeping the records it returns.
 pub struct TextFileRdd<P> {
     core: Arc<Core>,
     source: TextSource,
@@ -681,7 +681,7 @@ impl<P: Send + Sync> Preparable for TextFileRdd<P> {
 impl<U, F, P> RddOp<U> for TextFileRdd<P>
 where
     U: Data,
-    F: FnMut(&str) -> U + Send + 'static,
+    F: FnMut(&str) -> Option<U> + Send + 'static,
     P: Fn() -> F + Send + Sync + 'static,
 {
     fn num_partitions(&self) -> usize {
@@ -713,10 +713,11 @@ where
         crate::executor::TaskMetrics::bump(&tc.task_metrics.input_bytes, block.len() as u64);
         let task_metrics = Arc::clone(&tc.task_metrics);
         let mut parse = (self.parser)();
-        Box::new(util::BlockLines::new(block, move |line: &str| {
+        let lines = util::BlockLines::new(block, move |line: &str| {
             crate::executor::TaskMetrics::bump(&task_metrics.input_records, 1);
             parse(line)
-        }))
+        });
+        Box::new(lines.flatten())
     }
 }
 
