@@ -22,6 +22,11 @@ cargo build --workspace --all-targets --offline
 step "cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# The workspace denies broken intra-doc links, which only rustdoc checks;
+# its other warnings (links to private items, redundant targets) fail too.
+step "cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 step "cargo test (workspace)"
 cargo test --workspace --offline -q
 

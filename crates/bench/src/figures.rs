@@ -616,7 +616,7 @@ fn worker_lane_count(chrome: &str) -> usize {
 /// snapshot, lose zero events, drain both executor streams, and export a
 /// Chrome trace whose slices span at least two distinct worker process
 /// lanes; the A/B delta is the cross-process instrumentation overhead.
-/// Both arms run through [`interleaved`], cells are best-of-`tries`
+/// Both arms run through `interleaved`, cells are best-of-`tries`
 /// (minimum wall clock), and the figure also reports the within-arm
 /// spread as the box's A/A noise floor — the resolution limit
 /// below which the harness's overhead gate refuses to rule. Returns the
@@ -837,7 +837,7 @@ pub fn chaos_kill_executor(objects: usize, tries: usize, cmd: WorkerCmd) -> Figu
 /// ~8 rows per key, every key distinct, 16 keys, one dominant key, half
 /// the keys NULL; a multi-key sort; and the Fig. 11 group and sort
 /// queries, whose FLWOR mappings run through the DataFrame runtime. The
-/// arms run through [`interleaved`] and cells are best-of-`tries`. Every
+/// arms run through `interleaved` and cells are best-of-`tries`. Every
 /// pipeline must return byte-identical results on both paths; the
 /// DataFrame pipelines are then re-run under seeded 20% fault injection,
 /// and the Fig. 11 group/sort queries through two executor workers, both

@@ -254,16 +254,7 @@ impl PreparedQuery {
     /// Counts result items without materializing them on the driver.
     pub fn count(&self) -> Result<u64> {
         let ctx = self.root_ctx()?;
-        if self.program.body.is_rdd(&ctx) {
-            return Ok(self.program.body.rdd(&ctx)?.count()?);
-        }
-        let mut n = 0u64;
-        let cursor = self.program.body.open(&ctx)?;
-        for r in cursor {
-            r?;
-            n += 1;
-        }
-        Ok(n)
+        self.program.body.count(&ctx)
     }
 
     /// Writes the result as JSON Lines. Distributed pipelines write in

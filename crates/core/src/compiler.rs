@@ -348,8 +348,13 @@ impl Compiler {
         let mut chain: Option<ClauseRef> = None;
         // The fields the initial `for` reads of a scanned file, decided on
         // the clauses as written: `count($v)` keeps the projection whether
-        // or not §4.7 rewrites it below.
+        // or not §4.7 rewrites it below. A tuple count reads no return, so
+        // its scan may build fewer.
+        let no_return = ast::ExprKind::Empty.at(ret.span);
+        let count_fields = scan_fields(&clauses, &no_return);
         let mut scan_fields = scan_fields(&clauses, &ret);
+        let count_fields = count_fields
+            .filter(|count| scan_fields.as_ref().is_none_or(|items| count.len() < items.len()));
 
         let mut i = 0;
         while i < clauses.len() {
@@ -455,7 +460,25 @@ impl Compiler {
             ast::ExprKind::VarRef(v) => Some(Arc::from(v.as_str())),
             _ => None,
         };
-        Ok(Arc::new(FlworIter::new(last, self.expr(&ret)?, return_uses, return_var)))
+        let return_expr = self.expr(&ret)?;
+        let counts_tuples = yields_one(&ret, &last);
+        // The narrower source serves a fused scan's tuple count only.
+        let count_source = match (&f.clauses[0], count_fields) {
+            (ast::Clause::For(bindings), Some(fields))
+                if counts_tuples && last.fused_scan().is_some() =>
+            {
+                Some(self.scan_source(&bindings[0].expr, fields)?)
+            }
+            _ => None,
+        };
+        Ok(Arc::new(FlworIter {
+            last,
+            return_expr,
+            return_uses,
+            return_var,
+            counts_tuples,
+            count_source,
+        }))
     }
 }
 
@@ -655,6 +678,23 @@ fn visit_rest<'a>(
         }
     }
     rebound | check(ret)
+}
+
+// ---------------------------------------------------------------------------
+// Cardinality-only consumers
+// ---------------------------------------------------------------------------
+
+/// Whether `e`, a FLWOR's return over the clause chain ending in `last`,
+/// yields exactly one item per tuple and never raises, so a count of the
+/// FLWOR counts its tuples: a literal, or a variable bound to one item in
+/// every tuple (a `for` variable without `allowing empty`, a position, a
+/// `count` variable).
+fn yields_one(e: &ast::Expr, last: &ClauseRef) -> bool {
+    match &e.kind {
+        ast::ExprKind::Literal(_) => true,
+        ast::ExprKind::VarRef(v) => last.is_unit_var(v),
+        _ => false,
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1028,6 +1028,30 @@ impl OrderByClauseIter {
         }
         Ok((df, keys))
     }
+
+    /// The parent's tuples with their sort keys, each key computed, and its
+    /// type discovered, tuple by tuple.
+    fn keyed_tuples(
+        &self,
+        ctx: &DynamicContext,
+    ) -> Result<impl Iterator<Item = Result<(Vec<SortKey>, Tuple)>> + Send> {
+        let specs: Vec<(ExprRef, SortDir)> =
+            self.specs.iter().map(|s| (Arc::clone(&s.expr), order_dir(s))).collect();
+        let mut masks = vec![0u8; specs.len()];
+        let ctx = ctx.clone();
+        Ok(self.parent.tuples(&ctx)?.map(move |r| {
+            let t = r?;
+            let child = t.bind_into(&ctx);
+            let mut keys = Vec::with_capacity(specs.len());
+            for ((expr, dir), mask) in specs.iter().zip(masks.iter_mut()) {
+                let cell = order_cell(&expr.materialize(&child)?)?;
+                *mask |= order_class(&cell);
+                check_classes(*mask)?;
+                keys.push(SortKey::new(cell, *dir));
+            }
+            Ok((keys, t))
+        }))
+    }
 }
 
 impl ClauseIterator for OrderByClauseIter {
@@ -1041,24 +1065,21 @@ impl ClauseIterator for OrderByClauseIter {
 
     fn tuples(&self, ctx: &DynamicContext) -> Result<TupleCursor> {
         // A pipeline breaker: materialize, key, verify, sort (stably).
-        let dirs: Vec<SortDir> = self.specs.iter().map(order_dir).collect();
-        let mut masks = vec![0u8; self.specs.len()];
-        let mut rows: Vec<(Vec<SortKey>, Tuple)> = Vec::new();
-        let parent = self.parent.tuples(ctx)?;
-        for r in parent {
-            let t = r?;
-            let child = t.bind_into(ctx);
-            let mut keys = Vec::with_capacity(self.specs.len());
-            for ((spec, dir), mask) in self.specs.iter().zip(&dirs).zip(masks.iter_mut()) {
-                let cell = order_cell(&spec.expr.materialize(&child)?)?;
-                *mask |= order_class(&cell);
-                check_classes(*mask)?;
-                keys.push(SortKey::new(cell, *dir));
-            }
-            rows.push((keys, t));
-        }
+        let mut rows = self.keyed_tuples(ctx)?.collect::<Result<Vec<_>>>()?;
         rows.sort_by(|(a, _), (b, _)| a.cmp(b));
         Ok(Box::new(rows.into_iter().map(|(_, t)| Ok(t))))
+    }
+
+    fn unordered_tuples(&self, ctx: &DynamicContext) -> Result<TupleCursor> {
+        Ok(Box::new(self.keyed_tuples(ctx)?.map(|r| r.map(|(_, t)| t))))
+    }
+
+    fn unordered_frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
+        let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
+        // The key columns stay in the frame: column pruning drops a column
+        // nothing reads, and the type discovery with it.
+        let (df, _) = self.keyed(f.df, ctx)?;
+        Ok(Some(TupleFrame { df, vars: f.vars }))
     }
 
     fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {

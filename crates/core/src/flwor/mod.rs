@@ -104,6 +104,20 @@ pub trait ClauseIterator: Send + Sync {
     /// `is_rdd` does) is free.
     fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>>;
 
+    /// The tuple stream in no fixed order, for a consumer that only counts
+    /// it: [`tuples`](Self::tuples), but a last `order by` computes its
+    /// keys, and so raises what its type discovery raises, without
+    /// sorting.
+    fn unordered_tuples(&self, ctx: &DynamicContext) -> Result<TupleCursor> {
+        self.tuples(ctx)
+    }
+
+    /// [`unordered_tuples`](Self::unordered_tuples) as a tuple frame: one
+    /// job where a sort takes several.
+    fn unordered_frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
+        self.frame(ctx)
+    }
+
     /// Whether `var` is statically known to be bound to exactly one item in
     /// every tuple (a `for` or `count` binding). Lets `count($var)` after a
     /// group-by become a plain row COUNT (§4.7).
@@ -218,27 +232,61 @@ pub struct FlworIter {
     /// The variable the return expression is, when it is a bare reference
     /// (`return $v`): a fused scan then returns its items as they are.
     pub return_var: Option<Arc<str>>,
+    /// Whether the return yields exactly one item per tuple and never
+    /// raises: a cardinality-only consumer then reads the tuples and builds
+    /// no return item (see [`ExprIterator::count`]).
+    pub counts_tuples: bool,
+    /// The source of a fused scan's initial `for` building only what the
+    /// clauses read, which the tuple count reads instead of the source
+    /// in the clause chain; `None` unless the count reads tuples and that
+    /// source builds fewer fields.
+    pub count_source: Option<ExprRef>,
+}
+
+/// A result as a cardinality-only consumer reads it: one element per item,
+/// in no fixed order.
+enum Cardinal {
+    Items(Rdd<Item>),
+    Rows(Rdd<Row>),
+    Local(Box<dyn Iterator<Item = Result<()>> + Send>),
+}
+
+impl Cardinal {
+    fn count(self) -> Result<u64> {
+        match self {
+            Cardinal::Items(rdd) => Ok(rdd.count()?),
+            Cardinal::Rows(rdd) => Ok(rdd.count()?),
+            Cardinal::Local(items) => {
+                let mut n = 0u64;
+                for i in items {
+                    i?;
+                    n += 1;
+                }
+                Ok(n)
+            }
+        }
+    }
+
+    fn exists(self) -> Result<bool> {
+        match self {
+            Cardinal::Items(rdd) => Ok(!rdd.take(1)?.is_empty()),
+            Cardinal::Rows(rdd) => Ok(!rdd.take(1)?.is_empty()),
+            Cardinal::Local(mut items) => items.next().transpose().map(|i| i.is_some()),
+        }
+    }
 }
 
 impl FlworIter {
-    pub fn new(
-        last: ClauseRef,
-        return_expr: ExprRef,
-        return_uses: Vec<Arc<str>>,
-        return_var: Option<Arc<str>>,
-    ) -> FlworIter {
-        FlworIter { last, return_expr, return_uses, return_var }
-    }
-
     /// Builds the fused (DataFrame-free) RDD of a scan-shaped pipeline. The
     /// `where`s before the first `let` filter the source's items, and a
     /// `return $var` right after them returns the items as they are. The
     /// rest runs as one flatMap per item ([`ScanPass`]). Every `let` is
     /// evaluated in full on each item that reaches it, as the local path
-    /// binds it.
-    fn fused_rdd(&self, scan: FusedScan, ctx: &DynamicContext) -> Result<Rdd<Item>> {
+    /// binds it. Without `ret`, the count form, the pass skips the return
+    /// and keeps the scanned item of each tuple.
+    fn fused_rdd(&self, scan: FusedScan, ctx: &DynamicContext, ret: bool) -> Result<Rdd<Item>> {
         let mut rdd = scan.source.rdd(ctx)?;
-        let passthrough = self.return_var.as_ref() == Some(&scan.var);
+        let passthrough = !ret || self.return_var.as_ref() == Some(&scan.var);
         let mut slots = ScanSlots { names: vec![Some(scan.var)] };
         let mut steps = scan.steps.into_iter().peekable();
         while let Some(ScanStep::Where { predicate, uses }) =
@@ -260,10 +308,68 @@ impl FlworIter {
                 }
             });
         }
-        let ret = slots.expr(&self.return_expr, &self.return_uses, ctx)?;
-        let pass = ScanPass { pipeline, ret, lets: slots.names.len() - 1 };
-        Ok(rdd.flat_map(move |item| pass.run(&item)))
+        let lets = slots.names.len() - 1;
+        if !ret {
+            let pass = ScanPass { pipeline, ret: None, lets };
+            return Ok(rdd.filter(move |item| pass.run(item).is_some()));
+        }
+        let ret = Some(slots.expr(&self.return_expr, &self.return_uses, ctx)?);
+        let pass = ScanPass { pipeline, ret, lets };
+        Ok(rdd.flat_map(move |item| pass.run(&item).unwrap_or_default()))
     }
+
+    /// The return over the rows of a tuple frame, as a flatMap (§4.10).
+    fn returned(&self, frame: TupleFrame, ctx: &DynamicContext) -> Result<Rdd<Item>> {
+        let rows = frame.df.to_rdd()?;
+        let schema = Arc::clone(frame.df.schema());
+        let ret = clauses::RowExpr::new(&self.return_expr, &self.return_uses, ctx);
+        Ok(rows.flat_map(move |row| match ret.eval_row(&schema, &row) {
+            Ok(items) => items,
+            Err(e) => task_bail(e),
+        }))
+    }
+
+    /// The result as a cardinality-only consumer reads it. With
+    /// [`counts_tuples`](Self::counts_tuples) that is the tuple stream,
+    /// from the narrower [`count_source`](Self::count_source) where there
+    /// is one, and no return runs; otherwise the return's items. Unless
+    /// `ordered`, a last `order by` computes its keys, and so raises what
+    /// its type discovery raises, but does not sort: a count does not
+    /// depend on the order, while `exists` reads only the first tuple and
+    /// keeps the sort, whose key pass sees every row.
+    fn cardinal(&self, ctx: &DynamicContext, ordered: bool) -> Result<Cardinal> {
+        if !self.is_rdd(ctx) {
+            let tuples = match ordered {
+                true => self.last.tuples(ctx)?,
+                false => self.last.unordered_tuples(ctx)?,
+            };
+            if self.counts_tuples {
+                return Ok(Cardinal::Local(Box::new(tuples.map(|t| t.map(drop)))));
+            }
+            let (return_expr, ctx) = (Arc::clone(&self.return_expr), ctx.clone());
+            let items = ReturnCursor { tuples, return_expr, ctx, inner: None, failed: false };
+            return Ok(Cardinal::Local(Box::new(items.map(|i| i.map(drop)))));
+        }
+        if let Some(mut scan) = self.last.fused_scan() {
+            if let Some(source) = self.count_source.as_ref().filter(|_| self.counts_tuples) {
+                scan.source = Arc::clone(source);
+            }
+            return Ok(Cardinal::Items(self.fused_rdd(scan, ctx, !self.counts_tuples)?));
+        }
+        let frame = match ordered {
+            true => self.last.frame(ctx)?,
+            false => self.last.unordered_frame(ctx)?,
+        };
+        let frame = frame.ok_or_else(no_frame)?;
+        if self.counts_tuples {
+            return Ok(Cardinal::Rows(frame.df.to_rdd()?));
+        }
+        Ok(Cardinal::Items(self.returned(frame, ctx)?))
+    }
+}
+
+fn no_frame() -> RumbleError {
+    RumbleError::dynamic(codes::CLUSTER, "FLWOR tuple stream has no DataFrame form")
 }
 
 /// The `let` values of one item of a fused scan that live on the stack.
@@ -274,12 +380,15 @@ const LET_VALUES: usize = 8;
 /// the slots of [`ScanSlots`].
 struct ScanPass {
     pipeline: Vec<(SlotExpr, Option<usize>)>,
-    ret: SlotExpr,
+    /// `None` in the count form, which yields no item.
+    ret: Option<SlotExpr>,
     lets: usize,
 }
 
 impl ScanPass {
-    fn run(&self, item: &Item) -> Vec<Item> {
+    /// The return's items for the tuple of `item`; `None` if a `where`
+    /// drops it.
+    fn run(&self, item: &Item) -> Option<Vec<Item>> {
         let item = [std::slice::from_ref(item)];
         if self.lets <= LET_VALUES {
             let mut values: [Seq; LET_VALUES] = std::array::from_fn(|_| Seq::EMPTY);
@@ -289,17 +398,17 @@ impl ScanPass {
         }
     }
 
-    fn over<'x>(&'x self, item: &'x [&'x [Item]], values: &mut [Seq<'x>]) -> Vec<Item> {
+    fn over<'x>(&'x self, item: &'x [&'x [Item]], values: &mut [Seq<'x>]) -> Option<Vec<Item>> {
         for (expr, value) in &self.pipeline {
             match value {
                 Some(i) => values[*i] = expr.bind(item, values),
-                None if !expr.test(item, values) => return Vec::new(),
+                None if !expr.test(item, values) => return None,
                 None => {}
             }
         }
-        let ret = &self.ret;
-        ret.with_vars(item, values, |vars| ret.expr.eval(vars).map(Seq::into_vec))
-            .unwrap_or_else(|e| task_bail(e))
+        let Some(ret) = &self.ret else { return Some(Vec::new()) };
+        let items = ret.with_vars(item, values, |vars| ret.expr.eval(vars).map(Seq::into_vec));
+        Some(items.unwrap_or_else(|e| task_bail(e)))
     }
 }
 
@@ -406,22 +515,21 @@ impl ExprIterator for FlworIter {
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
         if let Some(scan) = self.last.fused_scan() {
             if !ctx.in_executor() && scan.source.is_rdd(ctx) {
-                return self.fused_rdd(scan, ctx);
+                return self.fused_rdd(scan, ctx, true);
             }
         }
-        let frame = self.last.frame(ctx)?.ok_or_else(|| {
-            RumbleError::dynamic(codes::CLUSTER, "FLWOR tuple stream has no DataFrame form")
-        })?;
         // §4.10: the return clause maps each row of the DataFrame to the
         // items produced by the return expression — one flatMap back to an
         // RDD of items.
-        let rows = frame.df.to_rdd()?;
-        let schema = Arc::clone(frame.df.schema());
-        let ret = clauses::RowExpr::new(&self.return_expr, &self.return_uses, ctx);
-        Ok(rows.flat_map(move |row| match ret.eval_row(&schema, &row) {
-            Ok(items) => items,
-            Err(e) => task_bail(e),
-        }))
+        self.returned(self.last.frame(ctx)?.ok_or_else(no_frame)?, ctx)
+    }
+
+    fn count(&self, ctx: &DynamicContext) -> Result<u64> {
+        self.cardinal(ctx, false)?.count()
+    }
+
+    fn exists(&self, ctx: &DynamicContext) -> Result<bool> {
+        self.cardinal(ctx, true)?.exists()
     }
 
     fn take_ordered(&self, ctx: &DynamicContext, n: usize) -> Result<Option<Vec<Item>>> {

@@ -79,7 +79,7 @@ impl Dec {
         Some(Dec::new(self.mantissa.checked_mul(other.mantissa)?, scale))
     }
 
-    /// Division at [`DIV_SCALE`] fractional digits (JSONiq allows
+    /// Division at `DIV_SCALE` fractional digits (JSONiq allows
     /// implementation-defined decimal division precision). `None` for
     /// division by zero or overflow.
     pub fn checked_div(self, other: Dec) -> Option<Dec> {

@@ -375,20 +375,7 @@ impl ExprIterator for BuiltinCallIter {
         use Builtin::*;
         let args = &self.args;
         match self.builtin {
-            Count => {
-                let n = if args[0].is_rdd(ctx) {
-                    args[0].rdd(ctx)?.count()? as i64
-                } else {
-                    let c = args[0].open(ctx)?;
-                    let mut n = 0i64;
-                    for r in c {
-                        r?;
-                        n += 1;
-                    }
-                    n
-                };
-                Ok(cursor_one(Item::Integer(n)))
-            }
+            Count => Ok(cursor_one(Item::Integer(args[0].count(ctx)? as i64))),
             Sum => {
                 let total = if args[0].is_rdd(ctx) {
                     args[0].rdd(ctx)?.reduce(|a, b| match item_add(&a, &b) {
@@ -468,11 +455,7 @@ impl ExprIterator for BuiltinCallIter {
                 })
             }
             Empty | Exists => {
-                let any = if args[0].is_rdd(ctx) {
-                    !args[0].rdd(ctx)?.take(1)?.is_empty()
-                } else {
-                    args[0].open(ctx)?.next().transpose()?.is_some()
-                };
+                let any = args[0].exists(ctx)?;
                 let v = if self.builtin == Exists { any } else { !any };
                 Ok(cursor_one(Item::Boolean(v)))
             }

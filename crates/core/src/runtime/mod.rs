@@ -247,6 +247,36 @@ pub trait ExprIterator: Send + Sync {
         }
     }
 
+    /// The number of items in the result, for a consumer that reads
+    /// nothing else (`count`, [`PreparedQuery::count`]). It raises what
+    /// [`materialize`] raises. A FLWOR whose `return` yields exactly one
+    /// item per tuple and never raises counts its tuples instead of
+    /// building its items.
+    ///
+    /// [`materialize`]: ExprIterator::materialize
+    /// [`PreparedQuery::count`]: crate::api::PreparedQuery::count
+    fn count(&self, ctx: &DynamicContext) -> Result<u64> {
+        if self.is_rdd(ctx) {
+            return Ok(self.rdd(ctx)?.count()?);
+        }
+        let mut n = 0u64;
+        for r in self.open(ctx)? {
+            r?;
+            n += 1;
+        }
+        Ok(n)
+    }
+
+    /// Whether the result has an item, for `exists` and `empty`: the
+    /// cardinality-only consumer of [`count`](ExprIterator::count) that
+    /// stops at the first item.
+    fn exists(&self, ctx: &DynamicContext) -> Result<bool> {
+        if self.is_rdd(ctx) {
+            return Ok(!self.rdd(ctx)?.take(1)?.is_empty());
+        }
+        Ok(self.open(ctx)?.next().transpose()?.is_some())
+    }
+
     /// The constant item this expression always yields, if any.
     fn const_item(&self) -> Option<Item> {
         None

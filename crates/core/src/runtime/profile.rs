@@ -252,6 +252,27 @@ pub struct ProfiledIter {
     pub stats: Arc<NodeStats>,
 }
 
+impl ProfiledIter {
+    /// Runs a cardinality-only consumer over the wrapped node: one open, in
+    /// the mode the node runs in, timed. Its rows are what it counted.
+    fn consumed<R>(
+        &self,
+        ctx: &DynamicContext,
+        consume: impl FnOnce(&ExprRef) -> Result<R>,
+    ) -> Result<R> {
+        self.stats.note_open();
+        let mode = match self.inner.is_rdd(ctx) {
+            true => self.inner.mode_hint(ctx).unwrap_or("rdd"),
+            false => "local",
+        };
+        self.stats.raise_mode(mode);
+        let t0 = Instant::now();
+        let out = consume(&self.inner);
+        self.stats.add_ns(t0.elapsed().as_nanos() as u64);
+        out
+    }
+}
+
 impl ExprIterator for ProfiledIter {
     fn open(&self, ctx: &DynamicContext) -> Result<ItemCursor> {
         self.stats.note_open();
@@ -293,6 +314,18 @@ impl ExprIterator for ProfiledIter {
         let out = self.inner.ebv(ctx);
         self.stats.add_ns(t0.elapsed().as_nanos() as u64);
         out
+    }
+
+    fn count(&self, ctx: &DynamicContext) -> Result<u64> {
+        let n = self.consumed(ctx, |inner| inner.count(ctx))?;
+        self.stats.add_rows(n);
+        Ok(n)
+    }
+
+    fn exists(&self, ctx: &DynamicContext) -> Result<bool> {
+        let any = self.consumed(ctx, |inner| inner.exists(ctx))?;
+        self.stats.add_rows(any as u64);
+        Ok(any)
     }
 
     fn const_item(&self) -> Option<Item> {

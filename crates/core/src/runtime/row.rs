@@ -5,9 +5,9 @@
 //!
 //! [`ExprIterator::compile_row`] builds the closure bottom-up. Each FLWOR
 //! variable the expression reads becomes a slot index into a borrowed row
-//! environment ([`Env`]), and each variable bound on the driver — a prolog
+//! environment (`Env`), and each variable bound on the driver — a prolog
 //! global, an outer local `let` — becomes a constant slot filled once, at
-//! compile time. Node results are [`Seq`]s, which borrow from the slots
+//! compile time. Node results are `Seq`s, which borrow from the slots
 //! where they can: static navigation over a variable, a comparison of two
 //! such paths, or `instance of` on one allocates nothing per row.
 //!
@@ -15,7 +15,7 @@
 //! for item and error code for error code. The iterator tree is partly
 //! lazy — a cursor may raise after it has yielded items, and a lazy
 //! consumer stops pulling early — while a closure evaluates its operands in
-//! full, so each compiled node records when it can raise ([`Raises`]) and a
+//! full, so each compiled node records when it can raise (`Raises`) and a
 //! consumer that reads only a prefix compiles only over an operand that
 //! cannot raise after its first item. The lazy consumers are the effective
 //! boolean value, `exists` and `empty`, the single-item operands of `cast`,
@@ -351,12 +351,9 @@ enum Code {
     Test(Arc<TestCode>),
 }
 
-/// A compiled row expression: closures from an [`Env`] to the result,
-/// plus when it can raise. A parent reads an operand through [`with`],
-/// which borrows where the operand can, or [`eval`] when it keeps it.
-///
-/// [`with`]: RowFn::with
-/// [`eval`]: RowFn::eval
+/// A compiled row expression: closures from an `Env` to the result,
+/// plus when it can raise. A parent reads an operand through `with`,
+/// which borrows where the operand can, or `eval` when it keeps it.
 #[derive(Clone)]
 pub struct RowFn {
     code: Code,

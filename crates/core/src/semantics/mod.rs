@@ -10,13 +10,13 @@
 //!
 //! - **resolve** (here): scope checking against chained static contexts and
 //!   function resolution — errors `XPST0008`/`XPST0017`.
-//! - **unused bindings** ([`passes`]): `let`/`for`/`group by`/`count`
+//! - **unused bindings** (`passes`): `let`/`for`/`group by`/`count`
 //!   bindings and globals never referenced — `RBLW0001`.
-//! - **constant folding** ([`passes`]): unreachable conditional branches
+//! - **constant folding** (`passes`): unreachable conditional branches
 //!   and constant `where`/predicates — `RBLW0002`/`RBLW0003`.
-//! - **cardinality inference** ([`passes`]): builtin calls whose argument
+//! - **cardinality inference** (`passes`): builtin calls whose argument
 //!   cardinality statically violates the signature — `RBLW0006`.
-//! - **execution mode** ([`passes`]): parallel sequences forced through
+//! - **execution mode** (`passes`): parallel sequences forced through
 //!   local materialization boundaries and group/order keys that cannot
 //!   become a native key cell (§4.7) — `RBLW0004`/`RBLW0005`.
 

@@ -109,3 +109,21 @@ fn avg_over_a_distributed_source_is_exact_and_frees_its_cache() {
     assert!(m.cache_misses > 0, "avg persisted its input");
     assert_eq!(m.cached_bytes, 0, "avg unpersisted after use");
 }
+
+#[test]
+fn a_count_fills_the_cache_a_later_query_reads() {
+    // The count reads a scan of `v` alone when nothing is persisted; with
+    // auto-persist on it fills the one cache of full items, which the
+    // later query, reading `k` as well, is served from.
+    let r = engine(FaultPlan::default());
+    r.hdfs_put("/reuse.json", &dataset(500)).unwrap();
+    let count =
+        r.compile(r#"for $r in json-file("hdfs:///reuse.json") where $r.v ge 300 return $r"#);
+    let n = count.unwrap().count().unwrap();
+    let parsed = r.sparklite().metrics().input_records;
+    assert_eq!(parsed, 500, "the count parsed the file once");
+    assert_eq!(run_serialized(&r, QUERY).len() as u64, n);
+    let m = r.sparklite().metrics();
+    assert_eq!(m.input_records, parsed, "the collect parsed nothing");
+    assert!(m.cache_hits > 0, "the collect read the cached items");
+}

@@ -227,6 +227,45 @@ fn bad_input_in_a_skipped_member_fails_every_path() {
     }
 }
 
+/// A count of a FLWOR whose return is one item per tuple builds only what
+/// its clauses read, so a member its items form builds is now skipped:
+/// malformed JSON in it still fails every path with the parse error.
+#[test]
+fn bad_input_in_a_member_a_count_skips_fails_every_path() {
+    let paths = paths(0xC0B);
+    let mut text = dataset(300);
+    text.push_str(r#"{"id": 9, "v": 3, "choices": ["x", {"k": ]}"#);
+    text.push('\n');
+    put(&paths, &text);
+    let q = "count(for $r in SRC where $r.v eq 3 return $r)";
+    assert_eq!(outcome(&paths[0].1, &local(q)), Err("RBML0002"), "local");
+    for (path, r) in &paths {
+        assert_eq!(outcome(r, &distributed(q)), Err("RBML0002"), "{path}");
+    }
+    assert_eq!(in_task_outcome(&paths[0].1, q), Err("RBML0002"), "in task");
+}
+
+/// The count of a FLWOR whose return is one item per tuple reads a scan of
+/// the fields its clauses read, while its items form builds every field.
+#[test]
+fn a_count_scans_only_what_the_clauses_read() {
+    let r = engine(|c| c, false);
+    r.hdfs_put(PATH.trim_start_matches("hdfs://"), &dataset(200)).unwrap();
+    let flwor = distributed("for $r in SRC where $r.v eq 3 return $r");
+    let plan = r.analyze_profile(&format!("count({flwor})")).unwrap().plan;
+    let scans: Vec<&str> = plan.lines().filter(|l| l.contains("json-file")).collect();
+    assert_eq!(scans.len(), 2, "{plan}");
+    assert!(scans[0].contains("fields=all") && scans[0].contains("[not executed]"), "{plan}");
+    assert!(scans[1].contains("fields=[v]") && scans[1].contains("rows=200"), "{plan}");
+    let n = r.compile(&flwor).unwrap().count().unwrap();
+    assert_eq!(n, r.run(&flwor).unwrap().len() as u64);
+    // The Fig. 11 filter, as every system runs it.
+    let filter = distributed("count(for $i in SRC where $i.guess = $i.target return $i)");
+    let plan = r.analyze_profile(&filter).unwrap().plan;
+    let scanned = |l: &&str| l.contains("fields=[guess, target]") && l.contains("rows=200");
+    assert!(plan.lines().any(|l| scanned(&l)), "{plan}");
+}
+
 /// The auto-persist cache holds full items whatever the query that filled
 /// it reads, so a later query that returns whole items sees every field.
 #[test]

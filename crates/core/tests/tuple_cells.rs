@@ -386,6 +386,37 @@ const ERRORS: &[(&str, &str, &str)] = &[
         r#"for $r in SRC let $y := $r.id + 1 where $r.id instance of integer
            group by $k := $r.id mod 3 return [$k, count($y)]"#,
     ),
+    // A count reads the tuples of a FLWOR whose return yields one item and
+    // never raises; it still evaluates every other return, and every clause.
+    ("a return that raises on some tuple", "XPTY0004", r#"for $r in SRC return $r.v + 1"#),
+    (
+        "an unread let that raises, under a return of one item",
+        "FORG0001",
+        r#"for $r in SRC let $x := $r.id cast as integer return $r"#,
+    ),
+    (
+        "a where that raises, under a return of one item",
+        "XPTY0004",
+        r#"for $r in SRC where $r.v + 1 gt 10 return 1"#,
+    ),
+];
+
+/// FLWORs for the cardinality consumers, beside the [`CASES`]: returns
+/// that a count evaluates (none, one or several items per tuple), then
+/// returns of a literal or of a variable bound to one item, which it reads
+/// as tuples.
+const COUNTED: &[&str] = &[
+    r#"for $r in SRC return $r.tags[]"#,
+    r#"for $r in SRC where $r.v instance of integer return ($r.id, $r.nested)"#,
+    r#"for $r in SRC order by $r.z return $r.nested.k"#,
+    r#"for $r in SRC let $t := $r.tags where exists($t) return [$t, $r]"#,
+    r#"for $r in SRC return $r"#,
+    r#"for $r in SRC where $r.v instance of integer return 1"#,
+    r#"for $r at $p in SRC where $r.nested.flag return $p"#,
+    r#"for $r in SRC let $t := $r.tags where exists($t) return $r"#,
+    r#"for $r in SRC where $r.nested.flag count $c return $c"#,
+    r#"for $r in SRC where $r.v instance of integer order by $r.v return $r"#,
+    r#"for $r in SRC group by $k := $r.k return count($r)"#,
 ];
 
 fn engine(conf: impl FnOnce(SparkliteConf) -> SparkliteConf) -> Rumble {
@@ -412,9 +443,13 @@ fn distributed(q: &str) -> String {
 
 /// `q` with its body behind `let $a := json-file(…)`, after any prolog.
 fn local(q: &str) -> String {
-    let body = q.rfind(';').map_or(0, |i| i + 1);
-    let (prolog, body) = q.split_at(body);
+    let (prolog, body) = split_prolog(q);
     format!("{prolog} let $a := json-file(\"{PATH}\") {}", body.replace("SRC", "$a"))
+}
+
+/// `q` as its prolog, possibly empty, and its body.
+fn split_prolog(q: &str) -> (&str, &str) {
+    q.split_at(q.rfind(';').map_or(0, |i| i + 1))
 }
 
 /// The serialized result, or the error code.
@@ -476,6 +511,57 @@ fn every_path_raises_the_same_error_code() {
         for (path, r) in &paths {
             assert_distributed_for_free(r, &distributed(q), &format!("{name} on {path}"));
             assert_eq!(outcome(r, &distributed(q), false), Err(expected), "{name} on {path}");
+        }
+    }
+}
+
+/// `q` with its body wrapped in a call of the builtin `f`, after any
+/// prolog.
+fn wrapped(f: &str, q: &str) -> String {
+    let (prolog, body) = split_prolog(q);
+    format!("{prolog} {f}({body})")
+}
+
+/// `(PreparedQuery::count, count(…), exists(…), empty(…))` of `q`, or the
+/// error code of the first that fails.
+fn cardinalities(r: &Rumble, q: &str) -> Result<(u64, i64, bool, bool), &'static str> {
+    let builtin = |f: &str| r.run(&wrapped(f, q)).map_err(|e| e.code);
+    let count = r.compile(q).unwrap().count().map_err(|e| e.code)?;
+    let counted = builtin("count")?[0].as_i64().unwrap();
+    let exists = builtin("exists")?[0].as_bool().unwrap();
+    let empty = builtin("empty")?[0].as_bool().unwrap();
+    Ok((count, counted, exists, empty))
+}
+
+/// A count, `count(…)`, `exists` and `empty` of every case agree with the
+/// length of its `collect()`, locally and on every distributed path.
+#[test]
+fn cardinality_consumers_agree_with_collect_on_every_path() {
+    let paths = paths(0xC0C);
+    let threads = &paths[0].1;
+    let queries = CASES.iter().map(|c| c.query).chain(COUNTED.iter().copied());
+    for q in queries {
+        let n = threads.run(&local(q)).unwrap_or_else(|e| panic!("{q}: {e}")).len();
+        let expected = Ok((n as u64, n as i64, n > 0, n == 0));
+        assert_eq!(cardinalities(threads, &local(q)), expected, "{q}: local");
+        for (path, r) in &paths {
+            assert_eq!(cardinalities(r, &distributed(q)), expected, "{q}: {path}");
+        }
+    }
+}
+
+/// A count raises the code `collect()` raises, locally and on every
+/// distributed path.
+#[test]
+fn a_count_raises_what_collect_raises() {
+    let paths = paths(0xC0E);
+    for (name, code, q) in ERRORS {
+        let count = |r: &Rumble, q: &str| r.compile(q).unwrap().count().map_err(|e| e.code);
+        assert_eq!(count(&paths[0].1, &local(q)), Err(*code), "{name}: local");
+        for (path, r) in &paths {
+            assert_eq!(count(r, &distributed(q)), Err(*code), "{name} on {path}");
+            let builtin = r.run(&wrapped("count", &distributed(q))).map_err(|e| e.code);
+            assert_eq!(builtin, Err(*code), "{name}: count(…) on {path}");
         }
     }
 }
@@ -616,4 +702,15 @@ fn order_by_job_counts() {
     // take.
     assert_eq!(jobs_of(&r, |r| drop(r.run_take(&q, 10).unwrap())), 1);
     assert_eq!(jobs_of(&r, |r| drop(r.run(&q).unwrap())), FULL_SORT_JOBS);
+    // A count does not sort: one job runs the key pass and counts.
+    let count = |r: &Rumble| assert!(r.compile(&q).unwrap().count().unwrap() > 0);
+    assert_eq!(jobs_of(&r, count), 1);
+    // The shape of the Fig. 11 sort: a `where`, three keys and a field.
+    let fig11 = distributed(
+        r#"for $r in SRC where $r.id instance of integer
+           order by $r.nested.k ascending, $r.id descending, $r.z descending
+           return $r.tags"#,
+    );
+    let count = |r: &Rumble| assert!(r.compile(&fig11).unwrap().count().unwrap() > 0);
+    assert_eq!(jobs_of(&r, count), 1);
 }

@@ -3,7 +3,7 @@
 //! storage layer whenever a sequence is consumed more than once).
 //!
 //! [`Rdd::persist`](crate::rdd::Rdd::persist) wraps an operator in a
-//! [`CachedRdd`]: the first task to compute a partition stores it in the
+//! `CachedRdd`: the first task to compute a partition stores it in the
 //! [`CacheManager`] owned by the driver [`Core`] — populated *inside*
 //! `compute`, executor-side, with no driver round-trip — and every later
 //! computation of that partition serves from memory. Storage is bounded by

@@ -7,14 +7,14 @@
 //! non-NULL slots. Kernels evaluate [`BoundExpr`]s over whole batches with
 //! typed fast paths, filter through selection vectors, and build the §4.7
 //! group-key encoding per batch. The physical plan
-//! ([`super::plan::compile`]) converts rows to batches at the start of every
+//! (`super::plan::compile`) converts rows to batches at the start of every
 //! UDF-free operator chain and back at its end, so [`super::RowCodec`]
 //! stays the only wire/persist format. Operators holding an opaque UDF never
 //! see a batch: they run on rows.
 //!
 //! Every kernel replicates the row interpreter's semantics *exactly* — the
 //! shared primitives (`truth`, `eval_cmp`, `eval_num`) live in
-//! [`super::expr`] and the row-vs-columnar differential battery
+//! `super::expr` and the row-vs-columnar differential battery
 //! (`tests/columnar_diff.rs`) pins byte-identical results.
 //!
 //! Invariant threaded through everything: a slot's validity bit is clear

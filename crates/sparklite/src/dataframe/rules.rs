@@ -2,11 +2,11 @@
 //!
 //! Every rewrite the optimizer can perform is a [`RewriteRule`] with a
 //! stable `RBLO####` id, a one-line contract, and a declaration of which
-//! [`PlanProperties`] it preserves. The engine applies rules bottom-up to a
-//! bounded fixpoint and re-derives the plan properties after *every
-//! individual firing*: a rule that breaks its own declaration is a hard
-//! error in debug builds and a rejected rewrite (recorded as a
-//! [`PropertyViolation`]) in release builds. The equivalence fuzzer in
+//! [`PlanProperties`](super::PlanProperties) it preserves. The engine
+//! applies rules bottom-up to a bounded fixpoint and re-derives the plan
+//! properties after *every individual firing*: a rule that breaks its own
+//! declaration is a hard error in debug builds and a rejected rewrite
+//! (recorded as a [`PropertyViolation`]) in release builds. The equivalence fuzzer in
 //! `tests/rule_fuzz.rs` additionally executes before/after plans per rule
 //! per site, and its mutation mode proves the checker actually bites.
 
@@ -214,7 +214,7 @@ impl RewriteRule for PushFilterBelowExplode {
 
 /// RBLO0005: `Project ∘ Project` fusion — substitutes the inner projection's
 /// expressions into the outer one, eliminating an intermediate row pass.
-/// UDFs only fuse across pass-through columns (see [`expr_fusable`]).
+/// UDFs only fuse across pass-through columns (see `expr_fusable`).
 pub struct FuseProjects;
 
 impl RewriteRule for FuseProjects {

@@ -30,7 +30,7 @@ pub const MAX_FRAME: usize = 64 << 20;
 /// a single write: two small writes per frame would interact with Nagle's
 /// algorithm and delayed ACKs to cost a ~40 ms round trip *per frame* on
 /// loopback TCP (sockets also disable Nagle, belt and braces — see
-/// [`tune_stream`]).
+/// `tune_stream`).
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     if body.len() > MAX_FRAME {
         return Err(io::Error::new(

@@ -5,7 +5,7 @@
 //! Every scheduler-visible fact — job and stage boundaries, task attempts
 //! with their per-task counters, shuffle writes and fetches, cache traffic,
 //! injected chaos — is emitted as a typed [`Event`] on a shared
-//! [`EventBus`]. The engine-wide [`Metrics`](crate::Metrics) counters are
+//! [`EventBus`]. The engine-wide [`Metrics`] counters are
 //! *derived* from this stream by [`MetricsListener`]; they are no longer a
 //! separate code path, so a per-stage breakdown and the global snapshot can
 //! never disagree.

@@ -2,7 +2,7 @@
 //!
 //! Each worker thread models one executor core of the paper's clusters; the
 //! scale-out experiments sweep the pool size. Tasks are closures scheduled
-//! one per partition. The driver loop in [`ExecutorPool::run_labeled`] is
+//! one per partition. The driver loop in `ExecutorPool::run_labeled` is
 //! sparklite's TaskScheduler: it classifies every failed attempt
 //! ([`FailureCause`]), retries injected/transient failures within the
 //! configured attempt budget, fails fast on deterministic application

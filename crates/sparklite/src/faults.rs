@@ -1,5 +1,5 @@
 //! Deterministic chaos injection: the runtime half of
-//! [`FaultPlan`](crate::conf::FaultPlan).
+//! [`FaultPlan`].
 //!
 //! Every injection decision is a pure function of
 //! `(seed, fault kind, stage/file, partition, attempt)`, hashed through a

@@ -7,7 +7,7 @@
 //! level, so a `map` over a `filter` over a text file is one pass with no
 //! intermediate materialization, exactly like Spark's pipelined narrow
 //! stages. Wide transformations (shuffles, sorts) materialize their map
-//! side once, driver-scheduled, in [`RddOp::prepare`].
+//! side once, driver-scheduled, in [`Preparable::prepare`].
 //!
 //! Failures *inside* a task (malformed input, storage errors) surface by
 //! panicking; the executor pool catches the panic, classifies it into a
@@ -154,12 +154,16 @@ impl<T: Data> Rdd<T> {
     /// [`StorageLevel::MemorySerialized`] needs an element codec; without
     /// one it falls back to deserialized storage — use
     /// [`Rdd::persist_with_codec`] for real serialized byte accounting.
+    ///
+    /// [`StorageLevel::MemorySerialized`]: crate::cache::StorageLevel::MemorySerialized
     pub fn persist(&self, level: crate::cache::StorageLevel) -> Rdd<T> {
         self.persist_impl(level, None)
     }
 
     /// [`Rdd::persist`] with an explicit element codec, enabling
     /// [`StorageLevel::MemorySerialized`]'s encoded storage.
+    ///
+    /// [`StorageLevel::MemorySerialized`]: crate::cache::StorageLevel::MemorySerialized
     pub fn persist_with_codec(
         &self,
         level: crate::cache::StorageLevel,
