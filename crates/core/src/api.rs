@@ -217,10 +217,11 @@ impl PreparedQuery {
         Ok(ctx)
     }
 
-    /// Whether the result is produced as an RDD (fully parallel pipeline).
+    /// Whether the result is produced as an RDD (fully parallel pipeline):
+    /// the mode decided when the query was compiled. Nothing is evaluated,
+    /// the prolog's globals included.
     pub fn is_distributed(&self) -> Result<bool> {
-        let ctx = self.root_ctx()?;
-        Ok(self.program.body.is_rdd(&ctx))
+        Ok(self.program.body.is_parallel())
     }
 
     /// Runs and materializes the whole result sequence on the driver.

@@ -14,7 +14,7 @@ use crate::runtime::exprs::*;
 use crate::runtime::functions::{Builtin, BuiltinCallIter, CompiledFunction, UserCallIter};
 use crate::runtime::profile::{ProfileRegistry, ProfiledIter};
 use crate::runtime::ExprRef;
-use crate::semantics::{check_program, free_variables};
+use crate::semantics::{check_program, flwor_is_parallel, free_variables, is_parallel};
 use crate::syntax::ast::{self, for_each_child, map_children};
 use crate::syntax::parse_program;
 use std::cell::RefCell;
@@ -91,6 +91,7 @@ fn compile_with(mut c: Compiler, p: &ast::Program) -> Result<CompiledProgram> {
         }
     }
     let body = c.expr(&p.body)?;
+    debug_assert_eq!(body.is_parallel(), is_parallel(&p.body), "the mode of the compiled body");
     Ok(CompiledProgram { globals, body })
 }
 
@@ -478,6 +479,7 @@ impl Compiler {
             return_var,
             counts_tuples,
             count_source,
+            parallel: flwor_is_parallel(f),
         }))
     }
 }

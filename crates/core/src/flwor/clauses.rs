@@ -42,6 +42,12 @@ fn vars_plus(parent: Option<&ClauseRef>, new: &[Arc<str>]) -> Vec<Arc<str>> {
     out
 }
 
+/// The error of a clause asked for a DataFrame form it has none of. The
+/// static rule runs such a FLWOR locally, so only a bug asks.
+fn local_only(clause: &str) -> RumbleError {
+    RumbleError::dynamic(codes::CLUSTER, format!("{clause} has no DataFrame form"))
+}
+
 /// Lazily chains per-parent-tuple cursors of output tuples.
 struct TupleFlatMap {
     parent: TupleCursor,
@@ -367,15 +373,15 @@ impl ClauseIterator for ForClauseIter {
         }
     }
 
-    fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
+    fn frame(&self, ctx: &DynamicContext) -> Result<TupleFrame> {
+        if self.allowing_empty || (self.parent.is_some() && self.positional.is_some()) {
+            return Err(local_only("this for clause"));
+        }
         match &self.parent {
             None => {
                 // Initial for: the input sequence itself must be an RDD,
                 // which is then mapped straight into a one-column DataFrame
                 // (§4.4, last paragraph).
-                if ctx.in_executor() || !self.expr.is_rdd(ctx) || self.allowing_empty {
-                    return Ok(None);
-                }
                 let rdd = self.expr.rdd(ctx)?;
                 let (schema, vars, rows) = match &self.positional {
                     None => {
@@ -395,15 +401,12 @@ impl ClauseIterator for ForClauseIter {
                         (schema, vec![Arc::clone(&self.var), Arc::clone(pos)], rows)
                     }
                 };
-                Ok(Some(TupleFrame { df: DataFrame::from_rdd(schema, &rows), vars }))
+                Ok(TupleFrame { df: DataFrame::from_rdd(schema, &rows), vars })
             }
             Some(parent) => {
                 // Non-initial for: extended projection computing the item
                 // list, then EXPLODE (§4.4).
-                if self.positional.is_some() || self.allowing_empty {
-                    return Ok(None); // local fallback for these variants
-                }
-                let Some(f) = parent.frame(ctx)? else { return Ok(None) };
+                let f = parent.frame(ctx)?;
                 let mut df = f.df;
                 if f.vars.iter().any(|v| v == &self.var) {
                     // Redeclaration hides the previous binding.
@@ -420,7 +423,7 @@ impl ClauseIterator for ForClauseIter {
                     self.var.as_ref(),
                     DataType::Bin,
                 )?;
-                Ok(Some(TupleFrame { df, vars: self.out.clone() }))
+                Ok(TupleFrame { df, vars: self.out.clone() })
             }
         }
     }
@@ -486,11 +489,11 @@ impl ClauseIterator for LetClauseIter {
         }))
     }
 
-    fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
+    fn frame(&self, ctx: &DynamicContext) -> Result<TupleFrame> {
         // An initial let is always local (§4.5: "If the let clause is the
         // first clause … execution is local").
-        let Some(parent) = &self.parent else { return Ok(None) };
-        let Some(f) = parent.frame(ctx)? else { return Ok(None) };
+        let Some(parent) = &self.parent else { return Err(local_only("an initial let clause")) };
+        let f = parent.frame(ctx)?;
         let value = RowExpr::new(&self.expr, &self.uses, ctx);
         let may_raise = value.may_raise();
         let mut udf =
@@ -502,7 +505,7 @@ impl ClauseIterator for LetClauseIter {
             udf = udf.nondeterministic();
         }
         let df = f.df.with_column(self.var.as_ref(), udf, DataType::Bin)?;
-        Ok(Some(TupleFrame { df, vars: self.out.clone() }))
+        Ok(TupleFrame { df, vars: self.out.clone() })
     }
 }
 
@@ -550,8 +553,8 @@ impl ClauseIterator for WhereClauseIter {
         })))
     }
 
-    fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
-        let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
+    fn frame(&self, ctx: &DynamicContext) -> Result<TupleFrame> {
+        let f = self.parent.frame(ctx)?;
         let pred = RowExpr::new(&self.predicate, &self.uses, ctx);
         let uses_strings: Vec<String> = self.uses.iter().map(|u| u.to_string()).collect();
         let udf =
@@ -562,7 +565,7 @@ impl ClauseIterator for WhereClauseIter {
                 }
             });
         let df = f.df.filter(udf)?;
-        Ok(Some(TupleFrame { df, vars: f.vars }))
+        Ok(TupleFrame { df, vars: f.vars })
     }
 }
 
@@ -606,8 +609,8 @@ impl ClauseIterator for CountClauseIter {
         })))
     }
 
-    fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
-        let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
+    fn frame(&self, ctx: &DynamicContext) -> Result<TupleFrame> {
+        let f = self.parent.frame(ctx)?;
         let mut df = f.df;
         if f.vars.iter().any(|v| v == &self.var) {
             df = df.drop_columns(&[self.var.as_ref()])?;
@@ -624,7 +627,7 @@ impl ClauseIterator for CountClauseIter {
             },
         );
         let df = df.with_column(self.var.as_ref(), encode, DataType::Bin)?.drop_columns(&[tmp])?;
-        Ok(Some(TupleFrame { df, vars: self.out.clone() }))
+        Ok(TupleFrame { df, vars: self.out.clone() })
     }
 }
 
@@ -767,8 +770,8 @@ impl ClauseIterator for GroupByClauseIter {
         Ok(Box::new(out.into_iter()))
     }
 
-    fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
-        let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
+    fn frame(&self, ctx: &DynamicContext) -> Result<TupleFrame> {
+        let f = self.parent.frame(ctx)?;
         let mut df = f.df;
 
         // Step 1 (§4.7): one native key column per key, whose cell's
@@ -899,7 +902,7 @@ impl ClauseIterator for GroupByClauseIter {
             }
         }
         let df = grouped.select(exprs)?;
-        Ok(Some(TupleFrame { df, vars: self.out.clone() }))
+        Ok(TupleFrame { df, vars: self.out.clone() })
     }
 }
 
@@ -1074,16 +1077,17 @@ impl ClauseIterator for OrderByClauseIter {
         Ok(Box::new(self.keyed_tuples(ctx)?.map(|r| r.map(|(_, t)| t))))
     }
 
-    fn unordered_frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
-        let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
-        // The key columns stay in the frame: column pruning drops a column
-        // nothing reads, and the type discovery with it.
+    fn unordered_frame(&self, ctx: &DynamicContext) -> Result<TupleFrame> {
+        let f = self.parent.frame(ctx)?;
+        // The key UDFs are nondeterministic, so column pruning keeps them
+        // although nothing reads their columns: every row's key is still
+        // computed and type-checked.
         let (df, _) = self.keyed(f.df, ctx)?;
-        Ok(Some(TupleFrame { df, vars: f.vars }))
+        Ok(TupleFrame { df, vars: f.vars })
     }
 
-    fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
-        let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
+    fn frame(&self, ctx: &DynamicContext) -> Result<TupleFrame> {
+        let f = self.parent.frame(ctx)?;
         // A plan, not a job: the range sort's sampling and routing passes
         // each run the key pass (and so the type discovery) over the
         // parent pipeline, as Spark's RangePartitioner re-runs its input.
@@ -1091,7 +1095,7 @@ impl ClauseIterator for OrderByClauseIter {
         let cols: Vec<String> = keys.iter().map(|(c, _)| c.clone()).collect();
         let col_refs: Vec<&str> = cols.iter().map(|c| c.as_str()).collect();
         let df = df.order_by(keys)?.drop_columns(&col_refs)?;
-        Ok(Some(TupleFrame { df, vars: f.vars }))
+        Ok(TupleFrame { df, vars: f.vars })
     }
 
     fn take_ordered(
@@ -1099,7 +1103,7 @@ impl ClauseIterator for OrderByClauseIter {
         ctx: &DynamicContext,
         n: usize,
     ) -> Result<Option<(Arc<Schema>, Vec<Row>)>> {
-        let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
+        let f = self.parent.frame(ctx)?;
         let (df, keys) = self.keyed(f.df, ctx)?;
         // One top-K job: no range sort, and every row's key still computed,
         // so type discovery sees the rows outside the top `n`.

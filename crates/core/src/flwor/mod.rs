@@ -6,10 +6,12 @@
 //!
 //! * a **local pull API** ([`ClauseIterator::tuples`]), and
 //! * a **DataFrame API** ([`ClauseIterator::frame`]) where the tuple stream
-//!   is a DataFrame with one column per in-scope variable (§4.3). `frame`
-//!   returns `None` when the stream cannot be distributed (e.g. the FLWOR
-//!   starts from a local `let`), in which case the whole expression falls
-//!   back to local execution — exactly the seamless switching of §5.8.
+//!   is a DataFrame with one column per in-scope variable (§4.3).
+//!
+//! Which one runs is decided when the FLWOR is compiled, by the static
+//! rule `semantics::flwor_is_parallel`: a chain that cannot be distributed
+//! (it starts from a `let`, say) runs locally as a whole — the seamless
+//! switching of §5.8 — and its frame is never built.
 //!
 //! A variable column holds *variable cells*. The paper stores each variable
 //! as a Kryo-serialized binary column because Spark needs bytes; here a
@@ -99,10 +101,10 @@ pub trait ClauseIterator: Send + Sync {
     /// Local tuple-at-a-time evaluation (§5.5).
     fn tuples(&self, ctx: &DynamicContext) -> Result<TupleCursor>;
 
-    /// DataFrame evaluation (§4.4–§4.9); `None` if this pipeline cannot be
-    /// distributed. Builds a plan and launches no job, so probing it (as
-    /// `is_rdd` does) is free.
-    fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>>;
+    /// DataFrame evaluation (§4.4–§4.9), for a chain the static rule
+    /// finds parallel. Builds a plan and launches no job. A clause with no
+    /// DataFrame form raises a `CLUSTER` error.
+    fn frame(&self, ctx: &DynamicContext) -> Result<TupleFrame>;
 
     /// The tuple stream in no fixed order, for a consumer that only counts
     /// it: [`tuples`](Self::tuples), but a last `order by` computes its
@@ -114,7 +116,7 @@ pub trait ClauseIterator: Send + Sync {
 
     /// [`unordered_tuples`](Self::unordered_tuples) as a tuple frame: one
     /// job where a sort takes several.
-    fn unordered_frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
+    fn unordered_frame(&self, ctx: &DynamicContext) -> Result<TupleFrame> {
         self.frame(ctx)
     }
 
@@ -135,7 +137,7 @@ pub trait ClauseIterator: Send + Sync {
 
     /// The first `n` tuples of the stream as rows of a tuple frame with
     /// the frame's schema, computed with one top-K job. `Some` only for an
-    /// `order by` over a distributable stream.
+    /// `order by`.
     fn take_ordered(
         &self,
         _ctx: &DynamicContext,
@@ -241,6 +243,9 @@ pub struct FlworIter {
     /// in the clause chain; `None` unless the count reads tuples and that
     /// source builds fewer fields.
     pub count_source: Option<ExprRef>,
+    /// Whether the clause chain is parallel, as the compiler found it
+    /// (`semantics::flwor_is_parallel`).
+    pub parallel: bool,
 }
 
 /// A result as a cardinality-only consumer reads it: one element per item,
@@ -360,16 +365,11 @@ impl FlworIter {
             true => self.last.frame(ctx)?,
             false => self.last.unordered_frame(ctx)?,
         };
-        let frame = frame.ok_or_else(no_frame)?;
         if self.counts_tuples {
             return Ok(Cardinal::Rows(frame.df.to_rdd()?));
         }
         Ok(Cardinal::Items(self.returned(frame, ctx)?))
     }
-}
-
-fn no_frame() -> RumbleError {
-    RumbleError::dynamic(codes::CLUSTER, "FLWOR tuple stream has no DataFrame form")
 }
 
 /// The `let` values of one item of a fused scan that live on the stack.
@@ -497,31 +497,18 @@ impl ExprIterator for FlworIter {
         Ok(Box::new(ReturnCursor { tuples, return_expr, ctx, inner: None, failed: false }))
     }
 
-    fn is_rdd(&self, ctx: &DynamicContext) -> bool {
-        if ctx.in_executor() {
-            return false;
-        }
-        if let Some(scan) = self.last.fused_scan() {
-            return scan.source.is_rdd(ctx);
-        }
-        // Building a frame launches no job. A frame that fails to build
-        // still counts as distributed, so `rdd` reports its error instead
-        // of the query silently re-running locally. The probe is cheap only
-        // while frames stay plans: `rdd` builds this frame again, so a
-        // FLWOR nested as a `for` source d levels deep is built 2^d times.
-        !matches!(self.last.frame(ctx), Ok(None))
+    fn is_parallel(&self) -> bool {
+        self.parallel
     }
 
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
-        if let Some(scan) = self.last.fused_scan() {
-            if !ctx.in_executor() && scan.source.is_rdd(ctx) {
-                return self.fused_rdd(scan, ctx, true);
-            }
+        match self.last.fused_scan() {
+            Some(scan) => self.fused_rdd(scan, ctx, true),
+            // §4.10: the return clause maps each row of the DataFrame to
+            // the items produced by the return expression — one flatMap
+            // back to an RDD of items.
+            None => self.returned(self.last.frame(ctx)?, ctx),
         }
-        // §4.10: the return clause maps each row of the DataFrame to the
-        // items produced by the return expression — one flatMap back to an
-        // RDD of items.
-        self.returned(self.last.frame(ctx)?.ok_or_else(no_frame)?, ctx)
     }
 
     fn count(&self, ctx: &DynamicContext) -> Result<u64> {
@@ -533,7 +520,7 @@ impl ExprIterator for FlworIter {
     }
 
     fn take_ordered(&self, ctx: &DynamicContext, n: usize) -> Result<Option<Vec<Item>>> {
-        if n == 0 || ctx.in_executor() {
+        if n == 0 || !self.is_rdd(ctx) {
             return Ok(None);
         }
         let Some((schema, rows)) = self.last.take_ordered(ctx, n)? else { return Ok(None) };
@@ -555,22 +542,14 @@ impl ExprIterator for FlworIter {
     }
 
     fn mode_hint(&self, ctx: &DynamicContext) -> Option<&'static str> {
-        if let Some(scan) = self.last.fused_scan() {
-            if !ctx.in_executor() && scan.source.is_rdd(ctx) {
-                return Some("rdd (fused)");
-            }
+        if self.last.fused_scan().is_some() {
+            return Some("rdd (fused)");
         }
-        if let Ok(Some(frame)) = self.last.frame(ctx) {
-            // §4.7/§4.9: report whether the physical compiler will fuse
-            // adjacent built-in operators into one batch pass (the clause
-            // UDFs run on rows), so the observed-mode surface stays
-            // truthful.
-            if frame.df.fused_pipeline() {
-                return Some("dataframe (fused)");
-            }
-            return Some("dataframe");
-        }
-        None
+        // §4.7/§4.9: report whether the physical compiler will fuse
+        // adjacent built-in operators into one batch pass (the clause UDFs
+        // run on rows), so the observed-mode surface stays truthful.
+        let frame = self.last.frame(ctx).ok()?;
+        Some(if frame.df.fused_pipeline() { "dataframe (fused)" } else { "dataframe" })
     }
 }
 

@@ -196,8 +196,8 @@ impl ExprIterator for CommaIter {
         Ok(Box::new(cursors.into_iter().flatten()))
     }
 
-    fn is_rdd(&self, ctx: &DynamicContext) -> bool {
-        !self.0.is_empty() && self.0.iter().all(|c| c.is_rdd(ctx))
+    fn is_parallel(&self) -> bool {
+        !self.0.is_empty() && self.0.iter().all(|c| c.is_parallel())
     }
 
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
@@ -724,8 +724,8 @@ impl ExprIterator for ObjectLookupIter {
         Ok(input.iter().filter_map(|i| lookup_in(i, &key)).collect())
     }
 
-    fn is_rdd(&self, ctx: &DynamicContext) -> bool {
-        self.target.is_rdd(ctx)
+    fn is_parallel(&self) -> bool {
+        self.target.is_parallel()
     }
 
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
@@ -763,8 +763,8 @@ impl ExprIterator for ArrayUnboxIter {
         Ok(self.0.materialize(ctx)?.into_iter().flat_map(unbox).collect())
     }
 
-    fn is_rdd(&self, ctx: &DynamicContext) -> bool {
-        self.0.is_rdd(ctx)
+    fn is_parallel(&self) -> bool {
+        self.0.is_parallel()
     }
 
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
@@ -796,8 +796,8 @@ impl ExprIterator for ArrayLookupIter {
         }))
     }
 
-    fn is_rdd(&self, ctx: &DynamicContext) -> bool {
-        self.target.is_rdd(ctx)
+    fn is_parallel(&self) -> bool {
+        self.target.is_parallel()
     }
 
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
@@ -871,8 +871,8 @@ impl ExprIterator for PredicateIter {
         }))
     }
 
-    fn is_rdd(&self, ctx: &DynamicContext) -> bool {
-        self.target.is_rdd(ctx)
+    fn is_parallel(&self) -> bool {
+        self.target.is_parallel()
     }
 
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
@@ -926,8 +926,8 @@ impl ExprIterator for SimpleMapIter {
         }))
     }
 
-    fn is_rdd(&self, ctx: &DynamicContext) -> bool {
-        self.left.is_rdd(ctx)
+    fn is_parallel(&self) -> bool {
+        self.left.is_parallel()
     }
 
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
@@ -1106,8 +1106,8 @@ impl ExprIterator for JsonFileIter {
         Ok(cursor_of(ItemBuilder::projecting(self.fields.clone()).parse_lines(&text)?))
     }
 
-    fn is_rdd(&self, ctx: &DynamicContext) -> bool {
-        !ctx.in_executor()
+    fn is_parallel(&self) -> bool {
+        true
     }
 
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
@@ -1128,8 +1128,8 @@ impl ExprIterator for ParallelizeIter {
         self.child.open(ctx)
     }
 
-    fn is_rdd(&self, ctx: &DynamicContext) -> bool {
-        !ctx.in_executor()
+    fn is_parallel(&self) -> bool {
+        true
     }
 
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
@@ -1179,8 +1179,8 @@ impl ExprIterator for CollectionIter {
         }
     }
 
-    fn is_rdd(&self, ctx: &DynamicContext) -> bool {
-        !ctx.in_executor()
+    fn is_parallel(&self) -> bool {
+        true
     }
 
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
@@ -1230,8 +1230,8 @@ impl ExprIterator for PersistIter {
         self.unpersisted().open(ctx)
     }
 
-    fn is_rdd(&self, ctx: &DynamicContext) -> bool {
-        self.inner.is_rdd(ctx)
+    fn is_parallel(&self) -> bool {
+        self.inner.is_parallel()
     }
 
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {

@@ -2,14 +2,14 @@
 //!
 //! Expressions compile to trees of [`ExprIterator`]s. Every iterator offers
 //! a **local pull API** ([`ExprIterator::open`], yielding a cursor over the
-//! result sequence) and, when it can, an **RDD API**
-//! ([`ExprIterator::is_rdd`] / [`ExprIterator::rdd`]) producing the same
-//! sequence as a distributed `Rdd<Item>`. Consumers probe `is_rdd` first
-//! and fall back to the local API — the seamless switching of §5.5/§5.6.
+//! result sequence) and, when it is a parallel sequence, an **RDD API**
+//! ([`ExprIterator::rdd`]) producing the same sequence as a distributed
+//! `Rdd<Item>`. Whether it is ([`ExprIterator::is_parallel`]) is decided at
+//! compile time — the seamless switching of §5.5/§5.6.
 //!
 //! Inside executor closures the RDD API is unavailable (Spark jobs do not
 //! nest); the [`DynamicContext`] carries an `in_executor` flag that turns
-//! `is_rdd` off everywhere below.
+//! [`ExprIterator::is_rdd`] off everywhere below.
 //!
 //! An expression evaluated once per row of a FLWOR — a `let`, a `where`, a
 //! key, the `return` — has a third form: [`ExprIterator::compile_row`]
@@ -208,9 +208,17 @@ pub trait ExprIterator: Send + Sync {
     /// in `ctx`. May be called many times with different contexts (§5.5).
     fn open(&self, ctx: &DynamicContext) -> Result<ItemCursor>;
 
-    /// Whether this expression can deliver its result as an RDD in `ctx`.
-    fn is_rdd(&self, _ctx: &DynamicContext) -> bool {
+    /// Whether this expression is a parallel sequence, by the static rule
+    /// `semantics::is_parallel`: decided at compile time, with no context,
+    /// evaluating nothing.
+    fn is_parallel(&self) -> bool {
         false
+    }
+
+    /// Whether this expression delivers its result as an RDD in `ctx`: it
+    /// is parallel, outside an executor closure. No node overrides it.
+    fn is_rdd(&self, ctx: &DynamicContext) -> bool {
+        self.is_parallel() && !ctx.in_executor()
     }
 
     /// The RDD API (only valid when [`is_rdd`] returned true).

@@ -244,7 +244,7 @@ pub fn fmt_ns(ns: u64) -> String {
 }
 
 /// The profiling decorator: delegates every `ExprIterator` capability to the
-/// wrapped node (so RDD probing, fused scans, constant folding and
+/// wrapped node (so the execution mode, fused scans, constant folding and
 /// row compilation behave exactly as in an unprofiled plan) while recording
 /// opens, rows, sampled time and the execution mode into its [`NodeStats`].
 pub struct ProfiledIter {
@@ -283,8 +283,8 @@ impl ExprIterator for ProfiledIter {
         Ok(Box::new(ProfiledCursor { inner: cursor, stats: Arc::clone(&self.stats), steps: 0 }))
     }
 
-    fn is_rdd(&self, ctx: &DynamicContext) -> bool {
-        self.inner.is_rdd(ctx)
+    fn is_parallel(&self) -> bool {
+        self.inner.is_parallel()
     }
 
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {

@@ -150,10 +150,11 @@ pub const CODE_DOCS: &[(&str, &str)] = &[
     (
         "RBLW0004",
         "Local materialization boundary: a parallel sequence (json-file/parallelize/collection, \
-         §5.5) is forced through local execution — e.g. bound by an initial let clause, or \
-         iterated with `allowing empty`/a positional variable in a non-initial for clause. The \
-         engine collects the RDD with a 10M-item cap (§5.5) instead of streaming it through \
-         DataFrames; on a cluster this is a scalability cliff.",
+         §5.5) is forced through local execution — e.g. bound by a let clause or a prolog \
+         variable, or a FLWOR with a non-initial for clause that has `allowing empty` or a \
+         positional variable, which runs the whole clause chain locally. The engine collects \
+         the RDD with a 10M-item cap (§5.5) instead of streaming it through DataFrames; on a \
+         cluster this is a scalability cliff.",
     ),
     (
         "RBLW0005",
@@ -217,7 +218,8 @@ pub const CODE_DOCS: &[(&str, &str)] = &[
         "RBLO0008",
         "Optimizer changed your plan because some projected columns are never read by any \
          ancestor operator; pruning them means the rows never carry (or compute) those values \
-         — the \"does not create the column at all\" optimization of §4.7.",
+         — the \"does not create the column at all\" optimization of §4.7. A nondeterministic \
+         projection (a `let` that may raise, an order key) is kept whether or not it is read.",
     ),
 ];
 

@@ -42,6 +42,42 @@ pub fn is_source_function(name: &str, arity: usize) -> bool {
     )
 }
 
+/// Whether `e` evaluates to a parallel (RDD- or DataFrame-backed) sequence
+/// (§5.5–§5.6): the one execution-mode rule, which the compiler records on
+/// each FLWOR, the runtime nodes mirror, and the analyzer's RBLW0004 reads.
+pub(crate) fn is_parallel(e: &Expr) -> bool {
+    match &e.kind {
+        ExprKind::FunctionCall { name, args } => is_source_function(name, args.len()),
+        ExprKind::Postfix(input, _) | ExprKind::SimpleMap(input, _) => is_parallel(input),
+        ExprKind::Sequence(members) => !members.is_empty() && members.iter().all(is_parallel),
+        ExprKind::Flwor(f) => flwor_is_parallel(f),
+        _ => false,
+    }
+}
+
+/// Whether a FLWOR's clause chain is a parallel tuple stream (§4.3); an
+/// initial `let` keeps it local (§4.5).
+pub(crate) fn flwor_is_parallel(f: &FlworExpr) -> bool {
+    let Some(Clause::For(_)) = f.clauses.first() else { return false };
+    let mut fors = f.clauses.iter().flat_map(|c| match c {
+        Clause::For(bindings) => bindings.as_slice(),
+        _ => &[],
+    });
+    fors.next().is_some_and(starts_parallel_chain) && !fors.any(breaks_parallel_chain)
+}
+
+/// Whether an initial `for` binding starts a parallel chain: a parallel
+/// sequence, without `allowing empty` (a position is a column, §4.4).
+pub(crate) fn starts_parallel_chain(b: &ForBinding) -> bool {
+    !b.allowing_empty && is_parallel(&b.expr)
+}
+
+/// Whether a later `for` binding runs the whole chain locally: one with a
+/// position or `allowing empty` has no DataFrame form.
+pub(crate) fn breaks_parallel_chain(b: &ForBinding) -> bool {
+    b.positional.is_some() || b.allowing_empty
+}
+
 /// Runs every analysis pass over the program and returns all findings,
 /// ordered by source position (errors before warnings at equal spans).
 pub fn analyze(p: &Program) -> Vec<Diagnostic> {

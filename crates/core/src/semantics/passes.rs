@@ -8,7 +8,9 @@
 //! fine.
 
 use super::diag::{lints, Diagnostic};
-use super::{collect_free, is_source_function};
+use super::{
+    breaks_parallel_chain, collect_free, is_parallel, is_source_function, starts_parallel_chain,
+};
 use crate::runtime::functions::{Builtin, StaticCard};
 use crate::syntax::ast::*;
 use std::collections::{BTreeSet, HashSet};
@@ -472,14 +474,6 @@ fn card_walk(e: &Expr, diags: &mut Vec<Diagnostic>) {
 // RBLW0004 / RBLW0005: execution-mode inference
 // ---------------------------------------------------------------------------
 
-/// Whether an expression's result is a parallel (RDD/DataFrame-backed)
-/// sequence or a local one — the static mirror of `ExprIterator::is_rdd`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Parallel,
-    Local,
-}
-
 /// The static item shape of a would-be grouping/sorting key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Shape {
@@ -520,54 +514,24 @@ fn item_shape(e: &Expr) -> Shape {
 
 /// Flags parallel sequences forced through local materialization
 /// boundaries (`RBLW0004`) and group/order keys that cannot become a
-/// native key cell (§4.7, `RBLW0005`).
+/// native key cell (§4.7, `RBLW0005`). What is parallel is the engine's
+/// own rule, [`is_parallel`].
 pub(super) fn execution_mode(p: &Program, diags: &mut Vec<Diagnostic>) {
-    for_each_program_expr(p, &mut |e| {
-        mode_of(e, diags);
+    let globals = p.decls.iter().filter_map(|d| match d {
+        Decl::Variable { expr, span, .. } if is_parallel(expr) => Some(*span),
+        _ => None,
     });
+    for span in globals {
+        diags.push(boundary(span, "global variable materializes a parallel sequence locally"));
+    }
+    for_each_program_expr(p, &mut |e| mode_walk(e, diags));
 }
 
-fn mode_of(e: &Expr, diags: &mut Vec<Diagnostic>) -> Mode {
-    match &e.kind {
-        ExprKind::FunctionCall { name, args } if is_source_function(name, args.len()) => {
-            for a in args {
-                mode_of(a, diags);
-            }
-            Mode::Parallel
-        }
-        // Predicates and lookups stream over their input, preserving its
-        // execution mode.
-        ExprKind::Postfix(base, ops) => {
-            let m = mode_of(base, diags);
-            for op in ops {
-                match op {
-                    PostfixOp::Predicate(p) => {
-                        mode_of(p, diags);
-                    }
-                    PostfixOp::Lookup(LookupKey::Expr(k)) => {
-                        mode_of(k, diags);
-                    }
-                    PostfixOp::ArrayLookup(i) => {
-                        mode_of(i, diags);
-                    }
-                    _ => {}
-                }
-            }
-            m
-        }
-        ExprKind::SimpleMap(a, b) => {
-            let m = mode_of(a, diags);
-            mode_of(b, diags);
-            m
-        }
-        ExprKind::Flwor(f) => flwor_mode(f, diags),
-        _ => {
-            for_each_child(e, &mut |c| {
-                mode_of(c, diags);
-            });
-            Mode::Local
-        }
+fn mode_walk(e: &Expr, diags: &mut Vec<Diagnostic>) {
+    if let ExprKind::Flwor(f) = &e.kind {
+        flwor_boundaries(f, diags);
     }
+    for_each_child(e, &mut |c| mode_walk(c, diags));
 }
 
 fn boundary(span: Span, message: &str) -> Diagnostic {
@@ -577,87 +541,73 @@ fn boundary(span: Span, message: &str) -> Diagnostic {
     )
 }
 
-fn flwor_mode(f: &FlworExpr, diags: &mut Vec<Diagnostic>) -> Mode {
-    // `df` mirrors the engine's "clause chain is DataFrame-backed" state:
-    // true only when the initial for clause binds a parallel sequence
-    // without `allowing empty` (§4.3), and no later clause fell back.
-    let mut df = false;
+/// The boundaries of one FLWOR's clauses, read off the parts of
+/// [`flwor_is_parallel`](super::flwor_is_parallel) binding by binding.
+fn flwor_boundaries(f: &FlworExpr, diags: &mut Vec<Diagnostic>) {
+    // Whether the clause chain up to the current clause is parallel.
+    let mut chain = false;
     for (i, clause) in f.clauses.iter().enumerate() {
         match clause {
             Clause::For(bs) => {
                 for (j, b) in bs.iter().enumerate() {
-                    let m = mode_of(&b.expr, diags);
+                    let source = is_parallel(&b.expr);
                     if i == 0 && j == 0 {
-                        // Initial for: positional variables are fine (the
-                        // DataFrame carries a positional column), but
-                        // `allowing empty` forces local execution.
-                        if m == Mode::Parallel {
-                            if b.allowing_empty {
-                                diags.push(boundary(
-                                    b.span,
-                                    "`allowing empty` forces this parallel sequence through \
-                                     local execution",
-                                ));
-                            } else {
-                                df = true;
-                            }
+                        chain = starts_parallel_chain(b);
+                        if source && b.allowing_empty {
+                            diags.push(boundary(
+                                b.span,
+                                "`allowing empty` forces this parallel sequence through \
+                                 local execution",
+                            ));
                         }
-                    } else if m == Mode::Parallel {
-                        if b.positional.is_some() || b.allowing_empty {
+                    } else if breaks_parallel_chain(b) {
+                        if source {
                             diags.push(boundary(
                                 b.span,
                                 "a non-initial for clause with `allowing empty` or a \
                                  positional variable materializes its parallel sequence \
                                  locally",
                             ));
-                            df = false;
-                        } else if !df {
+                        } else if chain {
                             diags.push(boundary(
                                 b.span,
-                                "this for clause iterates a parallel sequence inside a local \
-                                 clause chain, materializing it locally",
+                                "a non-initial for clause with `allowing empty` or a \
+                                 positional variable runs the clause chain locally, \
+                                 materializing the initial for clause's parallel sequence",
                             ));
                         }
-                    }
-                }
-            }
-            Clause::Let(bs) => {
-                for b in bs {
-                    if mode_of(&b.expr, diags) == Mode::Parallel {
-                        // §4.5: let-bound sequences are materialized into
-                        // the tuple (an initial let is always local).
+                        chain = false;
+                    } else if source && !chain {
                         diags.push(boundary(
                             b.span,
-                            "let binding materializes a parallel sequence locally",
+                            "this for clause iterates a parallel sequence inside a local \
+                             clause chain, materializing it locally",
                         ));
                     }
                 }
             }
-            Clause::Where(w) => {
-                mode_of(w, diags);
+            Clause::Let(bs) => {
+                for b in bs.iter().filter(|b| is_parallel(&b.expr)) {
+                    // §4.5: let-bound sequences are materialized into the
+                    // tuple (an initial let is always local).
+                    diags.push(boundary(
+                        b.span,
+                        "let binding materializes a parallel sequence locally",
+                    ));
+                }
             }
             Clause::GroupBy(specs) => {
-                for s in specs {
-                    if let Some(k) = &s.expr {
-                        mode_of(k, diags);
-                        check_key(k, "group-by", diags);
-                    }
+                for k in specs.iter().filter_map(|s| s.expr.as_ref()) {
+                    check_key(k, "group-by", diags);
                 }
             }
             Clause::OrderBy(specs) => {
                 for s in specs {
-                    mode_of(&s.expr, diags);
                     check_key(&s.expr, "order-by", diags);
                 }
             }
-            Clause::Count(..) => {}
+            Clause::Where(_) | Clause::Count(..) => {}
         }
-    }
-    mode_of(&f.return_expr, diags);
-    if df {
-        Mode::Parallel
-    } else {
-        Mode::Local
     }
 }
 
@@ -850,6 +800,39 @@ mod tests {
         );
         assert_eq!(codes_of(&ds), vec![lints::MATERIALIZATION_BOUNDARY]);
         assert!(ds[0].message.contains("positional"));
+    }
+
+    #[test]
+    fn boundaries_follow_the_engine_mode_rule() {
+        // A comma of parallel sequences is one: binding it materializes it.
+        let ds =
+            warnings(r#"let $a := (json-file("a.json"), json-file("a.json")) return count($a)"#);
+        assert_eq!(codes_of(&ds), vec![lints::MATERIALIZATION_BOUNDARY]);
+        assert!(ds[0].message.contains("let binding"), "{ds:?}");
+
+        // A non-initial `for` with `at` or `allowing empty`, even over a
+        // local sequence, runs a parallel chain locally.
+        for q in [
+            r#"for $i in json-file("a.json") for $j at $p in $i.y[] return [$j, $p]"#,
+            r#"for $i in json-file("a.json") for $j allowing empty in $i.y[] return [$i, $j]"#,
+        ] {
+            let ds = warnings(q);
+            assert_eq!(codes_of(&ds), vec![lints::MATERIALIZATION_BOUNDARY], "{q}");
+            assert_eq!(ds[0].span, Span::new(1, 35), "{q}");
+            assert!(ds[0].message.contains("runs the clause chain locally"), "{ds:?}");
+            // A `let` of that FLWOR binds a local sequence: no second warning.
+            let ds = warnings(&format!("let $a := ({q}) return count($a)"));
+            assert_eq!(codes_of(&ds), vec![lints::MATERIALIZATION_BOUNDARY], "{ds:?}");
+            assert!(ds[0].message.contains("runs the clause chain locally"), "{ds:?}");
+        }
+        let parallel = r#"let $a := (for $i in json-file("a.json") return $i) return count($a)"#;
+        assert!(warnings(parallel)[0].message.contains("let binding"));
+
+        // A prolog global is materialized before the body runs.
+        let ds = warnings(r#"declare variable $d := json-file("a.json"); count($d)"#);
+        assert_eq!(codes_of(&ds), vec![lints::MATERIALIZATION_BOUNDARY]);
+        assert_eq!(ds[0].span, Span::new(1, 18));
+        assert!(ds[0].message.contains("global variable"), "{ds:?}");
     }
 
     #[test]

@@ -368,6 +368,11 @@ const ERRORS: &[(&str, &str, &str)] = &[
         r#"for $r in SRC for $t in $r.tags[] let $x := $r.id cast as integer return $t"#,
     ),
     (
+        "an unread let that raises, unused after a group by",
+        "FORG0001",
+        r#"for $r in SRC let $x := $r.id cast as integer group by $k := $r.k return $k"#,
+    ),
+    (
         "an unread let with no compiled form",
         "FOER0000",
         r#"for $r in SRC let $x := error() return $r.id"#,
@@ -469,11 +474,12 @@ fn jobs_in(r: &Rumble, action: impl FnOnce()) -> u64 {
     r.sparklite().metrics().jobs - before
 }
 
-/// Asserts that `q` answers `is_distributed()` with `true` and launches no
-/// job to find out: building a FLWOR's frame only plans.
-fn assert_distributed_for_free(r: &Rumble, q: &str, name: &str) {
+/// Asserts that `q` answers `is_distributed()` with `distributed` and
+/// launches no job to find out: the mode is decided at compile time, where
+/// debug builds check it against the analyzer's rule.
+fn assert_mode_for_free(r: &Rumble, q: &str, distributed: bool, name: &str) {
     let prepared = r.compile(q).unwrap();
-    let jobs = jobs_in(r, || assert!(prepared.is_distributed().unwrap(), "{name}"));
+    let jobs = jobs_in(r, || assert_eq!(prepared.is_distributed().unwrap(), distributed, "{name}"));
     assert_eq!(jobs, 0, "{name}: is_distributed() launched jobs");
 }
 
@@ -483,9 +489,9 @@ fn every_cell_carrying_clause_agrees_on_every_path() {
     let threads = &paths[0].1;
     for case in CASES {
         let dq = distributed(case.query);
-        assert_distributed_for_free(threads, &dq, case.name);
+        assert_mode_for_free(threads, &dq, true, case.name);
         let lq = local(case.query);
-        assert!(!threads.compile(&lq).unwrap().is_distributed().unwrap(), "{}", case.name);
+        assert_mode_for_free(threads, &lq, false, case.name);
         let expected = outcome(threads, &lq, case.sorted)
             .unwrap_or_else(|code| panic!("{}: local run failed with {code}", case.name));
         assert!(expected.len() > 5, "{}: too few items to compare: {expected:?}", case.name);
@@ -506,12 +512,53 @@ fn every_cell_carrying_clause_agrees_on_every_path() {
 fn every_path_raises_the_same_error_code() {
     let paths = paths(0xE44);
     for (name, code, q) in ERRORS {
+        assert_mode_for_free(&paths[0].1, &local(q), false, name);
         let expected = outcome(&paths[0].1, &local(q), false).expect_err(name);
         assert_eq!(expected, *code, "{name}");
         for (path, r) in &paths {
-            assert_distributed_for_free(r, &distributed(q), &format!("{name} on {path}"));
+            assert_mode_for_free(r, &distributed(q), true, &format!("{name} on {path}"));
             assert_eq!(outcome(r, &distributed(q), false), Err(expected), "{name} on {path}");
         }
+    }
+}
+
+/// Queries over `SRC` whose mode the analyzer once got wrong, with the
+/// mode they run in: a comma of parallel sequences unions their RDDs, and
+/// a non-initial `for` with a position or `allowing empty` runs the whole
+/// FLWOR locally. A prolog global is bound before the body runs, so
+/// finding the mode must not evaluate it.
+const MODES: &[(&str, bool, &str)] = &[
+    ("a comma of two sources", true, r#"(SRC, SRC)"#),
+    ("a for over a comma of two sources", true, r#"for $r in (SRC, SRC) return $r.id"#),
+    (
+        "a non-initial for with at",
+        false,
+        r#"for $r in SRC for $t at $p in $r.tags[] return [$r.id, $p, $t]"#,
+    ),
+    (
+        "a non-initial for allowing empty",
+        false,
+        r#"for $r in SRC for $t allowing empty in $r.tags[] return [$r.id, $t]"#,
+    ),
+    (
+        "a prolog global bound to a source",
+        true,
+        r#"declare variable $all := SRC;
+           for $r in SRC where $r.id eq count($all) - 1 return $r.v"#,
+    ),
+];
+
+#[test]
+fn the_static_mode_is_the_mode_that_runs() {
+    let r = engine(|c| c);
+    for (name, distributed, q) in MODES {
+        let q = self::distributed(q);
+        assert_mode_for_free(&r, &q, *distributed, name);
+        // The plan's root node reports the mode its evaluation ran in.
+        let report = r.analyze_profile(&q).unwrap();
+        let root = report.plan.lines().next().unwrap();
+        assert_eq!(!root.contains("mode=local"), *distributed, "{name}: {root}");
+        assert!(!report.items.is_empty(), "{name}: no items");
     }
 }
 
@@ -642,6 +689,8 @@ fn top_k_take_matches_the_full_sort_on_every_path() {
         order_cases.map(|c| c.query).chain(TOP_K.iter().map(|(_, q)| *q)).collect();
     for q in queries {
         let (dq, lq) = (distributed(q), local(q));
+        assert_mode_for_free(threads, &dq, true, q);
+        assert_mode_for_free(threads, &lq, false, q);
         let full = outcome(threads, &dq, false).unwrap_or_else(|c| panic!("{q}: {c}"));
         for n in [1usize, 10, 57, full.len() + 5] {
             let expected: Vec<String> = full.iter().take(n).cloned().collect();

@@ -358,8 +358,13 @@ fn expr_fusable(e: &Expr, inner: &[NamedExpr]) -> bool {
 fn prune(plan: &Arc<LogicalPlan>, required: &BTreeSet<String>) -> Arc<LogicalPlan> {
     match plan.as_ref() {
         LogicalPlan::Project { input, exprs, .. } => {
-            let kept: Vec<NamedExpr> =
-                exprs.iter().filter(|e| required.contains(&e.name)).cloned().collect();
+            // A nondeterministic expression must see every row, whether or
+            // not an ancestor reads its column.
+            let kept: Vec<NamedExpr> = exprs
+                .iter()
+                .filter(|e| required.contains(&e.name) || !e.expr.is_deterministic())
+                .cloned()
+                .collect();
             let kept = if kept.is_empty() { vec![exprs[0].clone()] } else { kept };
             let mut child_req = BTreeSet::new();
             let mut opaque = false;

@@ -8,7 +8,7 @@
 
 use sparklite::dataframe::rules::{rule_by_id, REGISTRY};
 use sparklite::dataframe::{
-    CmpOp, DataFrame, DataType, Expr, Field, NamedExpr, NumOp, Row, Schema, SortDir, Value,
+    Agg, CmpOp, DataFrame, DataType, Expr, Field, NamedExpr, NumOp, Row, Schema, SortDir, Value,
 };
 use sparklite::{SparkliteConf, SparkliteContext};
 use std::collections::BTreeSet;
@@ -285,6 +285,38 @@ fn a_filter_stays_above_a_let_projection_that_may_raise() {
         });
         let udf = if deterministic { udf } else { udf.nondeterministic() };
         let d = base(&c).with_column("y", udf, DataType::I64).unwrap().filter(a_gt(0)).unwrap();
+        let optimized = d.with_plan(sparklite::dataframe::optimize(Arc::clone(d.plan())));
+        assert_eq!(optimized.plan().render(), want, "deterministic = {deterministic}");
+        let rows = optimized.collect_rows();
+        assert_eq!(rows.is_err(), !deterministic, "deterministic = {deterministic}: {rows:?}");
+    }
+}
+
+/// A `let` projection no ancestor reads, below a GROUP BY that requires
+/// only its key. Deterministic, column pruning drops the UDF and the
+/// query never runs it; nondeterministic, as a `let` that may raise is
+/// marked, the projection keeps it and the query raises, as the local path
+/// does.
+#[test]
+fn column_pruning_keeps_an_unread_let_projection_that_may_raise() {
+    let c = ctx();
+    let grouped = |project: &str| {
+        format!(
+            "GroupBy keys=[a] aggs=[n := Count]\n\
+            \x20 {project}\n\
+            \x20   FromRdd [a: I64, b: I64, xs: List]\n"
+        )
+    };
+    let pruned = grouped("Project [a := col(a) as I64]");
+    let kept = grouped("Project [a := col(a) as I64, y := udf(let y, uses=Some([\"b\"])) as I64]");
+    for (deterministic, want) in [(true, pruned), (false, kept)] {
+        let udf = Expr::udf("let y", Some(vec!["b".into()]), |_, row: &[Value]| match row[1] {
+            Value::I64(0) => sparklite::rdd::task_bail("y raised"),
+            ref b => b.clone(),
+        });
+        let udf = if deterministic { udf } else { udf.nondeterministic() };
+        let d = base(&c).with_column("y", udf, DataType::I64).unwrap();
+        let d = d.group_by(&["a"], vec![(Agg::Count, "n".into())]).unwrap();
         let optimized = d.with_plan(sparklite::dataframe::optimize(Arc::clone(d.plan())));
         assert_eq!(optimized.plan().render(), want, "deterministic = {deterministic}");
         let rows = optimized.collect_rows();
