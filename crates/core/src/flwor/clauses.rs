@@ -407,18 +407,18 @@ impl ClauseIterator for ForClauseIter {
                 // Non-initial for: extended projection computing the item
                 // list, then EXPLODE (§4.4).
                 let f = parent.frame(ctx)?;
-                let mut df = f.df;
-                if f.vars.iter().any(|v| v == &self.var) {
-                    // Redeclaration hides the previous binding.
-                    df = df.drop_columns(&[self.var.as_ref()])?;
-                }
                 let items_udf = row_udf(
                     &format!("for ${}", self.var),
                     RowExpr::new(&self.expr, &self.uses, ctx),
                     |items| Value::list(items.iter().map(|i| cell_of(vec![i.clone()])).collect()),
                 );
                 let tmp = format!("__rumble_for_{}", self.var);
-                let df = df.with_column(&tmp, items_udf, DataType::List)?.explode(
+                let mut df = f.df.with_column(&tmp, items_udf, DataType::List)?;
+                if f.vars.iter().any(|v| v == &self.var) {
+                    // Redeclaration hides the previous binding.
+                    df = df.drop_columns(&[self.var.as_ref()])?;
+                }
+                let df = df.explode(
                     &tmp,
                     self.var.as_ref(),
                     DataType::Bin,
@@ -611,12 +611,11 @@ impl ClauseIterator for CountClauseIter {
 
     fn frame(&self, ctx: &DynamicContext) -> Result<TupleFrame> {
         let f = self.parent.frame(ctx)?;
-        let mut df = f.df;
+        let tmp = "__rumble_count";
+        let mut df = f.df.zip_with_index(tmp, 1)?;
         if f.vars.iter().any(|v| v == &self.var) {
             df = df.drop_columns(&[self.var.as_ref()])?;
         }
-        let tmp = "__rumble_count";
-        let df = df.zip_with_index(tmp, 1)?;
         let encode = DfExpr::udf(
             "count-encode",
             Some(vec![tmp.to_string()]),

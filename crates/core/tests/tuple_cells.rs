@@ -302,6 +302,22 @@ const CASES: &[Case] = &[
                   return $u"#,
         sorted: false,
     },
+    Case {
+        // The new `$r` hides the old one only after its expression has
+        // read it.
+        name: "a non-initial for redeclaring the variable it reads",
+        query: r#"for $r in SRC
+                  let $id := $r.id
+                  for $r in $r.tags[]
+                  return [$id, $r]"#,
+        sorted: false,
+    },
+    Case {
+        // The count redeclares the one variable in scope.
+        name: "a count redeclaring the only variable",
+        query: r#"for $r in SRC where $r.nested.flag count $r return $r"#,
+        sorted: false,
+    },
 ];
 
 /// Queries every path must fail with the same error code: the name, the
