@@ -62,12 +62,21 @@ pub fn rumble_query(path: &str, query: ConfusionQuery) -> String {
     }
 }
 
+/// A Rumble engine for one query: auto-persist off, so the query parses
+/// its input once, building only the fields it reads, and caches nothing,
+/// as the baselines do.
+fn one_query_engine(sc: &SparkliteContext) -> Rumble {
+    let engine = Rumble::new(sc.clone());
+    engine.set_auto_persist(None);
+    engine
+}
+
 fn run_rumble(
     sc: &SparkliteContext,
     path: &str,
     query: ConfusionQuery,
 ) -> rumble_core::Result<QueryOutput> {
-    let engine = Rumble::new(sc.clone());
+    let engine = one_query_engine(sc);
     let q = engine.compile(&rumble_query(path, query))?;
     match query {
         ConfusionQuery::Filter => Ok(QueryOutput::Count(q.count()?)),
@@ -118,7 +127,7 @@ pub fn run_confusion(
 
 /// The Fig. 14/15 Reddit query: a highly selective filter + count.
 pub fn run_reddit_filter(sc: &SparkliteContext, path: &str) -> rumble_core::Result<u64> {
-    let engine = Rumble::new(sc.clone());
+    let engine = one_query_engine(sc);
     let q = engine.compile(&format!(
         "for $c in json-file(\"{path}\") \
          where contains($c.body, \"{}\") \

@@ -323,6 +323,24 @@ mod tests {
         assert!(analyze("1 + 1").is_empty());
     }
 
+    /// Under EXPLAIN ANALYZE a FLWOR nested as another's `for` source is
+    /// built once: finding a node's mode label builds no plan, so the
+    /// innermost source opens once however deep the nesting.
+    #[test]
+    fn explain_analyze_builds_a_nested_flwor_once() {
+        let r = Rumble::default_local();
+        let q = "for $c in (for $b in (for $a in parallelize(1 to 40, 2)
+                                     group by $k := $a mod 8 return $k)
+                            group by $j := $b mod 4 return $j)
+                 group by $m := $c mod 2 return $m";
+        let report = r.analyze_profile(q).unwrap();
+        assert_eq!(report.items.len(), 2);
+        let source = report.plan.lines().find(|l| l.contains("FunctionCall(parallelize#2)"));
+        let source = source.unwrap_or_else(|| panic!("plan:\n{}", report.plan));
+        assert!(source.contains("opens=1]"), "plan:\n{}", report.plan);
+        assert!(report.plan.contains("mode=dataframe"), "plan:\n{}", report.plan);
+    }
+
     #[test]
     fn explain_analyze_annotates_the_plan() {
         let r = Rumble::default_local();
@@ -374,10 +392,10 @@ mod tests {
         let lines: String =
             (0..40).map(|i| format!("{{\"country\": \"c{}\", \"pop\": {}}}\n", i % 4, i)).collect();
         r.hdfs_put("/fused.json", &lines).unwrap();
-        // A positional `for` cannot take the fused-RDD shortcut, so this
-        // runs through the DataFrame mapping. Its `let` projection and
-        // `where` filter are UDFs, which run on rows, so no columnar
-        // segment fuses — and the profile says so.
+        // A positional `for` numbers its source, a breaker, so this runs
+        // in DataFrame mode. Its `let` and `where` run in the pass after
+        // the numbering, on rows, so no columnar segment fuses — and the
+        // profile says so.
         let q = "for $e at $p in json-file(\"hdfs:///fused.json\")
                  let $c := $e.country
                  where $c eq \"c1\"

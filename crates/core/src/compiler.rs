@@ -463,10 +463,11 @@ impl Compiler {
         };
         let return_expr = self.expr(&ret)?;
         let counts_tuples = yields_one(&ret, &last);
-        // The narrower source serves a fused scan's tuple count only.
+        // The narrower source serves the tuple count of a one-pass chain
+        // only.
         let count_source = match (&f.clauses[0], count_fields) {
             (ast::Clause::For(bindings), Some(fields))
-                if counts_tuples && last.fused_scan().is_some() =>
+                if counts_tuples && crate::flwor::is_one_pass(&last) =>
             {
                 Some(self.scan_source(&bindings[0].expr, fields)?)
             }

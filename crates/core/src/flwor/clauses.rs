@@ -1,35 +1,28 @@
-//! The FLWOR clauses, each with a local tuple path and the DataFrame
-//! mapping of §4.4–§4.9.
+//! The FLWOR clauses, each with a local tuple path, and the breakers'
+//! DataFrame operators of §4.7–§4.8.
 //!
-//! In DataFrame mode every in-scope variable is one column of variable
-//! cells (see the module docs of [`super`]): each clause that binds a
-//! variable wraps its sequence in a cell, and each UDF reads the cells of
-//! the columns its expression actually uses — its declared `uses`
-//! footprint, which also feeds the optimizer's pruning (§4.7's "does not
-//! create the column at all"). Each per-row expression — a `let`, a
-//! `where`, a non-initial `for`, a key, the `return`, and each clause of a
-//! fused scan — is a `RowExpr`: compiled to a closure that borrows the
-//! items of the variables it uses as its row variables (see
-//! [`crate::runtime::row`]), or, when some node has no compiled form,
-//! evaluated against a dynamic context bound from those items.
+//! A clause iterator pulls tuples locally (§5.5). On the distributed path
+//! the pipeline compiler (`super::pipeline`) reads the clauses as data
+//! ([`Clause`]): their expressions, each a `RowExpr` over the slots of a
+//! pass — compiled to a closure that borrows the items of the variables it
+//! uses as its row variables (see [`crate::runtime::row`]), or, when some
+//! node has no compiled form, evaluated against a dynamic context bound
+//! from those items — and, for `group by`, the GROUP BY that runs over the
+//! rows the pass before it emits.
 
 use super::{
-    bind_cell, cell_items, cell_of, row_var, ClauseIterator, ClauseRef, FusedScan, ScanStep, Tuple,
-    TupleCursor, TupleFrame,
+    bind_cell, cell_of, flat_map_ok, Clause, ClauseIterator, ClauseRef, Tuple, TupleCursor,
 };
 use crate::error::{codes, Result, RumbleError};
-use crate::item::{group_key, seq, GroupKey, Item, Sequence};
+use crate::item::{group_key, seq, GroupKey, Item};
 use crate::runtime::row::{Raises, RowProgram, Seq};
 use crate::runtime::{eval_ebv, DynamicContext, ExprRef};
-use sparklite::dataframe::{Agg, NamedExpr};
-use sparklite::dataframe::{
-    DataFrame, DataType, Expr as DfExpr, Field, Row, Schema, SortDir, SortKey, Value,
-};
-use sparklite::rdd::task_bail;
-use std::borrow::Cow;
+use sparklite::dataframe::{Agg, Row};
+use sparklite::dataframe::{DataFrame, SortDir, SortKey, Value};
+use sparklite::rdd::{task_bail, Rdd};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Computes the post-clause variable list: parent variables (minus a
 /// redeclared one) plus the new variable.
@@ -42,79 +35,14 @@ fn vars_plus(parent: Option<&ClauseRef>, new: &[Arc<str>]) -> Vec<Arc<str>> {
     out
 }
 
-/// The error of a clause asked for a DataFrame form it has none of. The
-/// static rule runs such a FLWOR locally, so only a bug asks.
-fn local_only(clause: &str) -> RumbleError {
-    RumbleError::dynamic(codes::CLUSTER, format!("{clause} has no DataFrame form"))
-}
-
-/// Lazily chains per-parent-tuple cursors of output tuples.
-struct TupleFlatMap {
-    parent: TupleCursor,
-    f: Box<dyn FnMut(Tuple) -> Result<TupleCursor> + Send>,
-    inner: Option<TupleCursor>,
-    failed: bool,
-}
-
-impl TupleFlatMap {
-    #[allow(clippy::new_ret_no_self)] // constructor returns the boxed cursor form
-    fn new(
-        parent: TupleCursor,
-        f: impl FnMut(Tuple) -> Result<TupleCursor> + Send + 'static,
-    ) -> TupleCursor {
-        Box::new(TupleFlatMap { parent, f: Box::new(f), inner: None, failed: false })
-    }
-}
-
-impl Iterator for TupleFlatMap {
-    type Item = Result<Tuple>;
-
-    fn next(&mut self) -> Option<Result<Tuple>> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            if let Some(inner) = &mut self.inner {
-                match inner.next() {
-                    Some(r) => {
-                        if r.is_err() {
-                            self.failed = true;
-                        }
-                        return Some(r);
-                    }
-                    None => self.inner = None,
-                }
-            }
-            match self.parent.next() {
-                None => return None,
-                Some(Err(e)) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-                Some(Ok(t)) => match (self.f)(t) {
-                    Ok(c) => self.inner = Some(c),
-                    Err(e) => {
-                        self.failed = true;
-                        return Some(Err(e));
-                    }
-                },
-            }
-        }
-    }
-}
-
-/// One expression evaluated per row: compiled over the items of the
-/// variables it uses (its `uses`, in order, are the program's row
+/// One expression evaluated per tuple of a pass: compiled over the items
+/// of the variables it uses (its `uses`, in order, are the program's row
 /// variables), or, if it does not compile, run against a context bound
-/// from those items. A tuple-frame row supplies the items from its cells
-/// ([`eval_with`](Self::eval_with)); a fused scan from its slots
-/// ([`eval`](Self::eval)).
+/// from those items.
 pub(crate) struct RowExpr {
     expr: ExprRef,
     uses: Vec<Arc<str>>,
     program: Option<RowProgram>,
-    /// The column of each `uses` variable, resolved on the first row.
-    cols: OnceLock<Box<[usize]>>,
     base: DynamicContext,
 }
 
@@ -147,66 +75,8 @@ impl RowExpr {
             expr: Arc::clone(expr),
             uses: uses.to_vec(),
             program: RowProgram::compile(expr, uses, &base),
-            cols: OnceLock::new(),
             base,
         }
-    }
-
-    /// The variables the expression reads, in the order [`eval`](Self::eval)
-    /// takes their items.
-    pub(crate) fn uses(&self) -> &[Arc<str>] {
-        &self.uses
-    }
-
-    /// Whether an evaluation may raise: always, unless it compiled to a
-    /// program that never does.
-    pub(crate) fn may_raise(&self) -> bool {
-        self.program.as_ref().is_none_or(|p| p.raises() > Raises::Never)
-    }
-
-    /// The columns of the `uses` variables in `schema`: the cached ones
-    /// while the schema still has them there, else resolved afresh. A
-    /// frame lacking one fails the task.
-    fn columns(&self, schema: &Schema) -> Cow<'_, [usize]> {
-        let resolve = || self.uses.iter().map(|u| schema.index_of(u)).collect::<Option<Box<_>>>();
-        let cached = self.cols.get_or_init(|| resolve().unwrap_or_default());
-        let fields = schema.fields();
-        let fits = cached.len() == self.uses.len()
-            && cached
-                .iter()
-                .zip(&self.uses)
-                .all(|(&c, u)| fields.get(c).is_some_and(|f| f.name == **u));
-        if fits {
-            return Cow::Borrowed(cached);
-        }
-        match resolve() {
-            Some(cols) => Cow::Owned(cols.into_vec()),
-            None => task_bail(format!("a tuple frame lacks a column of {:?}", self.uses)),
-        }
-    }
-
-    /// Calls `f` with the items of the `uses` variables in `row`: native
-    /// cells borrowed in place, on the stack; a `Bin` (a cell that crossed
-    /// a process boundary) decoded.
-    fn with_row<R>(&self, schema: &Schema, row: &[Value], f: impl FnOnce(&[&[Item]]) -> R) -> R {
-        let cols = self.columns(schema);
-        if cols.len() <= INLINE_VARS {
-            let mut vars: [&[Item]; INLINE_VARS] = [&[]; INLINE_VARS];
-            let native = cols.iter().zip(&mut vars).all(|(&c, var)| match cell_items(&row[c]) {
-                Some(items) => {
-                    *var = items;
-                    true
-                }
-                None => false,
-            });
-            if native {
-                return f(&vars[..cols.len()]);
-            }
-        }
-        let bound: Vec<Sequence> =
-            cols.iter().zip(&self.uses).map(|(&c, var)| bind_cell(var, &row[c])).collect();
-        let vars: Vec<&[Item]> = bound.iter().map(|items| items.as_slice()).collect();
-        f(&vars)
     }
 
     /// The context the interpreted path binds for `vars`.
@@ -233,41 +103,6 @@ impl RowExpr {
             None => eval_ebv(&self.expr, &self.bound(vars)),
         }
     }
-
-    /// Hands the result over the variables of a tuple-frame row to `k`.
-    pub(crate) fn eval_with<R>(
-        &self,
-        schema: &Schema,
-        row: &[Value],
-        k: impl FnOnce(Seq<'_>) -> R,
-    ) -> Result<R> {
-        self.with_row(schema, row, |vars| self.eval(vars).map(k))
-    }
-
-    pub(crate) fn eval_row(&self, schema: &Schema, row: &[Value]) -> Result<Vec<Item>> {
-        self.eval_with(schema, row, |items| items.into_vec())
-    }
-
-    /// [`test`](Self::test) over the variables of a tuple-frame row.
-    fn ebv(&self, schema: &Schema, row: &[Value]) -> Result<bool> {
-        self.with_row(schema, row, |vars| self.test(vars))
-    }
-}
-
-/// Builds a DataFrame UDF that evaluates `row_expr` against the variables
-/// of a row and post-processes its result sequence.
-fn row_udf(
-    name: &str,
-    row_expr: RowExpr,
-    finish: impl Fn(Seq<'_>) -> Value + Send + Sync + 'static,
-) -> DfExpr {
-    let uses = row_expr.uses().iter().map(|u| u.to_string()).collect();
-    DfExpr::udf(name, Some(uses), move |schema: &Schema, row: &[Value]| {
-        match row_expr.eval_with(schema, row, &finish) {
-            Ok(value) => value,
-            Err(e) => task_bail(e),
-        }
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -275,6 +110,7 @@ fn row_udf(
 // ---------------------------------------------------------------------------
 
 /// `for $var [at $pos] [allowing empty] in expr` (§4.4).
+#[derive(Clone)]
 pub struct ForClauseIter {
     pub parent: Option<ClauseRef>,
     pub var: Arc<str>,
@@ -341,89 +177,16 @@ impl ClauseIterator for ForClauseIter {
         self.parent.as_ref().is_some_and(|p| p.is_unit_var(var))
     }
 
-    fn fused_scan(&self) -> Option<FusedScan> {
-        if self.parent.is_some() || self.positional.is_some() || self.allowing_empty {
-            return None;
-        }
-        Some(FusedScan {
-            var: Arc::clone(&self.var),
-            source: Arc::clone(&self.expr),
-            steps: Vec::new(),
-        })
+    fn clause(&self) -> Clause<'_> {
+        Clause::For(self)
     }
 
     fn tuples(&self, ctx: &DynamicContext) -> Result<TupleCursor> {
         match &self.parent {
             None => self.expand(Tuple::new(), ctx),
             Some(parent) => {
-                let parent_cursor = parent.tuples(ctx)?;
-                // Work around borrowing self in the closure: clone the bits.
-                let this = ForClauseIter {
-                    parent: None,
-                    var: Arc::clone(&self.var),
-                    positional: self.positional.clone(),
-                    allowing_empty: self.allowing_empty,
-                    expr: Arc::clone(&self.expr),
-                    uses: self.uses.clone(),
-                    out: Vec::new(),
-                };
-                let ctx = ctx.clone();
-                Ok(TupleFlatMap::new(parent_cursor, move |t| this.expand(t, &ctx)))
-            }
-        }
-    }
-
-    fn frame(&self, ctx: &DynamicContext) -> Result<TupleFrame> {
-        if self.allowing_empty || (self.parent.is_some() && self.positional.is_some()) {
-            return Err(local_only("this for clause"));
-        }
-        match &self.parent {
-            None => {
-                // Initial for: the input sequence itself must be an RDD,
-                // which is then mapped straight into a one-column DataFrame
-                // (§4.4, last paragraph).
-                let rdd = self.expr.rdd(ctx)?;
-                let (schema, vars, rows) = match &self.positional {
-                    None => {
-                        let schema =
-                            Schema::new(vec![Field::new(self.var.as_ref(), DataType::Bin)]);
-                        let rows = rdd.map(|item| vec![cell_of(vec![item])]);
-                        (schema, vec![Arc::clone(&self.var)], rows)
-                    }
-                    Some(pos) => {
-                        let schema = Schema::new(vec![
-                            Field::new(self.var.as_ref(), DataType::Bin),
-                            Field::new(pos.as_ref(), DataType::Bin),
-                        ]);
-                        let rows = rdd.zip_with_index().map(|(item, idx)| {
-                            vec![cell_of(vec![item]), cell_of(vec![Item::Integer(idx as i64 + 1)])]
-                        });
-                        (schema, vec![Arc::clone(&self.var), Arc::clone(pos)], rows)
-                    }
-                };
-                Ok(TupleFrame { df: DataFrame::from_rdd(schema, &rows), vars })
-            }
-            Some(parent) => {
-                // Non-initial for: extended projection computing the item
-                // list, then EXPLODE (§4.4).
-                let f = parent.frame(ctx)?;
-                let items_udf = row_udf(
-                    &format!("for ${}", self.var),
-                    RowExpr::new(&self.expr, &self.uses, ctx),
-                    |items| Value::list(items.iter().map(|i| cell_of(vec![i.clone()])).collect()),
-                );
-                let tmp = format!("__rumble_for_{}", self.var);
-                let mut df = f.df.with_column(&tmp, items_udf, DataType::List)?;
-                if f.vars.iter().any(|v| v == &self.var) {
-                    // Redeclaration hides the previous binding.
-                    df = df.drop_columns(&[self.var.as_ref()])?;
-                }
-                let df = df.explode(
-                    &tmp,
-                    self.var.as_ref(),
-                    DataType::Bin,
-                )?;
-                Ok(TupleFrame { df, vars: self.out.clone() })
+                let (this, ctx) = (self.clone(), ctx.clone());
+                Ok(flat_map_ok(parent.tuples(&ctx)?, move |t| this.expand(t, &ctx)))
             }
         }
     }
@@ -466,11 +229,8 @@ impl ClauseIterator for LetClauseIter {
         self.parent.as_ref().is_some_and(|p| p.is_unit_var(var))
     }
 
-    fn fused_scan(&self) -> Option<FusedScan> {
-        let mut scan = self.parent.as_ref()?.fused_scan()?;
-        let (var, expr) = (Arc::clone(&self.var), Arc::clone(&self.expr));
-        scan.steps.push(ScanStep::Let { var, expr, uses: self.uses.clone() });
-        Some(scan)
+    fn clause(&self) -> Clause<'_> {
+        Clause::Let(self)
     }
 
     fn tuples(&self, ctx: &DynamicContext) -> Result<TupleCursor> {
@@ -481,31 +241,12 @@ impl ClauseIterator for LetClauseIter {
             None => Box::new(std::iter::once(Ok(Tuple::new()))),
             Some(p) => p.tuples(&ctx)?,
         };
-        Ok(TupleFlatMap::new(parent, move |t| {
+        Ok(flat_map_ok(parent, move |t| {
             let child = t.bind_into(&ctx);
             let items = expr.materialize(&child)?;
             let out = t.extended(Arc::clone(&var), seq(items));
             Ok(Box::new(std::iter::once(Ok(out))) as TupleCursor)
         }))
-    }
-
-    fn frame(&self, ctx: &DynamicContext) -> Result<TupleFrame> {
-        // An initial let is always local (§4.5: "If the let clause is the
-        // first clause … execution is local").
-        let Some(parent) = &self.parent else { return Err(local_only("an initial let clause")) };
-        let f = parent.frame(ctx)?;
-        let value = RowExpr::new(&self.expr, &self.uses, ctx);
-        let may_raise = value.may_raise();
-        let mut udf =
-            row_udf(&format!("let ${}", self.var), value, |items| cell_of(items.into_vec()));
-        if may_raise {
-            // The local path binds every `let` of every tuple that reaches
-            // it, so one that can raise sees the rows a later `where`
-            // drops: the filter stays above it.
-            udf = udf.nondeterministic();
-        }
-        let df = f.df.with_column(self.var.as_ref(), udf, DataType::Bin)?;
-        Ok(TupleFrame { df, vars: self.out.clone() })
     }
 }
 
@@ -529,43 +270,17 @@ impl ClauseIterator for WhereClauseIter {
         self.parent.is_unit_var(var)
     }
 
-    fn fused_scan(&self) -> Option<FusedScan> {
-        let mut scan = self.parent.fused_scan()?;
-        let (predicate, uses) = (Arc::clone(&self.predicate), self.uses.clone());
-        scan.steps.push(ScanStep::Where { predicate, uses });
-        Some(scan)
+    fn clause(&self) -> Clause<'_> {
+        Clause::Where(self)
     }
 
     fn tuples(&self, ctx: &DynamicContext) -> Result<TupleCursor> {
-        let pred = Arc::clone(&self.predicate);
-        let ctx2 = ctx.clone();
-        let parent = self.parent.tuples(ctx)?;
-        Ok(Box::new(parent.filter_map(move |r| match r {
-            Err(e) => Some(Err(e)),
-            Ok(t) => {
-                let child = t.bind_into(&ctx2);
-                match eval_ebv(&pred, &child) {
-                    Ok(true) => Some(Ok(t)),
-                    Ok(false) => None,
-                    Err(e) => Some(Err(e)),
-                }
-            }
+        let (pred, ctx) = (Arc::clone(&self.predicate), ctx.clone());
+        let parent = self.parent.tuples(&ctx)?;
+        Ok(Box::new(parent.filter_map(move |r| {
+            let kept = r.and_then(|t| Ok(eval_ebv(&pred, &t.bind_into(&ctx))?.then_some(t)));
+            kept.transpose()
         })))
-    }
-
-    fn frame(&self, ctx: &DynamicContext) -> Result<TupleFrame> {
-        let f = self.parent.frame(ctx)?;
-        let pred = RowExpr::new(&self.predicate, &self.uses, ctx);
-        let uses_strings: Vec<String> = self.uses.iter().map(|u| u.to_string()).collect();
-        let udf =
-            DfExpr::udf("where", Some(uses_strings), move |schema: &Schema, row: &[Value]| {
-                match pred.ebv(schema, row) {
-                    Ok(b) => Value::Bool(b),
-                    Err(e) => task_bail(e),
-                }
-            });
-        let df = f.df.filter(udf)?;
-        Ok(TupleFrame { df, vars: f.vars })
     }
 }
 
@@ -609,24 +324,8 @@ impl ClauseIterator for CountClauseIter {
         })))
     }
 
-    fn frame(&self, ctx: &DynamicContext) -> Result<TupleFrame> {
-        let f = self.parent.frame(ctx)?;
-        let tmp = "__rumble_count";
-        let mut df = f.df.zip_with_index(tmp, 1)?;
-        if f.vars.iter().any(|v| v == &self.var) {
-            df = df.drop_columns(&[self.var.as_ref()])?;
-        }
-        let encode = DfExpr::udf(
-            "count-encode",
-            Some(vec![tmp.to_string()]),
-            move |schema: &Schema, row: &[Value]| {
-                let idx = schema.index_of(tmp).expect("tmp column exists");
-                let Value::I64(n) = row[idx] else { task_bail("count column must be I64") };
-                cell_of(vec![Item::Integer(n)])
-            },
-        );
-        let df = df.with_column(self.var.as_ref(), encode, DataType::Bin)?.drop_columns(&[tmp])?;
-        Ok(TupleFrame { df, vars: self.out.clone() })
+    fn clause(&self) -> Clause<'_> {
+        Clause::Count(self)
     }
 }
 
@@ -673,21 +372,70 @@ impl GroupByClauseIter {
         }
         GroupByClauseIter { parent, keys, nongrouping, out }
     }
-}
 
-/// A group key's cell ([`GroupKey::to_value`]); a key that is not one
-/// atomic item or empty fails the task.
-fn group_key_cell(items: &[Item]) -> Value {
-    match group_key(items) {
-        Ok(k) => k.to_value(),
-        Err(e) => task_bail(e),
+    /// The non-grouping variables whose items the groups collect.
+    pub(super) fn materialized(&self) -> impl Iterator<Item = &Arc<str>> {
+        let collected =
+            self.nongrouping.iter().filter(|(_, u)| *u == NonGroupingUsage::Materialize);
+        collected.map(|(v, _)| v)
+    }
+
+    /// The count-only variables whose lengths the groups sum: all but unit
+    /// variables (bound by `for`/`count`, always exactly one item), whose
+    /// count is the row count.
+    pub(super) fn lengths(&self) -> impl Iterator<Item = &Arc<str>> {
+        let counted = self
+            .nongrouping
+            .iter()
+            .filter(|(v, u)| *u == NonGroupingUsage::CountOnly && !self.parent.is_unit_var(v));
+        counted.map(|(v, _)| v)
+    }
+
+    /// The GROUP BY (§4.7) over the rows the pass before it emits: the
+    /// [`materialized`](Self::materialized) variables' cells, one native
+    /// key cell per key (`__k{i}`, whose variant is the type tag,
+    /// [`GroupKey::to_value`]), and one `__len_{var}` per
+    /// [`lengths`](Self::lengths) variable. Returns one row of variable
+    /// cells per group, and their variables: the keys, then the
+    /// non-grouping variables the rest of the FLWOR reads.
+    pub(super) fn grouped(&self, df: DataFrame) -> Result<(Rdd<Row>, Vec<Arc<str>>)> {
+        let keys: Vec<String> = (0..self.keys.len()).map(|i| format!("__k{i}")).collect();
+        let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
+        let mut vars: Vec<Arc<str>> = self.keys.iter().map(|k| Arc::clone(&k.var)).collect();
+        // SEQUENCE(x) ≈ COLLECT_LIST, and the COUNT optimization of §4.7.
+        let mut aggs = Vec::new();
+        for (var, usage) in &self.nongrouping {
+            let agg = match usage {
+                NonGroupingUsage::Unused => continue,
+                NonGroupingUsage::Materialize => Agg::CollectList(var.to_string()),
+                NonGroupingUsage::CountOnly if self.parent.is_unit_var(var) => Agg::Count,
+                NonGroupingUsage::CountOnly => Agg::Sum(format!("__len_{var}")),
+            };
+            aggs.push((agg, format!("__agg_{var}")));
+            vars.push(Arc::clone(var));
+        }
+        let nkeys = keys.len();
+        // Back to variable cells: a key's item rebuilt from its cell, a
+        // collected list merged into one sequence, a count as an integer.
+        let cell = move |(i, cell): (usize, &Value)| {
+            cell_of(match cell {
+                _ if i < nkeys => match GroupKey::from_value(cell) {
+                    Some(key) => key.to_item().into_iter().collect(),
+                    None => task_bail(format!("bad group key cell {cell:?}")),
+                },
+                Value::List(parts) => parts.iter().flat_map(|p| bind_cell(p).to_vec()).collect(),
+                count => vec![Item::Integer(count.as_i64().unwrap_or(0))],
+            })
+        };
+        let groups = df.group_by(&key_refs, aggs)?.to_rdd()?;
+        Ok((groups.map(move |row| row.iter().enumerate().map(cell).collect()), vars))
     }
 }
 
-/// Accumulated per-group state on the local path.
-enum LocalAgg {
-    Items(Vec<Item>),
-    Count(i64),
+/// A group key's cell ([`GroupKey::to_value`]); a key that is not one
+/// atomic item or empty raises.
+pub(super) fn group_key_cell(items: &[Item]) -> Result<Value> {
+    group_key(items).map(|k| k.to_value())
 }
 
 impl ClauseIterator for GroupByClauseIter {
@@ -705,10 +453,11 @@ impl ClauseIterator for GroupByClauseIter {
 
     fn tuples(&self, ctx: &DynamicContext) -> Result<TupleCursor> {
         // Grouping is a pipeline breaker: materialize the parent stream.
-        let mut groups: HashMap<Vec<GroupKey>, Vec<LocalAgg>> = HashMap::new();
-        let mut order: Vec<Vec<GroupKey>> = Vec::new();
-        let parent = self.parent.tuples(ctx)?;
-        for r in parent {
+        // Each group holds its key, and per non-grouping variable the items
+        // it collects or the number it counts, in first-occurrence order.
+        let mut index: HashMap<Vec<GroupKey>, usize> = HashMap::new();
+        let mut groups = Vec::new();
+        for r in self.parent.tuples(ctx)? {
             let t = r?;
             let child = t.bind_into(ctx);
             let mut key = Vec::with_capacity(self.keys.len());
@@ -719,189 +468,40 @@ impl ClauseIterator for GroupByClauseIter {
                 };
                 key.push(group_key(&value)?);
             }
-            let entry = groups.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                self.nongrouping
-                    .iter()
-                    .map(|(_, usage)| match usage {
-                        NonGroupingUsage::CountOnly => LocalAgg::Count(0),
-                        _ => LocalAgg::Items(Vec::new()),
-                    })
-                    .collect()
+            let g = *index.entry(key.clone()).or_insert_with(|| {
+                groups.push((key, vec![(Vec::new(), 0); self.nongrouping.len()]));
+                groups.len() - 1
             });
-            for ((var, usage), acc) in self.nongrouping.iter().zip(entry.iter_mut()) {
-                let bound = t.get(var).cloned().unwrap_or_else(crate::item::empty_seq);
-                match (usage, acc) {
-                    (NonGroupingUsage::Unused, _) => {}
-                    (NonGroupingUsage::CountOnly, LocalAgg::Count(n)) => *n += bound.len() as i64,
-                    (_, LocalAgg::Items(items)) => items.extend(bound.iter().cloned()),
-                    _ => unreachable!("accumulator kinds are fixed per variable"),
+            for ((var, usage), (items, n)) in self.nongrouping.iter().zip(&mut groups[g].1) {
+                let bound = t.get(var).map_or(&[][..], |s| s.as_slice());
+                match usage {
+                    NonGroupingUsage::Materialize => items.extend(bound.iter().cloned()),
+                    NonGroupingUsage::CountOnly => *n += bound.len() as i64,
+                    NonGroupingUsage::Unused => {}
                 }
             }
         }
         let keys: Vec<Arc<str>> = self.keys.iter().map(|k| Arc::clone(&k.var)).collect();
         let nongrouping = self.nongrouping.clone();
-        let mut out = Vec::with_capacity(order.len());
-        for key in order {
-            let aggs = groups.remove(&key).expect("key recorded on insert");
+        Ok(Box::new(groups.into_iter().map(move |(key, aggs)| {
             let mut t = Tuple::new();
             for (k, var) in key.iter().zip(&keys) {
-                let value = match k.to_item() {
-                    Some(i) => seq(vec![i]),
-                    None => crate::item::empty_seq(),
+                t = t.extended(Arc::clone(var), seq(k.to_item().into_iter().collect()));
+            }
+            for ((var, usage), (items, n)) in nongrouping.iter().zip(aggs) {
+                let value = match usage {
+                    NonGroupingUsage::Materialize => items,
+                    NonGroupingUsage::CountOnly => vec![Item::Integer(n)],
+                    NonGroupingUsage::Unused => continue,
                 };
-                t = t.extended(Arc::clone(var), value);
+                t = t.extended(Arc::clone(var), seq(value));
             }
-            for ((var, usage), acc) in nongrouping.iter().zip(aggs) {
-                match (usage, acc) {
-                    (NonGroupingUsage::Unused, _) => {}
-                    (NonGroupingUsage::CountOnly, LocalAgg::Count(n)) => {
-                        t = t.extended(Arc::clone(var), seq(vec![Item::Integer(n)]));
-                    }
-                    (_, LocalAgg::Items(items)) => {
-                        t = t.extended(Arc::clone(var), seq(items));
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            out.push(Ok(t));
-        }
-        Ok(Box::new(out.into_iter()))
+            Ok(t)
+        })))
     }
 
-    fn frame(&self, ctx: &DynamicContext) -> Result<TupleFrame> {
-        let f = self.parent.frame(ctx)?;
-        let mut df = f.df;
-
-        // Step 1 (§4.7): one native key column per key, whose cell's
-        // variant is the type tag (`GroupKey::to_value`). A bare `$var` key
-        // reads its own cell.
-        let key_cols: Vec<String> = (0..self.keys.len()).map(|i| format!("__k{i}")).collect();
-        for (spec, col) in self.keys.iter().zip(&key_cols) {
-            let name = format!("group key ${}", spec.var);
-            let udf = match &spec.expr {
-                Some(e) => row_udf(&name, RowExpr::new(e, &spec.uses, ctx), |k| group_key_cell(&k)),
-                None => {
-                    let var = Arc::clone(&spec.var);
-                    DfExpr::udf(
-                        name,
-                        Some(vec![var.to_string()]),
-                        move |schema: &Schema, row: &[Value]| {
-                            group_key_cell(&row_var(schema, row, &var).unwrap_or_default())
-                        },
-                    )
-                }
-            };
-            df = df.with_column(col, udf, DataType::Any)?;
-        }
-
-        // Step 2: pre-compute sequence lengths for count-only variables —
-        // except unit variables (bound by `for`/`count`, always exactly one
-        // item), whose count is simply the row count.
-        for (var, usage) in &self.nongrouping {
-            if *usage == NonGroupingUsage::CountOnly && !self.parent.is_unit_var(var) {
-                let var2 = Arc::clone(var);
-                let len_udf = DfExpr::udf(
-                    format!("len ${var}"),
-                    Some(vec![var.to_string()]),
-                    move |schema: &Schema, row: &[Value]| {
-                        let idx = schema.index_of(&var2).expect("variable column exists");
-                        Value::I64(bind_cell(&var2, &row[idx]).len() as i64)
-                    },
-                );
-                df = df.with_column(format!("__len_{var}"), len_udf, DataType::I64)?;
-            }
-        }
-
-        // Step 3: the native GROUP BY, with SEQUENCE(x) ≈ COLLECT_LIST and
-        // the COUNT optimization of §4.7.
-        let key_col_refs: Vec<&str> = key_cols.iter().map(|s| s.as_str()).collect();
-        let mut aggs: Vec<(Agg, String)> = Vec::new();
-        for (var, usage) in &self.nongrouping {
-            match usage {
-                NonGroupingUsage::Unused => {}
-                NonGroupingUsage::Materialize => {
-                    aggs.push((Agg::CollectList(var.to_string()), format!("__agg_{var}")));
-                }
-                NonGroupingUsage::CountOnly => {
-                    if self.parent.is_unit_var(var) {
-                        aggs.push((Agg::Count, format!("__agg_{var}")));
-                    } else {
-                        aggs.push((Agg::Sum(format!("__len_{var}")), format!("__agg_{var}")));
-                    }
-                }
-            }
-        }
-        let grouped = df.group_by(&key_col_refs, aggs)?;
-
-        // Step 4: project back to variable columns — rebuild the key item
-        // from its cell, merge collected lists into one sequence.
-        let mut exprs: Vec<NamedExpr> = Vec::new();
-        for (spec, col) in self.keys.iter().zip(key_cols) {
-            let rebuild = DfExpr::udf(
-                format!("rebuild ${}", spec.var),
-                Some(vec![col.clone()]),
-                move |schema: &Schema, row: &[Value]| {
-                    let cell = &row[schema.index_of(&col).expect("key column")];
-                    match GroupKey::from_value(cell) {
-                        Some(key) => cell_of(key.to_item().into_iter().collect()),
-                        None => task_bail(format!("bad group key cell {cell:?}")),
-                    }
-                },
-            );
-            exprs.push(NamedExpr {
-                name: spec.var.to_string(),
-                expr: rebuild,
-                dtype: DataType::Bin,
-            });
-        }
-        for (var, usage) in &self.nongrouping {
-            let agg_col = format!("__agg_{var}");
-            match usage {
-                NonGroupingUsage::Unused => {}
-                NonGroupingUsage::Materialize => {
-                    let var2 = Arc::clone(var);
-                    let merge = DfExpr::udf(
-                        format!("merge ${var}"),
-                        Some(vec![agg_col.clone()]),
-                        move |schema: &Schema, row: &[Value]| {
-                            let idx = schema.index_of(&agg_col).expect("agg col");
-                            let Value::List(parts) = &row[idx] else {
-                                task_bail("collect_list output must be a list")
-                            };
-                            let mut items = Vec::new();
-                            for p in parts.iter() {
-                                items.extend(bind_cell(&var2, p).iter().cloned());
-                            }
-                            cell_of(items)
-                        },
-                    );
-                    exprs.push(NamedExpr {
-                        name: var.to_string(),
-                        expr: merge,
-                        dtype: DataType::Bin,
-                    });
-                }
-                NonGroupingUsage::CountOnly => {
-                    let count = DfExpr::udf(
-                        format!("count ${var}"),
-                        Some(vec![agg_col.clone()]),
-                        move |schema: &Schema, row: &[Value]| {
-                            let idx = schema.index_of(&agg_col).expect("agg col");
-                            let n = row[idx].as_i64().unwrap_or(0);
-                            cell_of(vec![Item::Integer(n)])
-                        },
-                    );
-                    exprs.push(NamedExpr {
-                        name: var.to_string(),
-                        expr: count,
-                        dtype: DataType::Bin,
-                    });
-                }
-            }
-        }
-        let df = grouped.select(exprs)?;
-        Ok(TupleFrame { df, vars: self.out.clone() })
+    fn clause(&self) -> Clause<'_> {
+        Clause::GroupBy(self)
     }
 }
 
@@ -928,7 +528,7 @@ pub struct OrderSpecIter {
 /// normalized: the sort keeps `total_cmp`'s order of `-0.0` before `0`.
 /// Local and DataFrame ORDER BY sort these same cells as sparklite
 /// `SortKey`s.
-fn order_cell(items: &[Item]) -> Result<Value> {
+pub(super) fn order_cell(items: &[Item]) -> Result<Value> {
     Ok(match items {
         [] => Value::Null,
         [Item::Null] => Value::Bool(false),
@@ -950,7 +550,7 @@ fn order_cell(items: &[Item]) -> Result<Value> {
 /// The sort direction of one key: `SortKey` places NULL (the empty key)
 /// before it applies the direction, so `empty greatest` puts it last in
 /// ascending order and first in descending order.
-fn order_dir(spec: &OrderSpecIter) -> SortDir {
+pub(super) fn order_dir(spec: &OrderSpecIter) -> SortDir {
     SortDir { ascending: !spec.descending, nulls_last: spec.empty_greatest != spec.descending }
 }
 
@@ -988,7 +588,7 @@ fn check_classes(mask: u8) -> Result<()> {
 /// `Relaxed` suffices: `fetch_or`s on one slot are totally ordered, so of
 /// two conflicting classes the later write sees the earlier one, and the
 /// slot publishes no other data.
-fn note_class(slot: &AtomicU8, cell: &Value) -> Result<()> {
+pub(super) fn note_class(slot: &AtomicU8, cell: &Value) -> Result<()> {
     let class = order_class(cell);
     let mut mask = slot.load(Ordering::Relaxed);
     if mask & class != class {
@@ -1004,33 +604,6 @@ pub struct OrderByClauseIter {
 }
 
 impl OrderByClauseIter {
-    /// Adds one sort-key column (`__o{i}`, the key's [`order_cell`]) per
-    /// key to `df`, each UDF running the type discovery ([`note_class`])
-    /// over a slot of its own; returns the frame and its sort keys.
-    fn keyed(
-        &self,
-        mut df: DataFrame,
-        ctx: &DynamicContext,
-    ) -> Result<(DataFrame, Vec<(String, SortDir)>)> {
-        let mut keys = Vec::with_capacity(self.specs.len());
-        for (i, spec) in self.specs.iter().enumerate() {
-            let col = format!("__o{i}");
-            let slot = Arc::new(AtomicU8::new(0));
-            let key = RowExpr::new(&spec.expr, &spec.uses, ctx);
-            let udf = row_udf(&col, key, move |key| {
-                let cell = order_cell(&key).unwrap_or_else(|e| task_bail(e));
-                note_class(&slot, &cell).unwrap_or_else(|e| task_bail(e));
-                cell
-            })
-            // The type discovery must see every row, so a `where` after
-            // the `order by` stays above the sort.
-            .nondeterministic();
-            df = df.with_column(&col, udf, DataType::Any)?;
-            keys.push((col, order_dir(spec)));
-        }
-        Ok((df, keys))
-    }
-
     /// The parent's tuples with their sort keys, each key computed, and its
     /// type discovered, tuple by tuple.
     fn keyed_tuples(
@@ -1076,37 +649,7 @@ impl ClauseIterator for OrderByClauseIter {
         Ok(Box::new(self.keyed_tuples(ctx)?.map(|r| r.map(|(_, t)| t))))
     }
 
-    fn unordered_frame(&self, ctx: &DynamicContext) -> Result<TupleFrame> {
-        let f = self.parent.frame(ctx)?;
-        // The key UDFs are nondeterministic, so column pruning keeps them
-        // although nothing reads their columns: every row's key is still
-        // computed and type-checked.
-        let (df, _) = self.keyed(f.df, ctx)?;
-        Ok(TupleFrame { df, vars: f.vars })
-    }
-
-    fn frame(&self, ctx: &DynamicContext) -> Result<TupleFrame> {
-        let f = self.parent.frame(ctx)?;
-        // A plan, not a job: the range sort's sampling and routing passes
-        // each run the key pass (and so the type discovery) over the
-        // parent pipeline, as Spark's RangePartitioner re-runs its input.
-        let (df, keys) = self.keyed(f.df, ctx)?;
-        let cols: Vec<String> = keys.iter().map(|(c, _)| c.clone()).collect();
-        let col_refs: Vec<&str> = cols.iter().map(|c| c.as_str()).collect();
-        let df = df.order_by(keys)?.drop_columns(&col_refs)?;
-        Ok(TupleFrame { df, vars: f.vars })
-    }
-
-    fn take_ordered(
-        &self,
-        ctx: &DynamicContext,
-        n: usize,
-    ) -> Result<Option<(Arc<Schema>, Vec<Row>)>> {
-        let f = self.parent.frame(ctx)?;
-        let (df, keys) = self.keyed(f.df, ctx)?;
-        // One top-K job: no range sort, and every row's key still computed,
-        // so type discovery sees the rows outside the top `n`.
-        let rows = df.order_by(keys)?.limit(n).collect_rows()?;
-        Ok(Some((Arc::clone(df.schema()), rows)))
+    fn clause(&self) -> Clause<'_> {
+        Clause::OrderBy(self)
     }
 }

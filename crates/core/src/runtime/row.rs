@@ -1,7 +1,7 @@
-//! Per-row compilation: a JSONiq expression evaluated once per tuple-frame
-//! row (a `let`, a `where`, a key, a `return`) compiled to a closure over
-//! slot-resolved variables, instead of interpreted through the iterator
-//! tree (§5.5's per-context `open`).
+//! Per-row compilation: a JSONiq expression evaluated once per tuple of a
+//! FLWOR pass (a `let`, a `where`, a key, a `return`) compiled to a
+//! closure over slot-resolved variables, instead of interpreted through
+//! the iterator tree (§5.5's per-context `open`).
 //!
 //! [`ExprIterator::compile_row`] builds the closure bottom-up. Each FLWOR
 //! variable the expression reads becomes a slot index into a borrowed row

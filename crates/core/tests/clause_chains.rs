@@ -249,8 +249,7 @@ fn engine(conf: impl FnOnce(SparkliteConf) -> SparkliteConf) -> Rumble {
     let r = Rumble::new(SparkliteContext::new(conf(
         SparkliteConf::default().with_executors(2).with_block_size(4096),
     )));
-    r.hdfs_put("/chains.json", &rumble_datagen::heterogeneous::generate(RECORDS, 0x5EED))
-        .unwrap();
+    r.hdfs_put("/chains.json", &rumble_datagen::heterogeneous::generate(RECORDS, 0x5EED)).unwrap();
     r
 }
 
