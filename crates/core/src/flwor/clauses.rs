@@ -435,7 +435,10 @@ impl GroupByClauseIter {
 /// A group key's cell ([`GroupKey::to_value`]); a key that is not one
 /// atomic item or empty raises.
 pub(super) fn group_key_cell(items: &[Item]) -> Result<Value> {
-    group_key(items).map(|k| k.to_value())
+    match items {
+        [Item::Str(s)] => Ok(Value::Str(Arc::clone(s))),
+        _ => group_key(items).map(|k| k.to_value()),
+    }
 }
 
 impl ClauseIterator for GroupByClauseIter {

@@ -40,7 +40,7 @@ use clauses::{
     CountClauseIter, ForClauseIter, GroupByClauseIter, LetClauseIter, NonGroupingUsage,
     OrderByClauseIter, WhereClauseIter,
 };
-use pipeline::{Last, Planned, TUPLES};
+use pipeline::{Planned, TUPLES};
 use sparklite::dataframe::{ExtCell, Row, Value};
 use sparklite::rdd::{task_bail, Rdd};
 use std::any::Any;
@@ -312,16 +312,17 @@ impl Cardinal {
 impl FlworIter {
     /// The final pass: the clauses after the last breaker, over the
     /// stream it emits (see [`pipeline`]), its source scanned by `source`
-    /// instead of the initial `for`'s where one is given.
+    /// instead of the initial `for`'s where one is given, and a last
+    /// `order by` sorted if `sorted`.
     fn final_pass(
         &self,
         ctx: &DynamicContext,
         source: Option<&ExprRef>,
-        last: Last,
+        sorted: bool,
     ) -> Result<Planned> {
         let clauses = chain(&self.last);
         let (stream, rest) =
-            pipeline::stream(&clauses, clauses.len(), source, &self.return_uses, last, ctx)?;
+            pipeline::stream(&clauses, clauses.len(), source, &self.return_uses, sorted, ctx)?;
         Planned::new(stream, rest, ctx)
     }
 
@@ -346,8 +347,7 @@ impl FlworIter {
             return Ok(Cardinal::Local(Box::new(items.map(|i| i.map(drop)))));
         }
         let source = self.count_source.as_ref().filter(|_| self.counts_tuples);
-        let last = if ordered { Last::Sorted } else { Last::Unsorted };
-        let planned = self.final_pass(ctx, source, last)?;
+        let planned = self.final_pass(ctx, source, ordered)?;
         if !self.counts_tuples {
             return Ok(Cardinal::Items(self.returned(planned, ctx)?));
         }
@@ -384,7 +384,7 @@ impl ExprIterator for FlworIter {
     }
 
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
-        self.returned(self.final_pass(ctx, None, Last::Sorted)?, ctx)
+        self.returned(self.final_pass(ctx, None, true)?, ctx)
     }
 
     fn count(&self, ctx: &DynamicContext) -> Result<u64> {

@@ -261,7 +261,9 @@ impl<E: Emit> Pass<E> {
     /// Runs the pass over one input, pushing what it yields onto `out`.
     fn feed<T: Tuple>(&self, inputs: usize, tuple: &T, out: &mut VecDeque<E::Out>) -> Result<()> {
         tuple.with_slots(inputs, |inputs| {
-            if self.values <= VALUES {
+            if self.values == 0 {
+                self.run(0, inputs, &mut [], out)
+            } else if self.values <= VALUES {
                 let mut values: [Seq; VALUES] = std::array::from_fn(|_| Seq::EMPTY);
                 self.run(0, inputs, &mut values[..self.values], out)
             } else {
@@ -532,26 +534,19 @@ fn count(c: &CountClauseIter, planned: Planned, mut carried: Vec<Arc<str>>) -> R
     Ok(Stream::Rows(rows, vars))
 }
 
-/// How a last `order by` ends the stream.
-#[derive(Clone, Copy, PartialEq)]
-pub(super) enum Last {
-    /// It sorts.
-    Sorted,
-    /// It computes its keys, and so raises what its type discovery
-    /// raises, but does not sort: for a consumer that only counts.
-    Unsorted,
-}
-
 /// The stream of a FLWOR's clauses through the last breaker among the
 /// first `upto`, with the clauses after it up to `upto`, which the final
 /// pass runs. `source`, where given, is what the initial `for` scans
 /// instead of its own expression; `return_uses`, what the `return` reads.
+/// Unless `sorted`, a last `order by` computes its keys, and so raises
+/// what its type discovery raises, but does not sort: for a consumer that
+/// only counts.
 pub(super) fn stream<'c>(
     clauses: &'c [Clause<'c>],
     upto: usize,
     source: Option<&ExprRef>,
     return_uses: &[Arc<str>],
-    last: Last,
+    sorted: bool,
     ctx: &DynamicContext,
 ) -> Result<(Stream, &'c [Clause<'c>])> {
     let (mut stream, mut start) = initial(clauses, source, ctx)?;
@@ -570,7 +565,7 @@ pub(super) fn stream<'c>(
             Clause::OrderBy(o) => {
                 let carried = carried(&planned, later, return_uses);
                 let (df, vars, keys) = order_keys(o, planned, carried, ctx)?;
-                let rows = match later.is_empty() && last == Last::Unsorted {
+                let rows = match later.is_empty() && !sorted {
                     true => df.to_rdd()?,
                     false => df.order_by(keys)?.to_rdd()?,
                 };
@@ -622,7 +617,7 @@ pub(super) fn take_ordered(
 ) -> Result<Option<Vec<Item>>> {
     let Some(Clause::OrderBy(o)) = clauses.last() else { return Ok(None) };
     let upto = clauses.len() - 1;
-    let (stream, rest) = stream(clauses, upto, None, return_uses, Last::Sorted, ctx)?;
+    let (stream, rest) = stream(clauses, upto, None, return_uses, true, ctx)?;
     let planned = Planned::new(stream, rest, ctx)?;
     let carried = carried(&planned, &[], return_uses);
     let (df, vars, keys) = order_keys(o, planned, carried, ctx)?;

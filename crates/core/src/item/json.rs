@@ -142,41 +142,32 @@ impl ItemBuilder {
 }
 
 impl jsonlite::JsonSink for ItemBuilder {
-    #[inline]
     fn null(&mut self) -> jsonlite::Result<()> {
         self.emit(Item::Null)
     }
-    #[inline]
     fn boolean(&mut self, v: bool) -> jsonlite::Result<()> {
         self.emit(Item::Boolean(v))
     }
-    #[inline]
     fn integer(&mut self, v: i64) -> jsonlite::Result<()> {
         self.emit(Item::Integer(v))
     }
-    #[inline]
     fn decimal(&mut self, raw: &str) -> jsonlite::Result<()> {
         let d = parse_decimal(raw)?;
         self.emit(Item::decimal(d))
     }
-    #[inline]
     fn skipped_decimal(&mut self, raw: &str) -> jsonlite::Result<()> {
         parse_decimal(raw).map(drop)
     }
-    #[inline]
     fn double(&mut self, v: f64) -> jsonlite::Result<()> {
         self.emit(Item::Double(v))
     }
-    #[inline]
     fn string(&mut self, v: &str) -> jsonlite::Result<()> {
         let s = if v.len() <= INTERN_MAX_LEN { self.intern(v) } else { Arc::from(v) };
         self.emit(Item::Str(s))
     }
-    #[inline]
     fn begin_object(&mut self) -> jsonlite::Result<()> {
         self.begin()
     }
-    #[inline]
     fn key(&mut self, k: &str) -> jsonlite::Result<()> {
         // Only a key of the top-level object arrives with one frame open:
         // an array has no keys.
@@ -193,22 +184,18 @@ impl jsonlite::JsonSink for ItemBuilder {
         self.keys.push(k);
         Ok(())
     }
-    #[inline]
     fn skip_value(&mut self) -> bool {
         std::mem::take(&mut self.declined)
     }
-    #[inline]
     fn end_object(&mut self) -> jsonlite::Result<()> {
         let f = self.end();
         let mut pairs = Vec::with_capacity(self.items.len() - f.items);
         pairs.extend(self.keys.drain(f.keys..).zip(self.items.drain(f.items..)));
         self.emit(Item::Object(Arc::new(Object::new(pairs))))
     }
-    #[inline]
     fn begin_array(&mut self) -> jsonlite::Result<()> {
         self.begin()
     }
-    #[inline]
     fn end_array(&mut self) -> jsonlite::Result<()> {
         let f = self.end();
         let mut items = Vec::with_capacity(self.items.len() - f.items);
